@@ -203,9 +203,12 @@ class HashTable:
             raise RuntimeError("cannot insert into a frozen table")
         codes = np.atleast_1d(np.asarray(codes, dtype=np.uint32))
         recs = np.empty(len(codes), dtype=_POSTING_DTYPE)
-        recs["track"] = tracks
-        recs["segment"] = segments
-        recs["time"] = times
+        for name, values in (("track", tracks), ("segment", segments), ("time", times)):
+            values = np.asarray(values)
+            limit = np.iinfo(_POSTING_DTYPE[name]).max
+            if values.size and (values.min() < 0 or values.max() > limit):
+                raise ValueError(f"posting {name} outside the field's range [0, {limit}]")
+            recs[name] = values
         self._pending.append((codes, recs))
 
     def freeze(self) -> None:
@@ -311,22 +314,29 @@ def save_index(path, index: CatalogIndex) -> None:
             fh.write(name)
 
 
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated index file {path!r}: {what} needs {n} bytes, {len(data)} left")
+    return data
+
+
 def load_index(path) -> CatalogIndex:
     with open(path, "rb") as fh:
         if fh.read(4) != INDEX_MAGIC:
             raise ValueError(f"{path!r} is not an index file")
-        header = struct.unpack("<HHHHHQIIIQI", fh.read(42))
+        header = struct.unpack("<HHHHHQIIIQI", _read_exact(fh, 42, path, "header"))
         (version, n_lsh, n_reliable, lsh_bits, n_bands, seed, sample_rate, hop, segment_frames, n_postings, n_tracks) = header
         if version != INDEX_VERSION:
             raise ValueError(f"unsupported index version {version}")
         if n_lsh != N_LSH or lsh_bits != LSH_BITS:
             raise ValueError("index was built with incompatible LSH parameters")
-        offsets = np.frombuffer(fh.read(8 * (EXT_TABLE_SIZE + 1)), dtype="<u8")
-        postings = np.frombuffer(fh.read(_POSTING_DTYPE.itemsize * n_postings), dtype=_POSTING_DTYPE)
+        offsets = np.frombuffer(_read_exact(fh, 8 * (EXT_TABLE_SIZE + 1), path, "bucket offsets"), dtype="<u8")
+        postings = np.frombuffer(_read_exact(fh, _POSTING_DTYPE.itemsize * n_postings, path, "postings"), dtype=_POSTING_DTYPE)
         tracks = {}
         for _ in range(n_tracks):
-            tid, duration, name_len = struct.unpack("<IdH", fh.read(14))
-            name = fh.read(name_len).decode("utf-8")
+            tid, duration, name_len = struct.unpack("<IdH", _read_exact(fh, 14, path, "track record"))
+            name = _read_exact(fh, name_len, path, "track name").decode("utf-8")
             tracks[tid] = TrackInfo(track_id=tid, name=name, duration=duration)
     table = HashTable()
     table.offsets = offsets

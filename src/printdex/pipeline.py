@@ -418,7 +418,7 @@ def evaluate(
             if dspec is not None:
                 excerpt = _degrade.apply(dspec.reseeded(_derive_seed(seed, c_idx, query_offset + q_idx)), excerpt)
             try:
-                result = _search.query_index(excerpt, index, model, search_cfg, cfg.prints, cfg.onset)
+                result = _search.query_index(excerpt, index, model, search_cfg, cfg.prints, cfg.onset, cfg.spectrogram)
             except ValueError:
                 continue
             if len(result.step1_ranking) and result.step1_ranking[0] == q.track_id:

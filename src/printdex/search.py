@@ -235,13 +235,20 @@ def _fit_line(t: np.ndarray, tau: np.ndarray, w: np.ndarray) -> tuple[float, flo
 
 
 def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_cfg=None):
-    """Analyze an excerpt into extended codes, anchor times and reliabilities."""
+    """Analyze an excerpt into extended codes, anchor times and reliabilities.
+
+    ``spectrogram_cfg`` must give the index's frame hop at its sample rate.
+    """
     print_cfg = print_cfg or _prints.PrintConfig()
+    spectrogram_cfg = spectrogram_cfg or _audio.SpectrogramConfig()
+    hop = spectrogram_cfg.hop_samples(index.sample_rate)
+    if hop != index.hop_samples:
+        raise ValueError(f"spectrogram hop of {hop} samples does not match the index's {index.hop_samples}")
     buf = _audio.resample(buf, index.sample_rate)
     buf = _audio.normalize(buf)
     if buf.duration < print_cfg.window_s:
         raise ValueError(f"excerpt shorter than one {print_cfg.window_s} s print window")
-    spec = _audio.stft(buf, spectrogram_cfg or _audio.SpectrogramConfig())
+    spec = _audio.stft(buf, spectrogram_cfg)
     times = _onsets.select_analysis_times(spec, onset_cfg)
     kept, coeffs = _prints.print_matrix(spec, times.frames, print_cfg)
     if len(kept) == 0:
@@ -267,10 +274,10 @@ def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_c
     )
 
 
-def query_index(buf, index, model, cfg: SearchConfig | None = None, print_cfg=None, onset_cfg=None) -> QueryResult:
+def query_index(buf, index, model, cfg: SearchConfig | None = None, print_cfg=None, onset_cfg=None, spectrogram_cfg=None) -> QueryResult:
     """Full two-step query of an audio excerpt against a catalog index."""
     cfg = cfg or SearchConfig()
-    codes, times, rels, n_prints, duration = query_codes(buf, index, model, print_cfg, onset_cfg)
+    codes, times, rels, n_prints, duration = query_codes(buf, index, model, print_cfg, onset_cfg, spectrogram_cfg)
     weights = rels if cfg.reliability_weighting else None
     hist = count_matches(codes, times, index, duration, weights)
     candidates = select_candidates(hist, cfg)

@@ -8,6 +8,7 @@ session; the full suite is sized for a laptop-class machine.
 import time
 
 import numpy as np
+import pytest
 import scipy.signal
 
 from corpus import build_corpus, synth_track
@@ -36,6 +37,8 @@ from printdex.reduction import (
     hadamard_matrix,
 )
 from printdex.search import cone_weights, refine_alignment, time_coherence
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(name: str, ok: bool, detail: str = ""):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.io.wavfile
+import scipy.signal
 
+from printdex import audio
 from printdex.audio import AudioBuffer, AudioError, SpectrogramConfig, load_audio, normalize, resample, save_wav, stft
 
 from conftest import make_sine
@@ -173,3 +175,38 @@ class TestStft:
             buf = make_sine(440, duration=1.0, sr=sr)
             spec = stft(buf, cfg)
             assert abs(spec.frame_rate - 1.0 / cfg.hop_s) / (1.0 / cfg.hop_s) < 0.005
+
+    def test_matches_float64_reference(self):
+        rng = np.random.default_rng(2)
+        buf = AudioBuffer(samples=rng.uniform(-1, 1, 3 * SR), sample_rate=SR)
+        cfg = SpectrogramConfig()
+        win, hop = cfg.window_samples(SR), cfg.hop_samples(SR)
+        frames = np.lib.stride_tricks.sliding_window_view(buf.samples, win)[::hop]
+        window = scipy.signal.windows.hann(win, sym=False)
+        ref = np.abs(np.fft.rfft(frames * window, n=cfg.fft_size(SR), axis=1)).T
+        # the FFT runs in float32: allow a few dozen roundings of the peak
+        atol = 64 * np.finfo(np.float32).eps * ref.max()
+        spec = stft(buf, cfg)
+        assert spec.magnitudes.shape == ref.shape
+        np.testing.assert_allclose(spec.magnitudes, ref, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1), (3, 5)])
+    def test_blocking_matches_one_call(self, monkeypatch, blocks, extra):
+        n_frames = blocks * audio.STFT_BLOCK_FRAMES + extra
+        cfg = SpectrogramConfig()
+        win, hop = cfg.window_samples(SR), cfg.hop_samples(SR)
+        rng = np.random.default_rng(n_frames)
+        buf = AudioBuffer(samples=rng.uniform(-1, 1, win + (n_frames - 1) * hop), sample_rate=SR)
+        blocked = stft(buf, cfg)
+        monkeypatch.setattr(audio, "STFT_BLOCK_FRAMES", n_frames)
+        whole = stft(buf, cfg)
+        assert blocked.n_frames == n_frames
+        # a frame's FFT may take a vectorized or a scalar path depending on its block
+        atol = 4 * np.finfo(np.float32).eps * whole.magnitudes.max()
+        np.testing.assert_allclose(blocked.magnitudes, whole.magnitudes, rtol=0, atol=atol)
+
+    def test_magnitudes_c_contiguous_float64(self):
+        # print_matrix's sparse product is several times slower on a Fortran-order view
+        spec = stft(make_sine(440, duration=1.0))
+        assert spec.magnitudes.dtype == np.float64
+        assert spec.magnitudes.flags.c_contiguous

@@ -239,3 +239,12 @@ class TestInspectCommand:
         bad.write_bytes(raw)
         assert main(["inspect", "--model", str(bad)]) == 1
         assert "version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep", [slice(None, 30), slice(None, -5)])
+    def test_truncated_index_one_line_error(self, cli_setup, tmp_path, capsys, keep):
+        root, manifest, entries, model, index = cli_setup
+        cut = tmp_path / "cut.bmix"
+        cut.write_bytes(open(index, "rb").read()[keep])
+        assert main(["inspect", "--index", str(cut)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated index file") and err.count("\n") == 1

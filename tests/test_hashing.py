@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,23 @@ class TestHashTable:
         with pytest.raises(RuntimeError):
             t.insert([1], [1], [0], [0])
 
+    @pytest.mark.parametrize(
+        "tracks, segments, times",
+        [([1], [0], [70000]), ([1], [70000], [0]), ([1 << 32], [0], [0]), ([-1], [0], [0]), ([1], [0], [-1])],
+    )
+    def test_out_of_range_posting_rejected(self, tracks, segments, times):
+        t = HashTable()
+        with pytest.raises(ValueError):
+            t.insert([5], np.array(tracks), np.array(segments), np.array(times))
+
+    def test_field_limits_stored_exactly(self):
+        t = HashTable()
+        t.insert([5], [(1 << 32) - 1], [65535], [65535])
+        t.freeze()
+        postings = t.lookup(5)
+        assert postings["track"][0] == (1 << 32) - 1
+        assert postings["segment"][0] == 65535 and postings["time"][0] == 65535
+
     def test_postings_sorted_within_bucket(self):
         t = HashTable()
         t.insert([5, 5, 5], [30, 10, 20], [0, 1, 0], [3, 2, 1])
@@ -232,6 +251,16 @@ class TestStatistics:
             assert abs(mc - expected_unchanged(k)) / expected_unchanged(k) < 0.05
 
 
+def _small_index():
+    t = HashTable()
+    t.insert([3, 1, 2], [1, 2, 3], [0, 0, 0], [5, 6, 7])
+    t.freeze()
+    return CatalogIndex(
+        table=t, tracks={1: TrackInfo(1, "x", 1.0)}, lsh_seed=0, n_reliable=10,
+        segment_frames=10, sample_rate=11025, hop_samples=220,
+    )
+
+
 class TestIndexFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -261,17 +290,20 @@ class TestIndexFile:
         assert np.array_equal(back.spec.selections, make_lsh_spec(99).selections)
 
     def test_save_deterministic(self, tmp_path):
-        t = HashTable()
-        t.insert([3, 1, 2], [1, 2, 3], [0, 0, 0], [5, 6, 7])
-        t.freeze()
-        index = CatalogIndex(
-            table=t, tracks={1: TrackInfo(1, "x", 1.0)}, lsh_seed=0, n_reliable=10,
-            segment_frames=10, sample_rate=11025, hop_samples=220,
-        )
+        index = _small_index()
         p1, p2 = tmp_path / "a.bmix", tmp_path / "b.bmix"
         save_index(p1, index)
         save_index(p2, index)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cut", ["to_30_bytes", "last_5_bytes"])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        index = _small_index()
+        path = tmp_path / "cut.bmix"
+        save_index(path, index)
+        os.truncate(path, 30 if cut == "to_30_bytes" else path.stat().st_size - 5)
+        with pytest.raises(ValueError, match="truncated"):
+            load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bmix"

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from printdex import pipeline
+from printdex import audio, pipeline
+from printdex.audio import SpectrogramConfig, stft
 from printdex.degrade import apply as apply_degradation
 from printdex.degrade import parse_spec
 from printdex.hashing import N_LSH, CatalogIndex, HashTable, TrackInfo, codes_from_bits, extended_code, make_lsh_spec
@@ -366,3 +369,23 @@ class TestQueryIndex:
         excerpt = pipeline.cut_excerpt(buf, 5.0, 7.0)
         res = query_index(excerpt, s.index, s.model, SearchConfig(reliability_weighting=True))
         assert res.best.track_id == s.entries[4].track_id
+
+    def test_spectrogram_hop_mismatch_rejected(self, small_setup):
+        s = small_setup
+        excerpt = pipeline.cut_excerpt(pipeline.load_track(s.entries[1], s.cfg), 2.0, 7.0)
+        with pytest.raises(ValueError, match="hop"):
+            query_index(excerpt, s.index, s.model, spectrogram_cfg=SpectrogramConfig(hop_s=0.040))
+
+    def test_evaluate_queries_with_pipeline_spectrogram(self, small_setup, monkeypatch):
+        s = small_setup
+        cfg = dataclasses.replace(s.cfg, spectrogram=SpectrogramConfig(window_s=0.160))
+        seen = []
+
+        def recording_stft(buf, spectrogram_cfg=None):
+            seen.append(spectrogram_cfg)
+            return stft(buf, spectrogram_cfg)
+
+        monkeypatch.setattr(audio, "stft", recording_stft)
+        queries = pipeline.make_queries(s.entries, cfg, 1, 7.0, seed=3)
+        pipeline.evaluate(s.index, s.model, s.entries, cfg, queries, [("clean", None, False)])
+        assert seen == [cfg.spectrogram]
