@@ -201,7 +201,10 @@ class HashTable:
     def insert(self, codes, tracks, segments, times) -> None:
         if self.frozen:
             raise RuntimeError("cannot insert into a frozen table")
-        codes = np.atleast_1d(np.asarray(codes, dtype=np.uint32))
+        codes = np.atleast_1d(np.asarray(codes))
+        if codes.size and (codes.min() < 0 or codes.max() >= EXT_TABLE_SIZE):
+            raise ValueError(f"extended code outside [0, {EXT_TABLE_SIZE})")
+        codes = codes.astype(np.uint32)
         recs = np.empty(len(codes), dtype=_POSTING_DTYPE)
         for name, values in (("track", tracks), ("segment", segments), ("time", times)):
             values = np.asarray(values)
@@ -221,9 +224,11 @@ class HashTable:
             codes = np.empty(0, dtype=np.uint32)
             recs = np.empty(0, dtype=_POSTING_DTYPE)
         order = np.lexsort((recs["time"], recs["segment"], recs["track"], codes))
-        codes = codes[order]
         self.postings = recs[order]
-        self.offsets = np.searchsorted(codes, np.arange(EXT_TABLE_SIZE + 1, dtype=np.uint32)).astype(np.uint64)
+        # Counting code + 1 leaves slot 0 empty, so the in-place running sum
+        # is the offsets table itself: one 2^24-element array, no temporary.
+        counts = np.bincount(codes + 1, minlength=EXT_TABLE_SIZE + 1)
+        self.offsets = np.cumsum(counts, out=counts).view(np.uint64)
         self._pending = []
         self.frozen = True
 

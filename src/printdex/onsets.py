@@ -120,10 +120,12 @@ def diff_spectral_norms(spec) -> np.ndarray:
     """Rectified difference of spectral 1-norms, the production onset function.
 
     Equals the generalized flux at (h=1, p=1, d=0) applied to the series of
-    frame norms.
+    frame norms. Magnitudes are nonnegative (the ``Spectrogram`` contract), so
+    each frame's 1-norm is its plain column sum, with no full-size ``abs``
+    temporary.
     """
     m = _magnitudes(spec)
-    norms = np.sum(np.abs(m), axis=0)
+    norms = np.sum(m, axis=0)
     phi = np.zeros(m.shape[1])
     phi[1:] = np.abs(rectify(norms[1:] - norms[:-1], 1.0))
     return phi

@@ -399,8 +399,12 @@ def evaluate(
     Success = top-1 track match, per step; the cut offset is recorded as
     ground truth but only identity is scored. ``query_offset`` shifts the
     per-query seed derivation so that split runs reproduce a single run.
+    A ``cfg.spectrogram`` whose hop differs from the index's raises
+    ``ValueError`` before any query runs; a query that fails on its own (no
+    usable analysis window) counts as a miss.
     """
     search_cfg = search_cfg or _search.SearchConfig()
+    _search.check_index_hop(index, cfg.spectrogram)
     t0 = time.monotonic()
     cache: dict = {}
 

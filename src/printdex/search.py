@@ -22,6 +22,10 @@ from printdex import onsets as _onsets
 from printdex import prints as _prints
 from printdex.reduction import apply_reduction
 
+# Rows of the sorted pairs compared per step of cone_weights: it bounds each
+# temporary to CONE_BLOCK_ROWS x n elements instead of n x n.
+CONE_BLOCK_ROWS = 32
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -149,26 +153,31 @@ def cone_weights(t: np.ndarray, tau: np.ndarray, alpha_max: float) -> np.ndarray
 
     The cone from (t_n, tau_n) holds pairs (t_m, tau_m) with t_m > t_n whose
     connecting slope lies in [1/alpha_max, alpha_max]; collinear pairs under
-    any admissible stretch support each other.
+    any admissible stretch support each other. Pairs are sorted by t once, so
+    each block of rows is compared only with the suffix of strictly later
+    pairs.
     """
     if alpha_max <= 1.0:
         raise ValueError("alpha_max must exceed 1")
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     n = len(t)
+    order = np.argsort(t, kind="stable")
+    ts, taus = t[order], tau[order]
+    first_later = np.searchsorted(ts, ts, side="right")
     weights = np.ones(n)
-    if n == 0:
-        return weights
-    chunk = max(1, int(2e6) // max(n, 1))
     lo, hi = 1.0 / alpha_max, alpha_max
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        dt = t[None, start:stop] - t[:, None]  # dt[m, i] = t_i... (i anchor)
-        dtau = tau[None, start:stop] - tau[:, None]
+    for start in range(0, n, CONE_BLOCK_ROWS):
+        later = first_later[start]
+        if later == n:
+            break
+        stop = min(start + CONE_BLOCK_ROWS, n)
+        dt = ts[None, later:] - ts[start:stop, None]
+        dtau = taus[None, later:] - taus[start:stop, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = dtau / dt
-        inside = (dt < 0) & (slope >= lo) & (slope <= hi)
-        weights[start:stop] += inside.sum(axis=0)
+        inside = (dt > 0) & (slope >= lo) & (slope <= hi)
+        weights[order[start:stop]] += np.count_nonzero(inside, axis=1)
     return weights
 
 
@@ -234,16 +243,23 @@ def _fit_line(t: np.ndarray, tau: np.ndarray, w: np.ndarray) -> tuple[float, flo
     return alpha, delta
 
 
+def check_index_hop(index, spectrogram_cfg=None):
+    """Return ``spectrogram_cfg`` (the default if None); raise ``ValueError``
+    unless it gives the index's frame hop at the index's sample rate."""
+    spectrogram_cfg = spectrogram_cfg or _audio.SpectrogramConfig()
+    hop = spectrogram_cfg.hop_samples(index.sample_rate)
+    if hop != index.hop_samples:
+        raise ValueError(f"spectrogram hop of {hop} samples does not match the index's {index.hop_samples}")
+    return spectrogram_cfg
+
+
 def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_cfg=None):
     """Analyze an excerpt into extended codes, anchor times and reliabilities.
 
     ``spectrogram_cfg`` must give the index's frame hop at its sample rate.
     """
     print_cfg = print_cfg or _prints.PrintConfig()
-    spectrogram_cfg = spectrogram_cfg or _audio.SpectrogramConfig()
-    hop = spectrogram_cfg.hop_samples(index.sample_rate)
-    if hop != index.hop_samples:
-        raise ValueError(f"spectrogram hop of {hop} samples does not match the index's {index.hop_samples}")
+    spectrogram_cfg = check_index_hop(index, spectrogram_cfg)
     buf = _audio.resample(buf, index.sample_rate)
     buf = _audio.normalize(buf)
     if buf.duration < print_cfg.window_s:

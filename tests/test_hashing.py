@@ -5,6 +5,7 @@ import pytest
 
 from printdex.hashing import (
     CODE_BITS,
+    EXT_TABLE_SIZE,
     LSH_BITS,
     N_LSH,
     CatalogIndex,
@@ -203,6 +204,24 @@ class TestHashTable:
         postings = t.lookup(5)
         assert postings["track"][0] == (1 << 32) - 1
         assert postings["segment"][0] == 65535 and postings["time"][0] == 65535
+
+    @pytest.mark.parametrize("codes", [[], [7], [0], [EXT_TABLE_SIZE - 1], [0, EXT_TABLE_SIZE - 1, 3, 3, 0], "random"])
+    def test_offsets_match_searchsorted_oracle(self, codes):
+        if codes == "random":
+            codes = np.random.default_rng(8).integers(0, EXT_TABLE_SIZE, 2000)
+        codes = np.asarray(codes, dtype=np.int64)
+        t = HashTable()
+        t.insert(codes, np.arange(len(codes)), np.zeros(len(codes)), np.zeros(len(codes)))
+        t.freeze()
+        oracle = np.searchsorted(np.sort(codes), np.arange(EXT_TABLE_SIZE + 1)).astype(np.uint64)
+        assert t.offsets.dtype == np.uint64
+        assert np.array_equal(t.offsets, oracle)
+
+    @pytest.mark.parametrize("code", [-1, EXT_TABLE_SIZE])
+    def test_out_of_range_code_rejected(self, code):
+        t = HashTable()
+        with pytest.raises(ValueError, match="extended code"):
+            t.insert([code], [1], [0], [0])
 
     def test_postings_sorted_within_bucket(self):
         t = HashTable()

@@ -83,6 +83,15 @@ class TestDiffSpectralNorms:
         flux = generalized_flux(norms, OnsetConfig(h=1.0, p=1.0, d=0))
         assert np.max(np.abs(diff_spectral_norms(m) - flux)) < 1e-9
 
+    def test_equals_abs_form_on_real_spectrogram(self):
+        from corpus import synth_track
+
+        m = stft(synth_track(5, duration_s=10.0)).magnitudes
+        norms = np.sum(np.abs(m), axis=0)
+        phi = np.zeros(m.shape[1])
+        phi[1:] = np.abs(rectify(norms[1:] - norms[:-1], 1.0))
+        assert np.array_equal(diff_spectral_norms(m), phi)
+
 
 class TestSmoother:
     def test_identity_filter(self):

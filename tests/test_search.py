@@ -158,10 +158,11 @@ class TestSelectCandidates:
 
 class TestConeWeights:
     def test_unit_slope_line(self):
-        t = np.arange(10, dtype=float)
-        tau = t - 5.0
-        w = cone_weights(t, tau, 1.2)
-        assert np.array_equal(w, np.arange(10, 0, -1))
+        for n in (10, 34, 98):
+            t = np.arange(n, dtype=float)
+            tau = t - 5.0
+            w = cone_weights(t, tau, 1.2)
+            assert np.array_equal(w, np.arange(n, 0, -1))
 
     def test_negative_slope_excluded(self):
         t = np.arange(8, dtype=float)
@@ -170,19 +171,28 @@ class TestConeWeights:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            t = rng.uniform(0, 30, 200)
-            tau = rng.uniform(0, 30, 200)
-            w = cone_weights(t, tau, 1.3)
-            oracle = np.ones(200)
-            for n in range(200):
-                for m in range(200):
-                    if m == n or t[m] <= t[n]:
+        frame = 220 / 11025
+        cases = [(rng.uniform(0, 30, 200), rng.uniform(0, 30, 200), 1.3) for _ in range(5)]
+        # frame-grid times with many equal t and equal tau values
+        cases += [(rng.integers(0, 25, 150) * frame, rng.integers(0, 25, 150) * frame, alpha) for alpha in (1.3, 1.4)]
+        # exact 5:7 and 7:5 frame slopes sit on the cone's edges at alpha_max = 1.4
+        steps = np.arange(12)
+        edge_t = np.concatenate([7 * steps, 5 * steps, 7 * steps]) * frame
+        edge_tau = np.concatenate([5 * steps, 7 * steps, 7 * steps + 3]) * frame
+        cases.append((edge_t, edge_tau, 1.4))
+        # sizes straddling the row block
+        cases += [(rng.integers(0, 40, n) * frame, rng.uniform(0, 1, n), 1.4) for n in (1, 31, 32, 33, 65)]
+        for t, tau, alpha in cases:
+            n = len(t)
+            oracle = np.ones(n)
+            for i in range(n):
+                for m in range(n):
+                    if m == i or t[m] <= t[i]:
                         continue
-                    slope = (tau[m] - tau[n]) / (t[m] - t[n])
-                    if 1 / 1.3 <= slope <= 1.3:
-                        oracle[n] += 1
-            assert np.array_equal(w, oracle)
+                    slope = (tau[m] - tau[i]) / (t[m] - t[i])
+                    if 1 / alpha <= slope <= alpha:
+                        oracle[i] += 1
+            assert np.array_equal(cone_weights(t, tau, alpha), oracle)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -375,6 +385,13 @@ class TestQueryIndex:
         excerpt = pipeline.cut_excerpt(pipeline.load_track(s.entries[1], s.cfg), 2.0, 7.0)
         with pytest.raises(ValueError, match="hop"):
             query_index(excerpt, s.index, s.model, spectrogram_cfg=SpectrogramConfig(hop_s=0.040))
+
+    def test_evaluate_rejects_spectrogram_hop_mismatch(self, small_setup):
+        s = small_setup
+        cfg = dataclasses.replace(s.cfg, spectrogram=SpectrogramConfig(hop_s=0.040))
+        queries = pipeline.make_queries(s.entries, s.cfg, 1, 7.0, seed=3)
+        with pytest.raises(ValueError, match="hop"):
+            pipeline.evaluate(s.index, s.model, s.entries, cfg, queries, [("clean", None, False)])
 
     def test_evaluate_queries_with_pipeline_spectrogram(self, small_setup, monkeypatch):
         s = small_setup
