@@ -178,10 +178,13 @@ def _istft_frames(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) ->
 def time_stretch(x: np.ndarray, sr: int, factor: float) -> np.ndarray:
     """Phase-vocoder stretch: output duration = input duration * factor.
 
-    Analysis frames are centered (half-window reflect padding) and the same
-    amount is trimmed from the synthesis, so the overlap-add normalization is
-    full everywhere in the output; without this, edge regions with a
-    near-zero window sum amplify the phase-modified frames.
+    Analysis frames (Hann 1024, hop 256) start at sample 0 with no centering
+    padding; only an input shorter than n_fft + hop is zero-padded, at the
+    end, to that length. The overlap-add is divided by the summed squared
+    window, and output samples where that sum is below 1e-3 of its peak (the
+    first and last few, covered only by a window's tail) are set to zero
+    rather than amplified.
+    The result is cut or zero-padded at the end to round(len(x) * factor).
     """
     if factor <= 0:
         raise DegradationError("stretch factor must be positive")

@@ -20,7 +20,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 IN_DIM = 1056
 LDA_DIM = 80
@@ -34,6 +33,25 @@ MODEL_VERSION = 1
 
 class TrainingError(ValueError):
     """Training data violates a fitting precondition."""
+
+
+def _eigh(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of symmetric ``a``, or of the pencil ``a v = l b v``.
+
+    ``b`` must be symmetric positive definite; a failed Cholesky factorization
+    raises ``np.linalg.LinAlgError``. The pencil is reduced as LAPACK ``sygv``
+    does it, with ``L`` inverted once: ``b = L L^T``, ``C = L^-1 a L^-T``,
+    ``v = L^-T y``, so that ``v^T b v = I``. Every fit runs on numpy's LAPACK only: scipy ships a
+    second OpenBLAS with its own thread pool, and alternating numpy products
+    with ``scipy.linalg`` calls makes each pool wait for the other's
+    still-spinning worker threads.
+    """
+    if b is None:
+        return np.linalg.eigh(a)
+    inv_low = np.linalg.inv(np.linalg.cholesky(b))
+    c = inv_low @ a @ inv_low.T
+    evals, y = np.linalg.eigh((c + c.T) / 2.0)
+    return evals, inv_low.T @ y
 
 
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
@@ -62,12 +80,12 @@ def fit_iccr(x: np.ndarray, rel_threshold: float = ICCR_REL_THRESHOLD, enforce_m
     if n >= j:
         # eigh of the Gram matrix: cheaper than a full SVD for tall data
         gram = x @ x.T
-        evals, evecs = scipy.linalg.eigh(gram)
+        evals, evecs = _eigh(gram)
         order = np.argsort(evals)[::-1]
         svals = np.sqrt(np.clip(evals[order], 0.0, None))
         basis = evecs[:, order].T
     else:
-        basis, svals, _ = scipy.linalg.svd(x, full_matrices=False)
+        basis, svals, _ = np.linalg.svd(x, full_matrices=False)
         basis = basis.T
     if svals.size == 0 or svals[0] == 0.0:
         raise TrainingError("ICCR input matrix is all-zero")
@@ -176,8 +194,8 @@ def fit_lda(t: np.ndarray, b: np.ndarray, k: int, n_classes: int, n_samples: int
     if n_samples is None or n_samples < 10 * dim:
         t_reg = t + np.eye(dim) * (1e-4 * np.trace(t) / dim)
     try:
-        evals, evecs = scipy.linalg.eigh(b, t_reg)
-    except scipy.linalg.LinAlgError as exc:
+        evals, evecs = _eigh(b, t_reg)
+    except np.linalg.LinAlgError as exc:
         raise TrainingError(f"total covariance not invertible: {exc}") from exc
     order = np.argsort(evals)[::-1][:k]
     return _fix_signs(evecs[:, order].T), evals[order]
@@ -188,7 +206,7 @@ def fit_lda(t: np.ndarray, b: np.ndarray, k: int, n_classes: int, n_samples: int
 
 
 def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
-    evals, evecs = scipy.linalg.eigh(w @ w.T)
+    evals, evecs = _eigh(w @ w.T)
     evals = np.clip(evals, 1e-12 * evals.max(), None)
     return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T @ w
 
@@ -205,7 +223,7 @@ def fit_ica(z: np.ndarray, seed: int = 0, max_iter: int = 500, tol: float = 1e-6
     mean = z.mean(axis=1)
     zc = z - mean[:, None]
     cov = zc @ zc.T / (n - 1)
-    evals, evecs = scipy.linalg.eigh(cov)
+    evals, evecs = _eigh(cov)
     evals = np.clip(evals, evals.max() * 1e-12, None)
     whiten = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
     xw = whiten @ zc
@@ -214,7 +232,7 @@ def fit_ica(z: np.ndarray, seed: int = 0, max_iter: int = 500, tol: float = 1e-6
     converged = False
     for _ in range(max_iter):
         wx = w @ xw
-        w_new = (wx**3) @ xw.T / n - (3.0 * np.mean(wx**2, axis=1))[:, None] * w
+        w_new = (wx * wx * wx) @ xw.T / n - (3.0 * np.mean(wx**2, axis=1))[:, None] * w
         w_new = _sym_decorrelate(w_new)
         delta = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
         w = w_new
@@ -297,7 +315,7 @@ def fit_ompca(pos: np.ndarray, neg: np.ndarray, k: int = OUT_DIM) -> tuple[np.nd
         c_pos = np.atleast_2d(np.cov(cur_pos))
         c_neg = np.atleast_2d(np.cov(cur_neg))
         c_pos = c_pos + np.eye(c_pos.shape[0]) * (1e-8 * np.trace(c_pos) / c_pos.shape[0] + 1e-300)
-        evals, evecs = scipy.linalg.eigh(c_neg, c_pos)
+        evals, evecs = _eigh(c_neg, c_pos)
         g = evecs[:, -1]
         g = g / np.linalg.norm(g)
         if g[np.argmax(np.abs(g))] < 0:

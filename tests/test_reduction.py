@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from printdex.reduction import (
     ReductionModel,
     ScatterAccumulator,
     TrainingError,
+    _eigh,
     apply_chain,
     apply_reduction,
     build_distributions,
@@ -19,6 +21,48 @@ from printdex.reduction import (
     save_model,
     train_band,
 )
+
+
+def _pencil(kind, n, rng):
+    """(a, b) with b None, well-conditioned, or a rank-deficient covariance
+    regularized the way fit_ompca regularizes C_pos."""
+    if kind == "near_singular":
+        c = np.atleast_2d(np.cov(rng.standard_normal((n, n // 2 + 1))))
+        b = c + np.eye(n) * (1e-8 * np.trace(c) / n + 1e-300)
+        return np.atleast_2d(np.cov(rng.standard_normal((n, 500)))), b
+    m = rng.standard_normal((n, n))
+    if kind == "standard":
+        return m + m.T, None
+    w = rng.standard_normal((n, 3 * n + 2))
+    return m + m.T, w @ w.T / (3 * n + 2)
+
+
+class TestEigh:
+    """numpy-only eigensolver against scipy.linalg.eigh as the oracle.
+
+    Every check is scaled by n * eps * cond(b): the Cholesky reduction's
+    error grows with the conditioning of b, as in scipy's sygv.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [(kind, n) for kind in ("standard", "definite") for n in (1, 2, 41, 80)]
+        + [("near_singular", n) for n in (2, 41, 80)],
+    )
+    def test_matches_scipy_and_b_orthonormal(self, kind, n):
+        rng = np.random.default_rng(n)
+        a, b = _pencil(kind, n, rng)
+        evals, evecs = _eigh(a, b)
+        ref = scipy.linalg.eigh(a, b, eigvals_only=True)
+        bm = np.eye(n) if b is None else b
+        tol = 8 * n * np.finfo(float).eps * np.linalg.cond(bm)
+        assert evals.shape == (n,) and evecs.shape == (n, n)
+        assert np.all(np.diff(evals) >= 0)
+        assert np.abs(evals - ref).max() <= tol * np.abs(ref).max()
+        residual = np.linalg.norm(a @ evecs - bm @ evecs * evals, axis=0)
+        scale = (np.linalg.norm(a, 2) + np.abs(evals) * np.linalg.norm(bm, 2)) * np.linalg.norm(evecs, axis=0)
+        assert np.all(residual <= tol * scale)
+        assert np.abs(evecs.T @ bm @ evecs - np.eye(n)).max() <= tol
 
 
 class TestIccr:
@@ -178,6 +222,14 @@ class TestLda:
     def test_k_ge_c_rejected(self):
         with pytest.raises(TrainingError):
             fit_lda(np.eye(3), np.eye(3), 3, n_classes=3)
+
+    @pytest.mark.parametrize("last", [0.0, -1.0])
+    def test_total_covariance_not_positive_definite_rejected(self, last):
+        # n_samples >= 10 * dim, so no shrinkage term rescues T
+        t = np.diag([1.0, 2.0, 3.0, last])
+        with pytest.raises(TrainingError, match="total covariance not invertible") as info:
+            fit_lda(t, np.eye(4), 2, n_classes=10, n_samples=40)
+        assert "\n" not in str(info.value)
 
 
 class TestIca:
