@@ -76,7 +76,7 @@ def cmd_index(args) -> int:
     )
     _hashing.save_index(args.out, index)
     loads = index.table.bucket_loads()
-    n_prints = index.table.n_postings // max(args.reliable, 1)
+    n_prints = index.table.n_postings // args.reliable
     print(f"index written to {args.out}")
     print(f"tracks={len(index.tracks)} prints={n_prints} postings={index.table.n_postings}")
     print(f"bucket load: max={int(loads.max())} nonempty={int((loads > 0).sum())}")
@@ -223,12 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="printdex", description="Degradation-robust music print indexing and recognition")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--sample-rate", type=int, default=11025, help="processing sample rate (Hz)")
+    def common(p, sample_rate=False):
+        if sample_rate:
+            p.add_argument("--sample-rate", type=int, default=11025, help="processing sample rate (Hz)")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("train", help="learn the reduction model from a manifest")
-    common(p)
+    common(p, sample_rate=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("index", help="build the catalog hash index")
-    common(p)
+    common(p, sample_rate=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("evaluate", help="two-step recognition rates over a degradation grid")
-    common(p)
+    common(p, sample_rate=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--model", required=True)

@@ -6,11 +6,14 @@ A reduced 40-dim print is binarized by sign into a 40-bit integer. Exact
 degradation that flips a few bits corrupts some of the 51 codes but rarely
 all. Codes from the 5 bands and 51 selections share one table through 24-bit
 extended codes (8-bit slot = band * 51 + selection, plus the 16-bit code).
-At index time only the 10 most reliable codes per print are stored.
+``derive_codes`` is the one derivation from reduced prints to extended codes:
+the index stores each print's 10 most reliable codes and a query looks up all
+51, both through it, so that reference and query sub-codes agree bit for bit.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -43,7 +46,7 @@ def binarize(z) -> int:
 
 
 def binarize_bits(z: np.ndarray) -> np.ndarray:
-    """Batch binarization to a (n, 40) uint8 bit matrix."""
+    """Batch binarization: (..., 40) reduced prints -> (..., 40) uint8 bits."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite component in reduced print")
@@ -97,10 +100,10 @@ def derive_lsh_codes(gamma: int, spec: LshSpec) -> np.ndarray:
 
 
 def codes_from_bits(bits: np.ndarray, spec: LshSpec) -> np.ndarray:
-    """Batch code derivation: (n, 40) bit matrix -> (n, 51) uint16."""
-    gathered = bits[:, spec.selections.astype(np.int64)].astype(np.uint16)
+    """Batch code derivation: (..., 40) bits -> (..., 51) uint16."""
+    gathered = bits[..., spec.selections.astype(np.int64)].astype(np.uint16)
     weights = (1 << np.arange(LSH_BITS, dtype=np.uint16)).astype(np.uint16)
-    return (gathered * weights[None, None, :]).sum(axis=2, dtype=np.uint32).astype(np.uint16)
+    return (gathered * weights).sum(axis=-1, dtype=np.uint32).astype(np.uint16)
 
 
 def reliability(z: np.ndarray, sigma_e: np.ndarray, spec: LshSpec) -> np.ndarray:
@@ -118,28 +121,47 @@ def reliability(z: np.ndarray, sigma_e: np.ndarray, spec: LshSpec) -> np.ndarray
 
 
 def reliability_batch(z: np.ndarray, sigma_e: np.ndarray, spec: LshSpec) -> np.ndarray:
-    """(n, 40) reduced prints -> (n, 51) reliabilities."""
+    """(..., n, 40) reduced prints -> (..., n, 51) reliabilities.
+
+    ``sigma_e`` is (40,), or (..., 40) with one deviation vector per leading
+    index of ``z``.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    p_flip = 0.5 * scipy.special.erfc(np.abs(z) / (sigma_e[None, :] * np.sqrt(2.0)))
+    sigma_e = np.asarray(sigma_e, dtype=np.float64)
+    p_flip = 0.5 * scipy.special.erfc(np.abs(z) / (sigma_e[..., None, :] * np.sqrt(2.0)))
     keep = np.log1p(-np.minimum(p_flip, 1.0 - 1e-300))
-    return np.exp(keep[:, spec.selections.astype(np.int64)].sum(axis=2))
+    return np.exp(keep[..., spec.selections.astype(np.int64)].sum(axis=-1))
 
 
-def select_reliable(reliabilities: np.ndarray, n_keep: int = N_RELIABLE) -> np.ndarray:
-    """Indices of the n_keep most reliable codes; ties keep the lower index."""
-    if n_keep > len(reliabilities):
-        raise ValueError(f"cannot keep {n_keep} of {len(reliabilities)} codes")
-    order = np.argsort(-np.asarray(reliabilities), kind="stable")
-    return np.sort(order[:n_keep])
-
-
-def extended_code(band: int, lsh_index, beta) -> np.ndarray:
+def extended_code(band, lsh_index, beta) -> np.ndarray:
     """24-bit extended code: (band * 51 + selection) << 16 | beta.
 
     ``band`` is 0-based so the slot fits 8 bits (max 254 for 5 bands).
     """
-    slot = band * N_LSH + np.asarray(lsh_index, dtype=np.uint32)
+    slot = np.asarray(band, dtype=np.uint32) * N_LSH + np.asarray(lsh_index, dtype=np.uint32)
     return (slot << 16) | np.asarray(beta, dtype=np.uint32)
+
+
+def derive_codes(reduced: np.ndarray, sigma_e, spec: LshSpec, n_keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extended codes and reliabilities of reduced prints, all bands at once.
+
+    ``reduced`` is (n, bands, 40) and ``sigma_e`` holds each band's 40 noise
+    deviations. Returns band-major ``(codes, reliabilities)``, each
+    (bands, n, n_keep): per print, the ``n_keep`` most reliable of the 51
+    codes (ties keep the lower selection index), in selection order.
+    """
+    if not 1 <= n_keep <= N_LSH:
+        raise ValueError(f"codes kept per print must be in [1, {N_LSH}], got {n_keep}")
+    z = np.ascontiguousarray(np.swapaxes(reduced, 0, 1), dtype=np.float64)
+    betas = codes_from_bits(binarize_bits(z), spec)
+    rel = reliability_batch(z, sigma_e, spec)
+    selection = np.arange(N_LSH)
+    if n_keep < N_LSH:
+        selection = np.sort(np.argsort(-rel, axis=2, kind="stable")[:, :, :n_keep], axis=2)
+        betas = np.take_along_axis(betas, selection, axis=2)
+        rel = np.take_along_axis(rel, selection, axis=2)
+    bands = np.arange(z.shape[0])[:, None, None]
+    return extended_code(bands, selection, betas), rel
 
 
 def expected_unchanged(k: int) -> float:
@@ -337,6 +359,14 @@ def load_index(path) -> CatalogIndex:
             raise ValueError(f"unsupported index version {version}")
         if n_lsh != N_LSH or lsh_bits != LSH_BITS:
             raise ValueError("index was built with incompatible LSH parameters")
+        # A forged count must fail here, not as a MemoryError in the read it sizes.
+        needed = 4 + 42 + 8 * (EXT_TABLE_SIZE + 1) + _POSTING_DTYPE.itemsize * n_postings + 14 * n_tracks
+        size = os.fstat(fh.fileno()).st_size
+        if needed > size:
+            raise ValueError(
+                f"truncated index file {path!r}: header claims {n_postings} postings and {n_tracks} tracks, "
+                f"needing at least {needed} bytes, file has {size}"
+            )
         offsets = np.frombuffer(_read_exact(fh, 8 * (EXT_TABLE_SIZE + 1), path, "bucket offsets"), dtype="<u8")
         postings = np.frombuffer(_read_exact(fh, _POSTING_DTYPE.itemsize * n_postings, path, "postings"), dtype=_POSTING_DTYPE)
         tracks = {}

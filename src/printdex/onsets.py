@@ -1,11 +1,12 @@
-"""Anchor-time selection via an onset function, smoothing and maximal filtering.
+"""Anchor-time selection: onset function, smoothing and maximal filtering.
 
 The goal is not onset detection: anchor times only have to land on the same
 signal events with or without degradations, so that prints computed on a
-reference track and on a degraded excerpt line up. The selected onset
-function is the rectified difference of frame-wise spectral 1-norms, the
-winner of a robustness study over the generalized spectral-flux family; the
-generalized form is kept for experimentation.
+reference track and on a degraded excerpt line up. The onset function is the
+rectified difference of frame-wise spectral 1-norms, the member of the
+generalized spectral-flux family that a robustness study selected. It is
+smoothed by a zero-delay windowed-sinc filter, and the frames where the
+smoothed series equals its sliding maximum are the anchors.
 """
 
 from __future__ import annotations
@@ -23,31 +24,20 @@ DEFAULT_MEAN_LAG = 0.25
 
 @dataclass(frozen=True)
 class OnsetConfig:
-    """Parameters of the onset function and its post-filtering.
+    """Post-filtering of the onset function and the anchor spacing.
 
-    ``h``, ``p``, ``d``, ``beta`` parameterize the generalized flux family;
-    the production setting (difference of spectral norms) corresponds to
-    h=1, p=1, d=0. ``epsilon`` guards the d=1 normalization against silence;
-    when None it is set to 1e-10 times the peak spectrogram magnitude.
+    The onset series is raised to the power ``r`` and smoothed by an
+    ``n + 1``-tap windowed-sinc low-pass with cut-off frequency ``1 / t_c``;
+    an anchor is a frame equal to the maximum of the smoothed series over a
+    window of ``mean_lag`` seconds centred on it.
     """
 
-    h: float = 1.0
-    p: float = 1.0
-    d: int = 0
-    beta: float = 0.0
-    epsilon: float | None = None
     r: float = 1.0
     t_c: float = DEFAULT_T_C
     n: int = DEFAULT_N_FILTER
     mean_lag: float = DEFAULT_MEAN_LAG
 
     def __post_init__(self):
-        if not -1.0 <= self.h <= 1.0:
-            raise ValueError("h must be in [-1, 1]")
-        if self.p <= 0:
-            raise ValueError("p must be positive")
-        if self.d not in (0, 1):
-            raise ValueError("d must be 0 or 1")
         if self.n % 2 != 0:
             raise ValueError("filter size n must be even")
         if self.t_c <= 0 or self.mean_lag <= 0 or self.r <= 0:
@@ -65,24 +55,6 @@ class AnalysisTimes:
         return len(self.frames)
 
 
-def rectify(x, h: float):
-    """Parametric half-wave rectifier (x + h|x|) / (1 + |h|).
-
-    h=1 keeps the positive part, h=-1 the negative part, h=0 is identity.
-    """
-    if not -1.0 <= h <= 1.0:
-        raise ValueError("h must be in [-1, 1]")
-    x = np.asarray(x, dtype=np.float64)
-    return (x + h * np.abs(x)) / (1.0 + abs(h))
-
-
-def _pnorm(m: np.ndarray, p: float) -> np.ndarray:
-    """Column-wise p-norm (p = inf supported)."""
-    if np.isinf(p):
-        return np.max(np.abs(m), axis=0)
-    return np.sum(np.abs(m) ** p, axis=0) ** (1.0 / p)
-
-
 def _magnitudes(spec) -> np.ndarray:
     m = getattr(spec, "magnitudes", spec)
     m = np.asarray(m, dtype=np.float64)
@@ -91,43 +63,17 @@ def _magnitudes(spec) -> np.ndarray:
     return m
 
 
-def generalized_flux(spec, cfg: OnsetConfig) -> np.ndarray:
-    """Generalized spectral flux: rectified frame-difference p-norm, optionally
-    normalized by a geometric/algebraic mix of the frame norms.
-
-    Returns one value per frame; frame 0 (no predecessor) is 0.
-    """
-    m = _magnitudes(spec)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("spectrogram entries must be finite")
-    if m.shape[1] < 2:
-        raise ValueError("need at least 2 frames")
-    num = _pnorm(rectify(m[:, 1:] - m[:, :-1], cfg.h), cfg.p)
-    phi = np.zeros(m.shape[1])
-    if cfg.d == 0:
-        phi[1:] = num
-        return phi
-    eps = cfg.epsilon
-    if eps is None:
-        eps = max(1e-10 * float(m.max()), np.finfo(np.float64).tiny)
-    norms = _pnorm(m, cfg.p)
-    den = np.sqrt(norms[1:] * norms[:-1]) + cfg.beta * (norms[1:] + norms[:-1]) + eps
-    phi[1:] = num / den
-    return phi
-
-
 def diff_spectral_norms(spec) -> np.ndarray:
-    """Rectified difference of spectral 1-norms, the production onset function.
+    """Rectified difference of spectral 1-norms, one value per frame.
 
-    Equals the generalized flux at (h=1, p=1, d=0) applied to the series of
-    frame norms. Magnitudes are nonnegative (the ``Spectrogram`` contract), so
-    each frame's 1-norm is its plain column sum, with no full-size ``abs``
-    temporary.
+    Frame 0 (no predecessor) is 0. Magnitudes are nonnegative (the
+    ``Spectrogram`` contract), so each frame's 1-norm is its plain column
+    sum, with no full-size ``abs`` temporary.
     """
     m = _magnitudes(spec)
     norms = np.sum(m, axis=0)
     phi = np.zeros(m.shape[1])
-    phi[1:] = np.abs(rectify(norms[1:] - norms[:-1], 1.0))
+    phi[1:] = np.maximum(norms[1:] - norms[:-1], 0.0)
     return phi
 
 

@@ -248,19 +248,10 @@ def reduced_prints_for_buffer(buf: AudioBuffer, model: ReductionModel, cfg: Pipe
 
 
 def index_postings(kept, reduced, model, lsh_spec, n_reliable: int):
-    """Extended codes and posting times for one track's reduced prints."""
-    n, n_bands, _ = reduced.shape
-    codes_out, frames_out = [], []
-    for b in range(n_bands):
-        bits = _hashing.binarize_bits(reduced[:, b, :])
-        betas = _hashing.codes_from_bits(bits, lsh_spec)
-        rel = _hashing.reliability_batch(reduced[:, b, :], model.bands[b].sigma_e, lsh_spec)
-        order = np.argsort(-rel, axis=1, kind="stable")[:, :n_reliable]
-        order = np.sort(order, axis=1)
-        chosen = np.take_along_axis(betas, order, axis=1)
-        codes_out.append(_hashing.extended_code(b, order, chosen).reshape(-1))
-        frames_out.append(np.repeat(kept, n_reliable))
-    return np.concatenate(codes_out), np.concatenate(frames_out)
+    """Extended codes and posting frames of one track's reduced prints."""
+    sigma_e = [chain.sigma_e for chain in model.bands]
+    codes, _ = _hashing.derive_codes(reduced, sigma_e, lsh_spec, n_reliable)
+    return codes.reshape(-1), np.broadcast_to(kept[:, None], codes.shape).reshape(-1)
 
 
 def build_index(
@@ -281,9 +272,8 @@ def build_index(
     for i, entry in enumerate(entries):
         buf = load_track(entry, cfg)
         kept, reduced = reduced_prints_for_buffer(buf, model, cfg)
-        if len(kept):
-            codes, frames = index_postings(kept, reduced, model, spec, n_reliable)
-            table.insert(codes, np.full(len(codes), entry.track_id), frames // segment_frames, frames)
+        codes, frames = index_postings(kept, reduced, model, spec, n_reliable)
+        table.insert(codes, np.full(len(codes), entry.track_id), frames // segment_frames, frames)
         tracks[entry.track_id] = _hashing.TrackInfo(track_id=entry.track_id, name=entry.label or entry.path, duration=buf.duration)
         if progress:
             progress(f"indexed {i + 1}/{len(entries)} tracks ({len(kept)} prints)")

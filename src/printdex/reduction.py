@@ -16,6 +16,8 @@ degraded variants. All stages are fitted per frequency band.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -474,11 +476,17 @@ def _write_matrix(fh, m: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
 
 
-def _read_matrix(fh, shape) -> np.ndarray:
-    n = int(np.prod(shape))
-    raw = fh.read(4 * n)
-    if len(raw) != 4 * n:
-        raise ValueError("truncated model file")
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    """Read exactly n bytes; a length past the end of the file raises ValueError
+    before anything is read or allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"truncated model file {path!r}: {what} needs {n} bytes, {left} left")
+    return fh.read(n)
+
+
+def _read_matrix(fh, shape, path, what: str) -> np.ndarray:
+    raw = _read_exact(fh, 4 * math.prod(shape), path, what)
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
 
 
@@ -508,25 +516,26 @@ def load_model(path) -> ReductionModel:
     with open(path, "rb") as fh:
         if fh.read(4) != MODEL_MAGIC:
             raise ValueError(f"{path!r} is not a model file")
-        version, n_bands, out_dim, lda_dim, in_dim = struct.unpack("<HHHHI", fh.read(12))
+        version, n_bands, out_dim, lda_dim, in_dim = struct.unpack("<HHHHI", _read_exact(fh, 12, path, "header"))
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
         bands = []
-        for _ in range(n_bands):
-            (j0,) = struct.unpack("<I", fh.read(4))
-            p_iccr = _read_matrix(fh, (j0, in_dim))
-            p_lda = _read_matrix(fh, (lda_dim, j0))
-            p_ica = _read_matrix(fh, (lda_dim, lda_dim))
-            t_ica = _read_matrix(fh, (lda_dim,))
-            p_ompca = _read_matrix(fh, (out_dim, lda_dim))
-            p_ht = _read_matrix(fh, (out_dim, out_dim))
-            p_final = _read_matrix(fh, (out_dim, in_dim))
-            t_final = _read_matrix(fh, (out_dim,))
-            (n_meta,) = struct.unpack("<I", fh.read(4))
+        for b in range(n_bands):
+            where = f"band {b}"
+            (j0,) = struct.unpack("<I", _read_exact(fh, 4, path, where))
+            p_iccr = _read_matrix(fh, (j0, in_dim), path, where)
+            p_lda = _read_matrix(fh, (lda_dim, j0), path, where)
+            p_ica = _read_matrix(fh, (lda_dim, lda_dim), path, where)
+            t_ica = _read_matrix(fh, (lda_dim,), path, where)
+            p_ompca = _read_matrix(fh, (out_dim, lda_dim), path, where)
+            p_ht = _read_matrix(fh, (out_dim, out_dim), path, where)
+            p_final = _read_matrix(fh, (out_dim, in_dim), path, where)
+            t_final = _read_matrix(fh, (out_dim,), path, where)
+            (n_meta,) = struct.unpack("<I", _read_exact(fh, 4, path, where))
             meta = {}
             for _ in range(n_meta):
-                (ln,) = struct.unpack("<I", fh.read(4))
-                key, _, value = fh.read(ln).decode("utf-8").partition("=")
+                (ln,) = struct.unpack("<I", _read_exact(fh, 4, path, where))
+                key, _, value = _read_exact(fh, ln, path, where).decode("utf-8").partition("=")
                 meta[key] = value
             sigma_e = None
             if "sigma_e" in meta:

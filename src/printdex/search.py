@@ -33,8 +33,6 @@ class SearchConfig:
     alpha_max: float = 1.4
     candidate_min: int = 10
     candidate_max: int = 500
-    segment_s: float = 15.0
-    nominal_rate: float = 4.0
     reliability_weighting: bool = False
     # desk calibration: 100 unrelated 7 s queries topped out at score 9
     no_match_abs: float = 12.0
@@ -269,25 +267,12 @@ def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_c
     kept, coeffs = _prints.print_matrix(spec, times.frames, print_cfg)
     if len(kept) == 0:
         raise ValueError("no usable analysis window in excerpt")
-    anchor_seconds = kept * (index.hop_samples / index.sample_rate)
-    n_bands = coeffs.shape[1]
-    all_codes, all_times, all_rel = [], [], []
-    for band in range(n_bands):
-        reduced = apply_reduction(coeffs[:, band, :], model, band)
-        bits = _hashing.binarize_bits(reduced)
-        betas = _hashing.codes_from_bits(bits, index.spec)
-        ext = _hashing.extended_code(band, np.arange(_hashing.N_LSH)[None, :], betas)
-        all_codes.append(ext.reshape(-1))
-        all_times.append(np.repeat(anchor_seconds, _hashing.N_LSH))
-        rel = _hashing.reliability_batch(reduced, model.bands[band].sigma_e, index.spec)
-        all_rel.append(rel.reshape(-1))
-    return (
-        np.concatenate(all_codes),
-        np.concatenate(all_times),
-        np.concatenate(all_rel),
-        len(kept),
-        buf.duration,
-    )
+    anchor_seconds = kept * index.frame_period
+    reduced = np.stack([apply_reduction(coeffs[:, b, :], model, b) for b in range(coeffs.shape[1])], axis=1)
+    sigma_e = [chain.sigma_e for chain in model.bands]
+    codes, rels = _hashing.derive_codes(reduced, sigma_e, index.spec, _hashing.N_LSH)
+    times = np.broadcast_to(anchor_seconds[:, None], codes.shape)
+    return codes.reshape(-1), times.reshape(-1), rels.reshape(-1), len(kept), buf.duration
 
 
 def query_index(buf, index, model, cfg: SearchConfig | None = None, print_cfg=None, onset_cfg=None, spectrogram_cfg=None) -> QueryResult:

@@ -6,7 +6,7 @@ import pytest
 from corpus import build_corpus, synth_track
 
 from printdex.audio import load_audio, save_wav
-from printdex.cli import main
+from printdex.cli import build_parser, main
 from printdex.pipeline import read_manifest, write_manifest
 
 TRAIN_ARGS = [
@@ -248,3 +248,44 @@ class TestInspectCommand:
         assert main(["inspect", "--index", str(cut)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: truncated index file") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("keep", [slice(None, 30), slice(None, -5)])
+    def test_truncated_model_one_line_error(self, cli_setup, tmp_path, capsys, keep):
+        root, manifest, entries, model, index = cli_setup
+        cut = tmp_path / "cut.bmrm"
+        cut.write_bytes(open(model, "rb").read()[keep])
+        assert main(["inspect", "--model", str(cut)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated model file") and err.count("\n") == 1
+
+    def test_forged_index_counts_one_line_error(self, cli_setup, tmp_path, capsys):
+        root, manifest, entries, model, index = cli_setup
+        forged = tmp_path / "forged.bmix"
+        raw = bytearray(open(index, "rb").read())
+        raw[34:42] = (1 << 40).to_bytes(8, "little")  # the header's posting count
+        forged.write_bytes(raw)
+        assert main(["inspect", "--index", str(forged)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated index file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["train", "--manifest", "m.tsv", "--out", "m.bmrm"], True),
+        (["index", "--manifest", "m.tsv", "--model", "m.bmrm", "--out", "i.bmix"], True),
+        (["evaluate", "--manifest", "m.tsv", "--index", "i.bmix", "--model", "m.bmrm"], True),
+        (["query", "q.wav", "--index", "i.bmix", "--model", "m.bmrm"], False),
+        (["degrade", "q.wav", "--out", "d.wav"], False),
+        (["inspect"], False),
+    ],
+)
+def test_sample_rate_only_where_read(argv, accepted, capsys):
+    argv = [*argv, "--sample-rate", "8000"]
+    if accepted:
+        assert build_parser().parse_args(argv).sample_rate == 8000
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sample-rate" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from printdex.hashing import (
     CODE_BITS,
     EXT_TABLE_SIZE,
     LSH_BITS,
+    N_BANDS,
     N_LSH,
     CatalogIndex,
     HashTable,
@@ -14,6 +16,7 @@ from printdex.hashing import (
     binarize,
     binarize_bits,
     collision_mean,
+    derive_codes,
     derive_lsh_codes,
     expected_unchanged,
     extended_code,
@@ -22,7 +25,6 @@ from printdex.hashing import (
     reliability,
     reliability_batch,
     save_index,
-    select_reliable,
     simulate_unchanged_codes,
 )
 
@@ -132,21 +134,60 @@ class TestReliability:
             assert np.allclose(batch[i], reliability(z[i], sigma, spec))
 
 
-class TestSelectReliable:
+def _reduced_prints(seed, n=12, n_bands=N_BANDS):
+    rng = np.random.default_rng(seed)
+    reduced = rng.standard_normal((n, n_bands, CODE_BITS))
+    sigma_e = rng.uniform(0.3, 1.5, (n_bands, CODE_BITS))
+    return reduced, sigma_e
+
+
+class TestCodeDerivation:
+    def test_keep_all_in_selection_order(self):
+        spec = make_lsh_spec(5)
+        reduced, sigma_e = _reduced_prints(0)
+        codes, rel = derive_codes(reduced, sigma_e, spec, N_LSH)
+        assert codes.shape == rel.shape == (N_BANDS, len(reduced), N_LSH)
+        for b in range(N_BANDS):
+            assert np.array_equal(rel[b], reliability_batch(reduced[:, b, :], sigma_e[b], spec))
+            for i in range(len(reduced)):
+                betas = derive_lsh_codes(binarize(reduced[i, b]), spec)
+                assert np.array_equal(codes[b, i], extended_code(b, np.arange(N_LSH), betas))
+                assert np.allclose(rel[b, i], reliability(reduced[i, b], sigma_e[b], spec))
+
+    def test_top_n_by_reliability_is_subset_of_all(self):
+        spec = make_lsh_spec(6)
+        reduced, sigma_e = _reduced_prints(1)
+        reduced[::2] = 50.0 * np.sign(reduced[::2])  # every code of these prints has reliability 1.0: all tied
+        codes, rel = derive_codes(reduced, sigma_e, spec, 10)
+        all_codes, all_rel = derive_codes(reduced, sigma_e, spec, N_LSH)
+        for b in range(N_BANDS):
+            selection = (codes[b] >> 16).astype(np.int64) - b * N_LSH
+            for i in range(len(reduced)):
+                kept = selection[i]
+                assert np.all(np.diff(kept) > 0)
+                assert np.array_equal(codes[b, i], all_codes[b, i, kept])
+                assert np.array_equal(rel[b, i], all_rel[b, i, kept])
+                dropped = np.setdiff1d(np.arange(N_LSH), kept)
+                threshold = rel[b, i].min()
+                assert np.all(all_rel[b, i, dropped] <= threshold)
+                # among codes tied at the threshold, the lower selection index wins
+                tied_dropped = dropped[all_rel[b, i, dropped] == threshold]
+                tied_kept = kept[rel[b, i] == threshold]
+                assert len(tied_dropped) == 0 or tied_kept.max() < tied_dropped.min()
+
     def test_all_equal_keeps_first(self):
-        idx = select_reliable(np.ones(N_LSH), 10)
-        assert np.array_equal(idx, np.arange(10))
+        spec = make_lsh_spec(0)
+        reduced = np.where(np.random.default_rng(4).random((3, N_BANDS, CODE_BITS)) < 0.5, -50.0, 50.0)
+        codes, rel = derive_codes(reduced, np.ones((N_BANDS, CODE_BITS)), spec, 10)
+        assert np.all(rel == 1.0)
+        selection = (codes >> 16).astype(np.int64) - np.arange(N_BANDS)[:, None, None] * N_LSH
+        assert np.array_equal(selection, np.broadcast_to(np.arange(10), selection.shape))
 
-    def test_keep_all(self):
-        assert len(select_reliable(np.random.default_rng(4).uniform(size=N_LSH), N_LSH)) == N_LSH
-
-    def test_monotone_reliabilities(self):
-        rel = np.linspace(1.0, 0.0, N_LSH)
-        assert np.array_equal(select_reliable(rel, 10), np.arange(10))
-
-    def test_too_many_rejected(self):
-        with pytest.raises(ValueError):
-            select_reliable(np.ones(5), 6)
+    @pytest.mark.parametrize("n_keep", [0, N_LSH + 1])
+    def test_n_keep_out_of_range_rejected(self, n_keep):
+        reduced, sigma_e = _reduced_prints(2)
+        with pytest.raises(ValueError, match="codes kept per print"):
+            derive_codes(reduced, sigma_e, make_lsh_spec(0), n_keep)
 
 
 class TestExtendedCode:
@@ -322,6 +363,16 @@ class TestIndexFile:
         save_index(path, index)
         os.truncate(path, 30 if cut == "to_30_bytes" else path.stat().st_size - 5)
         with pytest.raises(ValueError, match="truncated"):
+            load_index(path)
+
+    @pytest.mark.parametrize("n_postings, n_tracks", [(1 << 40, 1), (1 << 61, 1), (3, (1 << 32) - 1)])
+    def test_header_counts_beyond_file_rejected(self, tmp_path, n_postings, n_tracks):
+        path = tmp_path / "forged.bmix"
+        save_index(path, _small_index())
+        raw = bytearray(path.read_bytes())
+        raw[34:46] = struct.pack("<QI", n_postings, n_tracks)  # the header's last two fields
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"truncated index file .* claims {n_postings} postings and {n_tracks} tracks"):
             load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -3,64 +3,14 @@ import pytest
 
 from printdex.audio import AudioBuffer, stft
 from printdex.onsets import (
-    OnsetConfig,
     design_smoother,
     diff_spectral_norms,
-    generalized_flux,
     post_filter,
-    rectify,
     select_analysis_times,
     select_times,
 )
 
 SR = 11025
-
-
-class TestRectify:
-    def test_positive_halfwave(self):
-        assert rectify(-2.0, 1.0) == 0.0
-        assert rectify(2.0, 1.0) == 2.0
-
-    def test_identity_at_zero(self):
-        x = np.linspace(-3, 3, 11)
-        assert np.allclose(rectify(x, 0.0), x)
-
-    def test_negative_halfwave(self):
-        assert rectify(3.0, -1.0) == 0.0
-        assert rectify(-3.0, -1.0) == -3.0
-
-    def test_bad_h(self):
-        with pytest.raises(ValueError):
-            rectify(1.0, 2.0)
-
-
-class TestGeneralizedFlux:
-    def test_identical_frames_zero(self):
-        m = np.tile(np.array([[1.0], [2.0]]), (1, 5))
-        phi = generalized_flux(m, OnsetConfig(h=0.0))
-        assert np.allclose(phi, 0.0)
-
-    def test_all_zero_with_normalization(self):
-        phi = generalized_flux(np.zeros((4, 6)), OnsetConfig(d=1))
-        assert np.allclose(phi, 0.0)
-
-    def test_two_frame_hand_value(self):
-        # frames {1,2} then {3,1}: diff (2,-1), rectified (2,0), 1-norm = 2
-        m = np.array([[1.0, 3.0], [2.0, 1.0]])
-        phi = generalized_flux(m, OnsetConfig(h=1.0, p=1.0, d=0))
-        assert phi[0] == 0.0
-        assert phi[1] == pytest.approx(2.0)
-
-    def test_non_finite_rejected(self):
-        m = np.ones((3, 4))
-        m[1, 2] = np.nan
-        with pytest.raises(ValueError):
-            generalized_flux(m, OnsetConfig())
-
-    def test_p_inf(self):
-        m = np.array([[0.0, 3.0], [0.0, 1.0]])
-        phi = generalized_flux(m, OnsetConfig(h=1.0, p=np.inf, d=0))
-        assert phi[1] == pytest.approx(3.0)
 
 
 class TestDiffSpectralNorms:
@@ -76,20 +26,14 @@ class TestDiffSpectralNorms:
         m = np.array([[3.0, 5.0]])
         assert np.allclose(diff_spectral_norms(m), [0.0, 2.0])
 
-    def test_equals_generalized_flux_on_norm_series(self):
-        rng = np.random.default_rng(3)
-        m = rng.uniform(0, 2, size=(64, 200))
-        norms = np.sum(m, axis=0)[None, :]
-        flux = generalized_flux(norms, OnsetConfig(h=1.0, p=1.0, d=0))
-        assert np.max(np.abs(diff_spectral_norms(m) - flux)) < 1e-9
-
     def test_equals_abs_form_on_real_spectrogram(self):
         from corpus import synth_track
 
         m = stft(synth_track(5, duration_s=10.0)).magnitudes
         norms = np.sum(np.abs(m), axis=0)
         phi = np.zeros(m.shape[1])
-        phi[1:] = np.abs(rectify(norms[1:] - norms[:-1], 1.0))
+        diff = norms[1:] - norms[:-1]
+        phi[1:] = np.abs((diff + np.abs(diff)) / 2.0)  # half-wave rectifier (x + |x|) / 2
         assert np.array_equal(diff_spectral_norms(m), phi)
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -459,3 +461,17 @@ class TestTrainBandAndCompose:
         save_model(p1, model)
         save_model(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("damage", ["to_10_bytes", "to_30_bytes", "last_5_bytes", "forged_rank"])
+    def test_damaged_model_file_rejected(self, synth_chain, tmp_path, damage):
+        chain, *_ = synth_chain
+        path = tmp_path / "m.bmrm"
+        save_model(path, ReductionModel(bands=[chain], in_dim=60, out_dim=8))
+        raw = path.read_bytes()
+        if damage == "forged_rank":
+            raw = raw[:16] + struct.pack("<I", 0xFFFFFFFF) + raw[20:]
+        else:
+            raw = raw[: {"to_10_bytes": 10, "to_30_bytes": 30, "last_5_bytes": -5}[damage]]
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="truncated model file"):
+            load_model(path)

@@ -13,6 +13,7 @@ from printdex.search import (
     SearchConfig,
     cone_weights,
     count_matches,
+    query_codes,
     query_index,
     refine_alignment,
     select_candidates,
@@ -379,6 +380,17 @@ class TestQueryIndex:
         excerpt = pipeline.cut_excerpt(buf, 5.0, 7.0)
         res = query_index(excerpt, s.index, s.model, SearchConfig(reliability_weighting=True))
         assert res.best.track_id == s.entries[4].track_id
+
+    def test_index_postings_among_query_codes_at_same_anchor(self, small_setup):
+        s = small_setup
+        entry = s.entries[3]
+        codes, times, _, n_prints, _ = query_codes(pipeline.load_track(entry, s.cfg), s.index, s.model)
+        counts, postings = s.index.table.lookup_many(codes)
+        frames = np.repeat(np.rint(times / s.index.frame_period).astype(np.int64), counts)
+        same_anchor = (postings["track"] == entry.track_id) & (postings["time"] == frames)
+        per_print = s.index.n_bands * s.index.n_reliable
+        assert np.count_nonzero(s.index.table.postings["track"] == entry.track_id) == n_prints * per_print
+        assert np.count_nonzero(same_anchor) == n_prints * per_print
 
     def test_spectrogram_hop_mismatch_rejected(self, small_setup):
         s = small_setup
