@@ -44,7 +44,6 @@ def cmd_train(args) -> int:
         pool_times_per_track=args.pool_times_per_track,
         seed=args.seed,
         lda_dim=args.lda_dim,
-        out_dim=args.out_dim,
         use_original_centers=args.original_centers,
         enforce_min_originals=not args.allow_small,
         progress=_progress if args.verbose else None,
@@ -223,27 +222,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="printdex", description="Degradation-robust music print indexing and recognition")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sample_rate=False):
-        if sample_rate:
-            p.add_argument("--sample-rate", type=int, default=11025, help="processing sample rate (Hz)")
-        p.add_argument("--verbose", action="store_true")
+    def common(p):
+        p.add_argument("--sample-rate", type=int, default=11025, help="processing sample rate (Hz)")
+        p.add_argument("--verbose", action="store_true", help="progress lines on stderr")
 
     p = sub.add_parser("train", help="learn the reduction model from a manifest")
-    common(p, sample_rate=True)
+    common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--times-per-track", type=int, default=6)
     p.add_argument("--pool-times-per-track", type=int, default=40)
     p.add_argument("--lda-dim", type=int, default=80)
-    p.add_argument("--out-dim", type=int, default=40)
     p.add_argument("--variant", action="append", help="degradation spec string; repeat to override the default plan")
     p.add_argument("--original-centers", action="store_true", help="LDA variant: class centers = original prints")
     p.add_argument("--allow-small", action="store_true", help="waive the minimum original-print count (demo scale)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("index", help="build the catalog hash index")
-    common(p, sample_rate=True)
+    common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
@@ -253,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", help="recognize an audio excerpt")
-    common(p)
     p.add_argument("audio")
     p.add_argument("--index", required=True)
     p.add_argument("--model", required=True)
@@ -265,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("degrade", help="apply a deterministic degradation")
-    common(p)
     p.add_argument("audio")
     p.add_argument("--spec", help="e.g. 'white_noise:snr_db=6' or chains with '+'")
     p.add_argument("--scenario", choices=["gsm_like", "slowdown", "noise"])
@@ -276,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("evaluate", help="two-step recognition rates over a degradation grid")
-    common(p, sample_rate=True)
+    common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--model", required=True)
@@ -292,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("inspect", help="print model/index headers")
-    common(p)
     p.add_argument("--model")
     p.add_argument("--index")
     p.set_defaults(func=cmd_inspect)

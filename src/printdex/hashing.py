@@ -152,6 +152,8 @@ def derive_codes(reduced: np.ndarray, sigma_e, spec: LshSpec, n_keep: int) -> tu
     """
     if not 1 <= n_keep <= N_LSH:
         raise ValueError(f"codes kept per print must be in [1, {N_LSH}], got {n_keep}")
+    if reduced.shape[-1] != CODE_BITS:
+        raise ValueError(f"reduced prints must have {CODE_BITS} components, got {reduced.shape[-1]}")
     z = np.ascontiguousarray(np.swapaxes(reduced, 0, 1), dtype=np.float64)
     betas = codes_from_bits(binarize_bits(z), spec)
     rel = reliability_batch(z, sigma_e, spec)

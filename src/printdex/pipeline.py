@@ -9,33 +9,18 @@ excerpts, degrades them, and scores STEP 1 / STEP 2 top-1 recognition.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from printdex import degrade as _degrade
 from printdex import hashing as _hashing
-from printdex import onsets as _onsets
-from printdex import prints as _prints
 from printdex import search as _search
-from printdex.audio import AudioBuffer, SpectrogramConfig, load_audio, normalize, resample, stft
-from printdex.reduction import ReductionModel, apply_reduction, train_reduction
+from printdex.audio import AudioBuffer, load_audio, normalize, resample
+from printdex.prints import PipelineConfig, analyze
+from printdex.reduction import ReductionModel, reduce_prints, train_reduction
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    sample_rate: int = 11025
-    spectrogram: SpectrogramConfig = field(default_factory=SpectrogramConfig)
-    onset: _onsets.OnsetConfig = field(default_factory=_onsets.OnsetConfig)
-    prints: _prints.PrintConfig = field(default_factory=_prints.PrintConfig)
-
-    def hop_samples(self) -> int:
-        return self.spectrogram.hop_samples(self.sample_rate)
-
-    def frame_period(self) -> float:
-        return self.hop_samples() / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -78,19 +63,6 @@ def load_track(entry_or_path, cfg: PipelineConfig) -> AudioBuffer:
     return normalize(resample(load_audio(path), cfg.sample_rate))
 
 
-def analyze(buf: AudioBuffer, cfg: PipelineConfig, frames=None):
-    """Spectrogram, anchor frames and raw prints of one buffer.
-
-    When ``frames`` is given the anchors are reused instead of re-selected
-    (training transforms degraded variants at the original anchor times).
-    Returns (kept_frames, coeffs (n, bands, 1056)).
-    """
-    spec = stft(buf, cfg.spectrogram)
-    if frames is None:
-        frames = _onsets.select_analysis_times(spec, cfg.onset).frames
-    return _prints.print_matrix(spec, frames, cfg.prints)
-
-
 # ---------------------------------------------------------------------------
 # Training
 
@@ -127,16 +99,12 @@ def _spread_indices(n: int, k: int) -> np.ndarray:
 
 @dataclass
 class TrainingData:
-    """Per-band class records plus the larger original-print pools."""
+    """Class records plus the larger original-print pools, all bands at once."""
 
-    prints: list  # per band: (n, 1056) float32
-    class_ids: list
-    is_original: list
-    pools: list  # per band: (m, 1056) float32
-
-    @property
-    def n_classes(self) -> int:
-        return len(set(self.class_ids[0]))
+    prints: np.ndarray  # (n, bands, 1056) float32
+    class_ids: np.ndarray  # (n,)
+    is_original: np.ndarray  # (n,) bool
+    pools: np.ndarray  # (m, bands, 1056) float32
 
 
 def collect_training_data(
@@ -158,11 +126,7 @@ def collect_training_data(
     samples than the class structure provides.
     """
     specs = [(label, _degrade.parse_spec(text)) for label, text in plan]
-    n_bands = cfg.prints.n_bands
-    prints_acc: list = [[] for _ in range(n_bands)]
-    class_acc: list = [[] for _ in range(n_bands)]
-    orig_acc: list = [[] for _ in range(n_bands)]
-    pool_acc: list = [[] for _ in range(n_bands)]
+    prints_acc, class_acc, orig_acc, pool_acc = [], [], [], []
     for t_idx, entry in enumerate(entries):
         buf = load_track(entry, cfg)
         kept, coeffs = analyze(buf, cfg)
@@ -171,11 +135,10 @@ def collect_training_data(
         pool_pick = _spread_indices(len(kept), pool_times_per_track)
         class_pick = _spread_indices(len(kept), times_per_track)
         class_frames = kept[class_pick]
-        for b in range(n_bands):
-            pool_acc[b].append(coeffs[pool_pick, b, :].astype(np.float32))
-            prints_acc[b].append(coeffs[class_pick, b, :].astype(np.float32))
-            class_acc[b].append(np.arange(len(class_pick)) + 100000 * entry.track_id)
-            orig_acc[b].append(np.ones(len(class_pick), dtype=bool))
+        pool_acc.append(coeffs[pool_pick].astype(np.float32))
+        prints_acc.append(coeffs[class_pick].astype(np.float32))
+        class_acc.append(np.arange(len(class_pick)) + 100000 * entry.track_id)
+        orig_acc.append(np.ones(len(class_pick), dtype=bool))
         for v_idx, (label, dspec) in enumerate(specs):
             var_seed = _derive_seed(seed, entry.track_id, v_idx)
             dbuf = normalize(_degrade.apply(dspec.reseeded(var_seed), buf))
@@ -184,17 +147,16 @@ def collect_training_data(
             dkept, dcoeffs = analyze(dbuf, cfg, frames=frames)
             # frames are sorted, so the anchors surviving the end-of-signal
             # check are exactly a prefix; class ranks align positionally
-            for b in range(n_bands):
-                prints_acc[b].append(dcoeffs[:, b, :].astype(np.float32))
-                class_acc[b].append(np.arange(len(dkept)) + 100000 * entry.track_id)
-                orig_acc[b].append(np.zeros(len(dkept), dtype=bool))
+            prints_acc.append(dcoeffs.astype(np.float32))
+            class_acc.append(np.arange(len(dkept)) + 100000 * entry.track_id)
+            orig_acc.append(np.zeros(len(dkept), dtype=bool))
         if progress:
             progress(f"training data: {t_idx + 1}/{len(entries)} tracks")
     return TrainingData(
-        prints=[np.vstack(p) for p in prints_acc],
-        class_ids=[np.concatenate(c) for c in class_acc],
-        is_original=[np.concatenate(o) for o in orig_acc],
-        pools=[np.vstack(p) for p in pool_acc],
+        prints=np.concatenate(prints_acc),
+        class_ids=np.concatenate(class_acc),
+        is_original=np.concatenate(orig_acc),
+        pools=np.concatenate(pool_acc),
     )
 
 
@@ -207,7 +169,6 @@ def train_from_manifest(
     pool_times_per_track: int = 40,
     seed: int = 0,
     lda_dim: int = 80,
-    out_dim: int = 40,
     use_original_centers: bool = False,
     enforce_min_originals: bool = True,
     progress=None,
@@ -221,12 +182,11 @@ def train_from_manifest(
         seed=seed,
         progress=progress,
     )
-    records = [(data.prints[b], data.class_ids[b], data.is_original[b]) for b in range(len(data.prints))]
+    bands = range(data.prints.shape[1])
     return train_reduction(
-        records,
-        data.pools,
+        [(data.prints[:, b], data.class_ids, data.is_original) for b in bands],
+        [data.pools[:, b] for b in bands],
         lda_dim=lda_dim,
-        out_dim=out_dim,
         seed=seed,
         use_original_centers=use_original_centers,
         enforce_min_originals=enforce_min_originals,
@@ -240,11 +200,7 @@ def train_from_manifest(
 def reduced_prints_for_buffer(buf: AudioBuffer, model: ReductionModel, cfg: PipelineConfig):
     """(kept_frames, reduced (n, bands, 40)) for one buffer."""
     kept, coeffs = analyze(buf, cfg)
-    n_bands = coeffs.shape[1]
-    reduced = np.empty((len(kept), n_bands, model.out_dim))
-    for b in range(n_bands):
-        reduced[:, b, :] = apply_reduction(coeffs[:, b, :], model, b)
-    return kept, reduced
+    return kept, reduce_prints(coeffs, model)
 
 
 def index_postings(kept, reduced, model, lsh_spec, n_reliable: int):

@@ -5,16 +5,20 @@ logarithmic frequency AND logarithmic time axes, so that pitch shifting and
 time stretching become translations. Five overlapping log-frequency bands are
 cut out, amplitudes are floored/weighted/normalized/log-converted, and the
 magnitude of a 2D DFT (invariant to translation) yields 1056 coefficients per
-(anchor, band).
+(anchor, band). ``analyze`` runs the whole front end (STFT, anchor selection,
+prints) for training, indexing and querying alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.signal
 import scipy.sparse
+
+from printdex import audio as _audio
+from printdex import onsets as _onsets
 
 
 class WindowPastEnd(ValueError):
@@ -305,6 +309,37 @@ def print_matrix(spec, frames, cfg: PrintConfig | None = None) -> tuple[np.ndarr
         f = np.log1p(cfg.log_knee * g) / log_norm
         out[i] = np.abs(np.fft.rfft2(f, axes=(-2, -1))).reshape(cfg.n_bands, -1)
     return kept, out
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Geometry of the front end: processing rate, spectrogram, anchors, prints."""
+
+    sample_rate: int = 11025
+    spectrogram: _audio.SpectrogramConfig = field(default_factory=_audio.SpectrogramConfig)
+    onset: _onsets.OnsetConfig = field(default_factory=_onsets.OnsetConfig)
+    prints: PrintConfig = field(default_factory=PrintConfig)
+
+    def hop_samples(self) -> int:
+        return self.spectrogram.hop_samples(self.sample_rate)
+
+    def frame_period(self) -> float:
+        return self.hop_samples() / self.sample_rate
+
+
+def analyze(buf, cfg: PipelineConfig, frames=None):
+    """Spectrogram, anchor frames and raw prints of one buffer.
+
+    The one front end of training, indexing and querying. ``buf`` must
+    already be at ``cfg.sample_rate``. When ``frames`` is given the anchors
+    are reused instead of re-selected (training transforms degraded variants
+    at the original anchor times). Returns (kept_frames, coeffs (n, bands,
+    1056)).
+    """
+    spec = _audio.stft(buf, cfg.spectrogram)
+    if frames is None:
+        frames = _onsets.select_analysis_times(spec, cfg.onset).frames
+    return print_matrix(spec, frames, cfg.prints)
 
 
 def compute_prints(spec, times, cfg: PrintConfig | None = None) -> list[HDPrint]:

@@ -11,7 +11,11 @@ into a single affine map:
   HT      Hadamard mixing equalizing per-component robustness.
 
 Classes group the prints of one (original signal, anchor time) pair across
-degraded variants. All stages are fitted per frequency band.
+degraded variants. All stages are fitted per frequency band. The stage
+matrices live only in memory during training; the model file holds the
+composed map of each band (``p_final``, ``t_final``), the noise deviations
+``sigma_e`` the hashing reads, the retained rank ``j0`` and the training
+metadata.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ ICCR_REL_THRESHOLD = 1e-5
 MIN_ICCR_SAMPLES_FACTOR = 4
 
 MODEL_MAGIC = b"BMRM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class TrainingError(ValueError):
@@ -407,19 +411,28 @@ def hadamard_matrix(k: int) -> np.ndarray:
 
 @dataclass
 class BandChain:
-    """Fitted reduction chain of one frequency band."""
+    """Reduction of one frequency band.
 
-    p_iccr: np.ndarray
-    p_lda: np.ndarray
-    p_ica: np.ndarray
-    t_ica: np.ndarray
-    p_ompca: np.ndarray
-    p_ht: np.ndarray
+    ``p_final``/``t_final`` (the composed map), ``sigma_e`` and ``j0`` are
+    what a loaded model has; the stage matrices exist only after training.
+    """
+
     j0: int
     p_final: np.ndarray | None = None
     t_final: np.ndarray | None = None
     sigma_e: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+    p_iccr: np.ndarray | None = None
+    p_lda: np.ndarray | None = None
+    p_ica: np.ndarray | None = None
+    t_ica: np.ndarray | None = None
+    p_ompca: np.ndarray | None = None
+    p_ht: np.ndarray | None = None
+
+    def check_stages(self) -> None:
+        for name in ("p_iccr", "p_lda", "p_ica", "t_ica", "p_ompca", "p_ht"):
+            if getattr(self, name) is None:
+                raise TrainingError(f"stage {name} not fitted")
 
 
 @dataclass
@@ -435,9 +448,7 @@ class ReductionModel:
 
 def compose_final(chain: BandChain) -> BandChain:
     """Factorize the five stages into P_final (40 x 1056) and t_final (40)."""
-    for name in ("p_iccr", "p_lda", "p_ica", "t_ica", "p_ompca", "p_ht"):
-        if getattr(chain, name) is None:
-            raise TrainingError(f"stage {name} not fitted")
+    chain.check_stages()
     mix = chain.p_ht @ chain.p_ompca
     chain.p_final = mix @ chain.p_ica @ chain.p_lda @ chain.p_iccr
     chain.t_final = mix @ chain.t_ica
@@ -446,6 +457,7 @@ def compose_final(chain: BandChain) -> BandChain:
 
 def apply_chain(chain: BandChain, x: np.ndarray) -> np.ndarray:
     """Stage-by-stage application (reference path for the factorized map)."""
+    chain.check_stages()
     z = chain.p_iccr @ x
     z = chain.p_lda @ z
     z = chain.p_ica @ z + (chain.t_ica if z.ndim == 1 else chain.t_ica[:, None])
@@ -467,6 +479,14 @@ def apply_reduction(x: np.ndarray, model: ReductionModel, band: int) -> np.ndarr
     if x.ndim == 1:
         return chain.p_final @ x + chain.t_final
     return x @ chain.p_final.T + chain.t_final
+
+
+def reduce_prints(coeffs: np.ndarray, model: ReductionModel) -> np.ndarray:
+    """Reduce (n, bands, in_dim) prints to (n, bands, out_dim), band by band."""
+    reduced = np.empty((coeffs.shape[0], coeffs.shape[1], model.out_dim))
+    for b in range(coeffs.shape[1]):
+        reduced[:, b, :] = apply_reduction(coeffs[:, b, :], model, b)
+    return reduced
 
 
 # --- serialization ---------------------------------------------------------
@@ -491,23 +511,28 @@ def _read_matrix(fh, shape, path, what: str) -> np.ndarray:
 
 
 def save_model(path, model: ReductionModel) -> None:
-    """Write the BMRM model file (little-endian, float32 matrices)."""
+    """Write the version-2 BMRM model file (little-endian, float32 arrays).
+
+    Header: magic, version u16, n_bands u16, out_dim u16, in_dim u32. Per
+    band: j0 u32, p_final (out_dim x in_dim), t_final (out_dim), sigma_e
+    (out_dim), a u32 metadata count and that many u32-length-prefixed UTF-8
+    ``key=value`` strings in key order.
+    """
+    for b, chain in enumerate(model.bands):
+        if chain.p_final is None or chain.t_final is None:
+            raise TrainingError(f"band {b}: compose the model before saving")
+        if chain.sigma_e is None or np.shape(chain.sigma_e) != (model.out_dim,):
+            raise ValueError(f"band {b}: sigma_e must hold {model.out_dim} values, got {np.shape(chain.sigma_e)}")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        lda_dim = model.bands[0].p_lda.shape[0]
-        fh.write(struct.pack("<HHHHI", MODEL_VERSION, model.n_bands, model.out_dim, lda_dim, model.in_dim))
+        fh.write(struct.pack("<HHHI", MODEL_VERSION, model.n_bands, model.out_dim, model.in_dim))
         for chain in model.bands:
-            if chain.p_final is None:
-                raise TrainingError("compose the model before saving")
             fh.write(struct.pack("<I", chain.j0))
-            for m in (chain.p_iccr, chain.p_lda, chain.p_ica, chain.t_ica, chain.p_ompca, chain.p_ht, chain.p_final, chain.t_final):
+            for m in (chain.p_final, chain.t_final, chain.sigma_e):
                 _write_matrix(fh, m)
-            meta = dict(chain.metadata)
-            if chain.sigma_e is not None:
-                meta["sigma_e"] = ",".join(repr(float(v)) for v in chain.sigma_e.astype(np.float32))
-            fh.write(struct.pack("<I", len(meta)))
-            for key in sorted(meta):
-                blob = f"{key}={meta[key]}".encode("utf-8")
+            fh.write(struct.pack("<I", len(chain.metadata)))
+            for key in sorted(chain.metadata):
+                blob = f"{key}={chain.metadata[key]}".encode("utf-8")
                 fh.write(struct.pack("<I", len(blob)))
                 fh.write(blob)
 
@@ -516,45 +541,23 @@ def load_model(path) -> ReductionModel:
     with open(path, "rb") as fh:
         if fh.read(4) != MODEL_MAGIC:
             raise ValueError(f"{path!r} is not a model file")
-        version, n_bands, out_dim, lda_dim, in_dim = struct.unpack("<HHHHI", _read_exact(fh, 12, path, "header"))
+        version, n_bands, out_dim, in_dim = struct.unpack("<HHHI", _read_exact(fh, 10, path, "header"))
         if version != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {version}")
+            raise ValueError(f"unsupported model version {version} in {path!r}: this build reads version {MODEL_VERSION}")
         bands = []
         for b in range(n_bands):
             where = f"band {b}"
             (j0,) = struct.unpack("<I", _read_exact(fh, 4, path, where))
-            p_iccr = _read_matrix(fh, (j0, in_dim), path, where)
-            p_lda = _read_matrix(fh, (lda_dim, j0), path, where)
-            p_ica = _read_matrix(fh, (lda_dim, lda_dim), path, where)
-            t_ica = _read_matrix(fh, (lda_dim,), path, where)
-            p_ompca = _read_matrix(fh, (out_dim, lda_dim), path, where)
-            p_ht = _read_matrix(fh, (out_dim, out_dim), path, where)
             p_final = _read_matrix(fh, (out_dim, in_dim), path, where)
             t_final = _read_matrix(fh, (out_dim,), path, where)
+            sigma_e = _read_matrix(fh, (out_dim,), path, where)
             (n_meta,) = struct.unpack("<I", _read_exact(fh, 4, path, where))
             meta = {}
             for _ in range(n_meta):
                 (ln,) = struct.unpack("<I", _read_exact(fh, 4, path, where))
                 key, _, value = _read_exact(fh, ln, path, where).decode("utf-8").partition("=")
                 meta[key] = value
-            sigma_e = None
-            if "sigma_e" in meta:
-                sigma_e = np.array([float(v) for v in meta.pop("sigma_e").split(",")])
-            bands.append(
-                BandChain(
-                    p_iccr=p_iccr,
-                    p_lda=p_lda,
-                    p_ica=p_ica,
-                    t_ica=t_ica,
-                    p_ompca=p_ompca,
-                    p_ht=p_ht,
-                    j0=j0,
-                    p_final=p_final,
-                    t_final=t_final,
-                    sigma_e=sigma_e,
-                    metadata=meta,
-                )
-            )
+            bands.append(BandChain(j0=j0, p_final=p_final, t_final=t_final, sigma_e=sigma_e, metadata=meta))
         return ReductionModel(bands=bands, in_dim=in_dim, out_dim=out_dim)
 
 

@@ -12,15 +12,14 @@ excerpt offset delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from printdex import audio as _audio
 from printdex import hashing as _hashing
-from printdex import onsets as _onsets
 from printdex import prints as _prints
-from printdex.reduction import apply_reduction
+from printdex.reduction import reduce_prints
 
 # Rows of the sorted pairs compared per step of cone_weights: it bounds each
 # temporary to CONE_BLOCK_ROWS x n elements instead of n x n.
@@ -254,23 +253,21 @@ def check_index_hop(index, spectrogram_cfg=None):
 def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_cfg=None):
     """Analyze an excerpt into extended codes, anchor times and reliabilities.
 
-    ``spectrogram_cfg`` must give the index's frame hop at its sample rate.
+    ``spectrogram_cfg`` must give the index's frame hop at its sample rate;
+    a None config takes its default.
     """
-    print_cfg = print_cfg or _prints.PrintConfig()
-    spectrogram_cfg = check_index_hop(index, spectrogram_cfg)
+    cfg = _prints.PipelineConfig(sample_rate=index.sample_rate, spectrogram=check_index_hop(index, spectrogram_cfg))
+    cfg = replace(cfg, prints=print_cfg or cfg.prints, onset=onset_cfg or cfg.onset)
     buf = _audio.resample(buf, index.sample_rate)
     buf = _audio.normalize(buf)
-    if buf.duration < print_cfg.window_s:
-        raise ValueError(f"excerpt shorter than one {print_cfg.window_s} s print window")
-    spec = _audio.stft(buf, spectrogram_cfg)
-    times = _onsets.select_analysis_times(spec, onset_cfg)
-    kept, coeffs = _prints.print_matrix(spec, times.frames, print_cfg)
+    if buf.duration < cfg.prints.window_s:
+        raise ValueError(f"excerpt shorter than one {cfg.prints.window_s} s print window")
+    kept, coeffs = _prints.analyze(buf, cfg)
     if len(kept) == 0:
         raise ValueError("no usable analysis window in excerpt")
     anchor_seconds = kept * index.frame_period
-    reduced = np.stack([apply_reduction(coeffs[:, b, :], model, b) for b in range(coeffs.shape[1])], axis=1)
     sigma_e = [chain.sigma_e for chain in model.bands]
-    codes, rels = _hashing.derive_codes(reduced, sigma_e, index.spec, _hashing.N_LSH)
+    codes, rels = _hashing.derive_codes(reduce_prints(coeffs, model), sigma_e, index.spec, _hashing.N_LSH)
     times = np.broadcast_to(anchor_seconds[:, None], codes.shape)
     return codes.reshape(-1), times.reshape(-1), rels.reshape(-1), len(kept), buf.duration
 

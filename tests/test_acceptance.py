@@ -35,6 +35,7 @@ from printdex.reduction import (
     fit_iccr,
     fit_ompca,
     hadamard_matrix,
+    reduce_prints,
 )
 from printdex.search import cone_weights, refine_alignment, time_coherence
 
@@ -369,10 +370,7 @@ class TestCriterion7UniformityBenefit:
                     continue
                 n_prints += len(kept) * s.cfg.prints.n_bands
                 for name, model in models.items():
-                    reduced = np.empty((len(kept), s.cfg.prints.n_bands, model.out_dim))
-                    for b in range(s.cfg.prints.n_bands):
-                        reduced[:, b, :] = pipeline.apply_reduction(coeffs[:, b, :], model, b)
-                    codes, _ = pipeline.index_postings(kept, reduced, model, spec, s.index.n_reliable)
+                    codes, _ = pipeline.index_postings(kept, reduce_prints(coeffs, model), model, spec, s.index.n_reliable)
                     np.add.at(counts[name], codes, 1)
         ratios = {name: c.max() / (c.sum() / EXT_TABLE_SIZE) for name, c in counts.items()}
         ok = n_prints >= 100_000 and ratios["full"] < ratios["ablated"]

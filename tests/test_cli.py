@@ -1,6 +1,8 @@
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
 from corpus import build_corpus, synth_track
@@ -8,6 +10,7 @@ from corpus import build_corpus, synth_track
 from printdex.audio import load_audio, save_wav
 from printdex.cli import build_parser, main
 from printdex.pipeline import read_manifest, write_manifest
+from printdex.reduction import load_model, save_model
 
 TRAIN_ARGS = [
     "--times-per-track",
@@ -112,6 +115,22 @@ class TestQueryCommand:
         excerpt_path = str(tmp_path / "s.wav")
         save_wav(excerpt_path, synth_track(1, duration_s=1.0))
         assert main(["query", excerpt_path, "--index", index, "--model", model]) == 1
+
+    @pytest.mark.parametrize("width", [32, 48])
+    def test_model_of_other_width_one_line_error(self, cli_setup, tmp_path, capsys, width):
+        root, manifest, entries, model, index = cli_setup
+        rows = np.arange(width) % 40
+        loaded = load_model(model)
+        for chain in loaded.bands:
+            chain.p_final, chain.t_final, chain.sigma_e = chain.p_final[rows], chain.t_final[rows], chain.sigma_e[rows]
+        loaded.out_dim = width
+        other = str(tmp_path / "other.bmrm")
+        save_model(other, loaded)
+        excerpt_path = str(tmp_path / "q.wav")
+        save_wav(excerpt_path, synth_track(entries[0].track_id, duration_s=7.0))
+        assert main(["query", excerpt_path, "--index", index, "--model", other]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: reduced prints must have 40 components, got {width}\n"
 
 
 class TestDegradeCommand:
@@ -240,6 +259,24 @@ class TestInspectCommand:
         assert main(["inspect", "--model", str(bad)]) == 1
         assert "version" in capsys.readouterr().err
 
+    def test_version_1_model_one_line_error(self, tmp_path, capsys):
+        old = tmp_path / "v1.bmrm"
+        # a version-1 header (version, bands, out_dim, lda_dim, in_dim) and the start of band 0
+        old.write_bytes(b"BMRM" + struct.pack("<HHHHI", 1, 5, 40, 80, 1056) + bytes(4096))
+        assert main(["inspect", "--model", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unsupported model version 1 ") and err.count("\n") == 1
+
+    def test_forged_model_in_dim_one_line_error(self, cli_setup, tmp_path, capsys):
+        root, manifest, entries, model, index = cli_setup
+        forged = tmp_path / "forged.bmrm"
+        raw = bytearray(open(model, "rb").read())
+        raw[10:14] = (1 << 31).to_bytes(4, "little")  # in_dim, which sizes every p_final read
+        forged.write_bytes(raw)
+        assert main(["inspect", "--model", str(forged)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated model file") and err.count("\n") == 1
+
     @pytest.mark.parametrize("keep", [slice(None, 30), slice(None, -5)])
     def test_truncated_index_one_line_error(self, cli_setup, tmp_path, capsys, keep):
         root, manifest, entries, model, index = cli_setup
@@ -281,11 +318,12 @@ class TestInspectCommand:
     ],
 )
 def test_sample_rate_only_where_read(argv, accepted, capsys):
-    argv = [*argv, "--sample-rate", "8000"]
-    if accepted:
-        assert build_parser().parse_args(argv).sample_rate == 8000
-    else:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --sample-rate" in capsys.readouterr().err
+    """--sample-rate and --verbose exist only on the commands that read them."""
+    for option, dest, value in (["--sample-rate", "8000"], "sample_rate", 8000), (["--verbose"], "verbose", True):
+        if accepted:
+            assert getattr(build_parser().parse_args([*argv, *option]), dest) == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *option])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err

@@ -189,6 +189,13 @@ class TestCodeDerivation:
         with pytest.raises(ValueError, match="codes kept per print"):
             derive_codes(reduced, sigma_e, make_lsh_spec(0), n_keep)
 
+    @pytest.mark.parametrize("width", [32, 48])
+    def test_print_width_other_than_code_bits_rejected(self, width):
+        rng = np.random.default_rng(3)
+        reduced = rng.standard_normal((4, N_BANDS, width))
+        with pytest.raises(ValueError, match=f"must have {CODE_BITS} components, got {width}"):
+            derive_codes(reduced, np.ones((N_BANDS, width)), make_lsh_spec(0), N_LSH)
+
 
 class TestExtendedCode:
     def test_slot_formula(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from printdex.reduction import (
     hadamard_matrix,
     is_valid_hadamard_size,
     load_model,
+    reduce_prints,
     save_model,
     train_band,
 )
@@ -447,12 +449,14 @@ class TestTrainBandAndCompose:
         back = load_model(path)
         assert back.n_bands == 1
         assert back.in_dim == 60 and back.out_dim == 8
-        for name in ("p_iccr", "p_lda", "p_ica", "t_ica", "p_ompca", "p_ht", "p_final", "t_final"):
-            a = getattr(model.bands[0], name)
-            b = getattr(back.bands[0], name)
-            assert np.array_equal(a.astype(np.float32), b.astype(np.float32))
-        assert np.allclose(back.bands[0].sigma_e, model.bands[0].sigma_e.astype(np.float32))
-        assert back.bands[0].metadata["ica_seed"] == "5"
+        band = back.bands[0]
+        assert band.j0 == chain.j0
+        for name in ("p_final", "t_final", "sigma_e"):
+            assert np.array_equal(getattr(band, name), getattr(chain, name).astype(np.float32).astype(np.float64))
+        assert band.metadata == chain.metadata and band.metadata["ica_seed"] == "5"
+        assert all(getattr(band, name) is None for name in ("p_iccr", "p_lda", "p_ica", "t_ica", "p_ompca", "p_ht"))
+        with pytest.raises(TrainingError, match="stage p_iccr not fitted"):
+            apply_chain(band, np.zeros(60))
 
     def test_save_twice_identical_bytes(self, synth_chain, tmp_path):
         chain, *_ = synth_chain
@@ -462,6 +466,22 @@ class TestTrainBandAndCompose:
         save_model(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"sigma_e": None}, "sigma_e must hold 8 values"),
+            ({"sigma_e": np.ones(7)}, "sigma_e must hold 8 values"),
+            ({"sigma_e": np.ones(9)}, "sigma_e must hold 8 values"),
+            ({"p_final": None, "t_final": None}, "compose the model before saving"),
+        ],
+    )
+    def test_incomplete_chain_not_saved(self, synth_chain, tmp_path, change, error):
+        chain, *_ = synth_chain
+        path = tmp_path / "m.bmrm"
+        with pytest.raises(ValueError, match=error):
+            save_model(path, ReductionModel(bands=[dataclasses.replace(chain, **change)], in_dim=60, out_dim=8))
+        assert not path.exists()
+
     @pytest.mark.parametrize("damage", ["to_10_bytes", "to_30_bytes", "last_5_bytes", "forged_rank"])
     def test_damaged_model_file_rejected(self, synth_chain, tmp_path, damage):
         chain, *_ = synth_chain
@@ -469,9 +489,23 @@ class TestTrainBandAndCompose:
         save_model(path, ReductionModel(bands=[chain], in_dim=60, out_dim=8))
         raw = path.read_bytes()
         if damage == "forged_rank":
-            raw = raw[:16] + struct.pack("<I", 0xFFFFFFFF) + raw[20:]
+            # in_dim (header bytes 10..14) sizes every band's p_final read
+            raw = raw[:10] + struct.pack("<I", 0xFFFFFFFF) + raw[14:]
         else:
             raw = raw[: {"to_10_bytes": 10, "to_30_bytes": 30, "last_5_bytes": -5}[damage]]
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="truncated model file"):
             load_model(path)
+
+
+class TestReducePrints:
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_equals_per_band_apply_reduction(self, synth_chain, n):
+        chain, prints, *_ = synth_chain
+        other = dataclasses.replace(chain, p_final=chain.p_final[::-1].copy(), t_final=chain.t_final[::-1].copy())
+        model = ReductionModel(bands=[chain, other], in_dim=60, out_dim=8)
+        coeffs = np.stack([prints[:n], prints[25 : 25 + n]], axis=1)
+        reduced = reduce_prints(coeffs, model)
+        assert reduced.shape == (n, 2, 8)
+        for b in range(2):
+            assert np.array_equal(reduced[:, b, :], apply_reduction(coeffs[:, b, :], model, b))
