@@ -78,7 +78,7 @@ def cmd_index(args) -> int:
     n_prints = index.table.n_postings // args.reliable
     print(f"index written to {args.out}")
     print(f"tracks={len(index.tracks)} prints={n_prints} postings={index.table.n_postings}")
-    print(f"bucket load: max={int(loads.max())} nonempty={int((loads > 0).sum())}")
+    print(f"bucket load: max={int(loads.max(initial=0))} nonempty={len(loads)}")
     return 0
 
 
@@ -209,7 +209,7 @@ def cmd_inspect(args) -> int:
             f"segment_frames={index.segment_frames} sample_rate={index.sample_rate} hop={index.hop_samples}"
         )
         if index.table.n_postings:
-            print(f"bucket load: max={int(loads.max())} mean_nonempty={loads[loads > 0].mean():.2f}")
+            print(f"bucket load: max={int(loads.max())} mean_nonempty={loads.mean():.2f}")
         for tid in sorted(index.tracks):
             info = index.tracks[tid]
             print(f"  track {tid}: {info.name} ({info.duration:.1f}s)")

@@ -9,6 +9,10 @@ extended codes (8-bit slot = band * 51 + selection, plus the 16-bit code).
 ``derive_codes`` is the one derivation from reduced prints to extended codes:
 the index stores each print's 10 most reliable codes and a query looks up all
 51, both through it, so that reference and query sub-codes agree bit for bit.
+
+The table is one array of (code, track, time) postings sorted in that order,
+so the index file grows with the catalog; lookups go through 2^18 + 1 bucket
+starts over ``code >> 6``, derived from the sorted codes and never stored.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ LSH_BITS = 16
 N_RELIABLE = 10
 N_BANDS = 5
 EXT_TABLE_SIZE = 1 << 24
+DIR_SHIFT = 6  # one lookup-directory bucket per 64 consecutive codes
 
 INDEX_MAGIC = b"BMIX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
-_POSTING_DTYPE = np.dtype([("track", "<u4"), ("segment", "<u2"), ("time", "<u2")])
+_POSTING_DTYPE = np.dtype([("code", "<u4"), ("track", "<u4"), ("time", "<u4")])
 _MASK64 = (1 << 64) - 1
 
 
@@ -213,8 +218,13 @@ def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(shifts, counts) + np.arange(total)
 
 
+def _directory(codes: np.ndarray) -> np.ndarray:
+    """Start of each ``code >> DIR_SHIFT`` bucket in sorted ``codes``, then the end."""
+    return np.cumsum(np.bincount((codes >> DIR_SHIFT).astype(np.int64) + 1, minlength=(EXT_TABLE_SIZE >> DIR_SHIFT) + 1))
+
+
 class HashTable:
-    """24-bit extended-code table: build by appends, then freeze to flat arrays."""
+    """Postings sorted by (code, track, time) and their bucket directory ``offsets``."""
 
     def __init__(self):
         self._pending: list = []
@@ -222,44 +232,30 @@ class HashTable:
         self.offsets: np.ndarray | None = None
         self.postings: np.ndarray | None = None
 
-    def insert(self, codes, tracks, segments, times) -> None:
+    def insert(self, codes, tracks, times) -> None:
         if self.frozen:
             raise RuntimeError("cannot insert into a frozen table")
         codes = np.atleast_1d(np.asarray(codes))
         if codes.size and (codes.min() < 0 or codes.max() >= EXT_TABLE_SIZE):
             raise ValueError(f"extended code outside [0, {EXT_TABLE_SIZE})")
-        codes = codes.astype(np.uint32)
         recs = np.empty(len(codes), dtype=_POSTING_DTYPE)
-        for name, values in (("track", tracks), ("segment", segments), ("time", times)):
+        recs["code"] = codes
+        for name, values in (("track", tracks), ("time", times)):
             values = np.asarray(values)
             limit = np.iinfo(_POSTING_DTYPE[name]).max
             if values.size and (values.min() < 0 or values.max() > limit):
                 raise ValueError(f"posting {name} outside the field's range [0, {limit}]")
             recs[name] = values
-        self._pending.append((codes, recs))
+        self._pending.append(recs)
 
     def freeze(self) -> None:
         if self.frozen:
             return
-        if self._pending:
-            codes = np.concatenate([c for c, _ in self._pending])
-            recs = np.concatenate([r for _, r in self._pending])
-        else:
-            codes = np.empty(0, dtype=np.uint32)
-            recs = np.empty(0, dtype=_POSTING_DTYPE)
-        order = np.lexsort((recs["time"], recs["segment"], recs["track"], codes))
-        self.postings = recs[order]
-        # Counting code + 1 leaves slot 0 empty, so the in-place running sum
-        # is the offsets table itself: one 2^24-element array, no temporary.
-        counts = np.bincount(codes + 1, minlength=EXT_TABLE_SIZE + 1)
-        self.offsets = np.cumsum(counts, out=counts).view(np.uint64)
+        recs = np.concatenate(self._pending) if self._pending else np.empty(0, dtype=_POSTING_DTYPE)
+        self.postings = recs[np.lexsort((recs["time"], recs["track"], recs["code"]))]
+        self.offsets = _directory(self.postings["code"])
         self._pending = []
         self.frozen = True
-
-    def lookup(self, code: int) -> np.ndarray:
-        if not self.frozen:
-            raise RuntimeError("freeze the table before lookup")
-        return self.postings[int(self.offsets[code]) : int(self.offsets[code + 1])]
 
     def lookup_many(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Postings for many codes at once.
@@ -269,16 +265,20 @@ class HashTable:
         if not self.frozen:
             raise RuntimeError("freeze the table before lookup")
         codes = np.asarray(codes, dtype=np.int64)
-        starts = self.offsets[codes].astype(np.int64)
-        counts = (self.offsets[codes + 1] - self.offsets[codes]).astype(np.int64)
-        return counts, self.postings[_gather_ranges(starts, counts)]
+        starts = self.offsets[codes >> DIR_SHIFT]
+        sizes = self.offsets[(codes >> DIR_SHIFT) + 1] - starts
+        rows = _gather_ranges(starts, sizes)
+        keep = self.postings["code"][rows] == np.repeat(codes, sizes)
+        counts = np.bincount(np.repeat(np.arange(len(codes)), sizes)[keep], minlength=len(codes))
+        return counts, self.postings[rows[keep]]
 
     @property
     def n_postings(self) -> int:
         return 0 if self.postings is None else len(self.postings)
 
     def bucket_loads(self) -> np.ndarray:
-        return np.diff(self.offsets).astype(np.int64)
+        """Postings per distinct extended code."""
+        return np.diff(np.flatnonzero(np.diff(self.postings["code"], prepend=-1, append=-1)))
 
 
 @dataclass
@@ -312,7 +312,7 @@ class CatalogIndex:
 
 
 def save_index(path, index: CatalogIndex) -> None:
-    """Write the BMIX index file (little-endian)."""
+    """Write the version-2 BMIX index file: header, sorted postings, track records."""
     table = index.table
     if not table.frozen:
         raise RuntimeError("freeze the table before saving")
@@ -334,8 +334,6 @@ def save_index(path, index: CatalogIndex) -> None:
                 len(index.tracks),
             )
         )
-        # tofile writes the arrays' own buffers: no 128 MB bytes copy
-        np.ascontiguousarray(table.offsets, dtype="<u8").tofile(fh)
         np.ascontiguousarray(table.postings, dtype=_POSTING_DTYPE).tofile(fh)
         for tid in sorted(index.tracks):
             info = index.tracks[tid]
@@ -358,26 +356,28 @@ def load_index(path) -> CatalogIndex:
         header = struct.unpack("<HHHHHQIIIQI", _read_exact(fh, 42, path, "header"))
         (version, n_lsh, n_reliable, lsh_bits, n_bands, seed, sample_rate, hop, segment_frames, n_postings, n_tracks) = header
         if version != INDEX_VERSION:
-            raise ValueError(f"unsupported index version {version}")
-        if n_lsh != N_LSH or lsh_bits != LSH_BITS:
-            raise ValueError("index was built with incompatible LSH parameters")
+            raise ValueError(f"unsupported index version {version} in {path!r}: this build reads version {INDEX_VERSION}")
+        if n_lsh != N_LSH or lsh_bits != LSH_BITS or segment_frames < 1:
+            raise ValueError(f"unsupported index geometry in {path!r}: L={n_lsh} b={lsh_bits} segment_frames={segment_frames}")
         # A forged count must fail here, not as a MemoryError in the read it sizes.
-        needed = 4 + 42 + 8 * (EXT_TABLE_SIZE + 1) + _POSTING_DTYPE.itemsize * n_postings + 14 * n_tracks
+        needed = 4 + 42 + _POSTING_DTYPE.itemsize * n_postings + 14 * n_tracks
         size = os.fstat(fh.fileno()).st_size
         if needed > size:
             raise ValueError(
                 f"truncated index file {path!r}: header claims {n_postings} postings and {n_tracks} tracks, "
                 f"needing at least {needed} bytes, file has {size}"
             )
-        offsets = np.frombuffer(_read_exact(fh, 8 * (EXT_TABLE_SIZE + 1), path, "bucket offsets"), dtype="<u8")
         postings = np.frombuffer(_read_exact(fh, _POSTING_DTYPE.itemsize * n_postings, path, "postings"), dtype=_POSTING_DTYPE)
+        codes = postings["code"]
+        if n_postings and (np.any(codes[1:] < codes[:-1]) or codes[-1] >= EXT_TABLE_SIZE):
+            raise ValueError(f"corrupt index file {path!r}: posting codes are not sorted or not below {EXT_TABLE_SIZE}")
         tracks = {}
         for _ in range(n_tracks):
             tid, duration, name_len = struct.unpack("<IdH", _read_exact(fh, 14, path, "track record"))
             name = _read_exact(fh, name_len, path, "track name").decode("utf-8")
             tracks[tid] = TrackInfo(track_id=tid, name=name, duration=duration)
     table = HashTable()
-    table.offsets = offsets
+    table.offsets = _directory(codes)
     table.postings = postings
     table.frozen = True
     return CatalogIndex(

@@ -229,7 +229,7 @@ def build_index(
         buf = load_track(entry, cfg)
         kept, reduced = reduced_prints_for_buffer(buf, model, cfg)
         codes, frames = index_postings(kept, reduced, model, spec, n_reliable)
-        table.insert(codes, np.full(len(codes), entry.track_id), frames // segment_frames, frames)
+        table.insert(codes, np.full(len(codes), entry.track_id), frames)
         tracks[entry.track_id] = _hashing.TrackInfo(track_id=entry.track_id, name=entry.label or entry.path, duration=buf.duration)
         if progress:
             progress(f"indexed {i + 1}/{len(entries)} tracks ({len(kept)} prints)")

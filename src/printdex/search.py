@@ -103,7 +103,7 @@ def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: f
     match_tau = np.repeat(times, counts)
     match_weight = np.repeat(weights, counts)
     match_track = postings["track"].astype(np.int64)
-    match_segment = postings["segment"].astype(np.int64)
+    match_segment = postings["time"].astype(np.int64) // index.segment_frames
     match_t = postings["time"].astype(np.float64) * index.frame_period
     segment_s = index.segment_frames * index.frame_period
     window = int(np.ceil(query_duration / segment_s)) + 1

@@ -232,6 +232,15 @@ class TestIndexCommand:
         assert main(["index", "--manifest", manifest, "--model", model, "--out", rebuilt, "--lsh-seed", "5"]) == 0
         assert open(index, "rb").read() == open(rebuilt, "rb").read()
 
+    def test_catalog_without_postings(self, cli_setup, tmp_path, capsys):
+        root, manifest, entries, model, index = cli_setup
+        short_manifest, _ = build_corpus(tmp_path, 1, duration_s=2.0)  # shorter than one 3 s print window
+        empty = str(tmp_path / "empty.bmix")
+        assert main(["index", "--manifest", short_manifest, "--model", model, "--out", empty]) == 0
+        assert "postings=0" in capsys.readouterr().out
+        assert main(["inspect", "--index", empty]) == 0
+        assert "postings=0" in capsys.readouterr().out
+
     def test_empty_manifest_fails(self, cli_setup, tmp_path):
         root, manifest, entries, model, index = cli_setup
         empty = tmp_path / "empty.tsv"
@@ -266,6 +275,16 @@ class TestInspectCommand:
         assert main(["inspect", "--model", str(old)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unsupported model version 1 ") and err.count("\n") == 1
+
+    def test_version_1_index_one_line_error(self, cli_setup, tmp_path, capsys):
+        root, manifest, entries, model, index = cli_setup
+        old = tmp_path / "v1.bmix"
+        raw = bytearray(open(index, "rb").read())
+        raw[4:6] = struct.pack("<H", 1)  # version field
+        old.write_bytes(raw)
+        assert main(["inspect", "--index", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unsupported index version 1 ") and err.count("\n") == 1
 
     def test_forged_model_in_dim_one_line_error(self, cli_setup, tmp_path, capsys):
         root, manifest, entries, model, index = cli_setup

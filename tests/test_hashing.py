@@ -206,52 +206,68 @@ class TestExtendedCode:
         assert int(extended_code(4, 50, 0xFFFF)) < (1 << 24)
 
 
+def _oracle(table, code):
+    """Brute-force lookup: every posting whose code equals ``code``."""
+    return table.postings[table.postings["code"] == code]
+
+
 class TestHashTable:
     def test_insert_lookup_singleton(self):
         t = HashTable()
-        t.insert([12345], [7], [0], [42])
+        t.insert([12345], [7], [42])
         t.freeze()
-        postings = t.lookup(12345)
-        assert len(postings) == 1
-        assert postings["track"][0] == 7 and postings["time"][0] == 42
+        counts, postings = t.lookup_many([12345])
+        assert counts.tolist() == [1]
+        assert postings["code"][0] == 12345 and postings["track"][0] == 7 and postings["time"][0] == 42
 
     def test_absent_code_empty(self):
         t = HashTable()
-        t.insert([1], [1], [0], [0])
+        t.insert([1], [1], [0])
         t.freeze()
-        assert len(t.lookup(2)) == 0
+        counts, postings = t.lookup_many([2])  # same directory bucket as code 1
+        assert counts.tolist() == [0] and len(postings) == 0
 
     def test_conservation(self):
         rng = np.random.default_rng(5)
         t = HashTable()
         codes = rng.integers(0, 1 << 24, 1000)
-        t.insert(codes, np.arange(1000), np.zeros(1000), np.arange(1000))
+        t.insert(codes, np.arange(1000), np.arange(1000))
         t.freeze()
         assert t.n_postings == 1000
         assert t.bucket_loads().sum() == 1000
+
+    def test_bucket_loads_per_distinct_code(self):
+        codes = np.random.default_rng(9).integers(0, 300, 800)
+        t = HashTable()
+        t.insert(codes, np.zeros(800), np.arange(800))
+        t.freeze()
+        assert np.array_equal(t.bucket_loads(), np.unique(codes, return_counts=True)[1])
+        empty = HashTable()
+        empty.freeze()
+        assert len(empty.bucket_loads()) == 0
 
     def test_insert_after_freeze_rejected(self):
         t = HashTable()
         t.freeze()
         with pytest.raises(RuntimeError):
-            t.insert([1], [1], [0], [0])
+            t.insert([1], [1], [0])
 
     @pytest.mark.parametrize(
-        "tracks, segments, times",
-        [([1], [0], [70000]), ([1], [70000], [0]), ([1 << 32], [0], [0]), ([-1], [0], [0]), ([1], [0], [-1])],
+        "tracks, times",
+        [([1 << 32], [0]), ([-1], [0]), ([1], [-1]), ([1], [1 << 32])],
+        ids=["track_over_u32", "track_negative", "time_negative", "time_over_u32"],
     )
-    def test_out_of_range_posting_rejected(self, tracks, segments, times):
+    def test_out_of_range_posting_rejected(self, tracks, times):
         t = HashTable()
         with pytest.raises(ValueError):
-            t.insert([5], np.array(tracks), np.array(segments), np.array(times))
+            t.insert([5], np.array(tracks), np.array(times))
 
     def test_field_limits_stored_exactly(self):
         t = HashTable()
-        t.insert([5], [(1 << 32) - 1], [65535], [65535])
+        t.insert([5], [(1 << 32) - 1], [(1 << 32) - 1])
         t.freeze()
-        postings = t.lookup(5)
-        assert postings["track"][0] == (1 << 32) - 1
-        assert postings["segment"][0] == 65535 and postings["time"][0] == 65535
+        postings = _oracle(t, 5)
+        assert postings["track"][0] == (1 << 32) - 1 and postings["time"][0] == (1 << 32) - 1
 
     @pytest.mark.parametrize("codes", [[], [7], [0], [EXT_TABLE_SIZE - 1], [0, EXT_TABLE_SIZE - 1, 3, 3, 0], "random"])
     def test_offsets_match_searchsorted_oracle(self, codes):
@@ -259,39 +275,40 @@ class TestHashTable:
             codes = np.random.default_rng(8).integers(0, EXT_TABLE_SIZE, 2000)
         codes = np.asarray(codes, dtype=np.int64)
         t = HashTable()
-        t.insert(codes, np.arange(len(codes)), np.zeros(len(codes)), np.zeros(len(codes)))
+        t.insert(codes, np.arange(len(codes)), np.zeros(len(codes)))
         t.freeze()
-        oracle = np.searchsorted(np.sort(codes), np.arange(EXT_TABLE_SIZE + 1)).astype(np.uint64)
-        assert t.offsets.dtype == np.uint64
+        oracle = np.searchsorted(np.sort(codes) >> 6, np.arange(2**18 + 1))
         assert np.array_equal(t.offsets, oracle)
 
     @pytest.mark.parametrize("code", [-1, EXT_TABLE_SIZE])
     def test_out_of_range_code_rejected(self, code):
         t = HashTable()
         with pytest.raises(ValueError, match="extended code"):
-            t.insert([code], [1], [0], [0])
+            t.insert([code], [1], [0])
 
     def test_postings_sorted_within_bucket(self):
         t = HashTable()
-        t.insert([5, 5, 5], [30, 10, 20], [0, 1, 0], [3, 2, 1])
+        t.insert([5, 5, 5, 5], [30, 10, 20, 10], [3, 2, 1, 1])
         t.freeze()
-        postings = t.lookup(5)
-        assert postings["track"].tolist() == [10, 20, 30]
+        _, postings = t.lookup_many([5])
+        assert postings["track"].tolist() == [10, 10, 20, 30]
+        assert postings["time"].tolist() == [1, 2, 1, 3]
 
     def test_lookup_many_matches_loop(self):
         rng = np.random.default_rng(6)
         t = HashTable()
-        codes = rng.integers(0, 100, 500)
-        t.insert(codes, np.arange(500), np.zeros(500), np.arange(500))
+        codes = rng.integers(0, 300, 500)  # about 100 codes per directory bucket
+        t.insert(codes, np.arange(500), np.arange(500))
         t.freeze()
-        queries = rng.integers(0, 120, 50)
+        queries = np.concatenate((rng.integers(0, 320, 50), [EXT_TABLE_SIZE - 1, 0, 0]))
         counts, postings = t.lookup_many(queries)
         at = 0
         for q, c in zip(queries, counts):
-            single = t.lookup(int(q))
+            single = _oracle(t, q)
             assert len(single) == c
             assert np.array_equal(postings[at : at + c], single)
             at += c
+        assert at == len(postings)
 
 
 class TestStatistics:
@@ -320,7 +337,7 @@ class TestStatistics:
 
 def _small_index():
     t = HashTable()
-    t.insert([3, 1, 2], [1, 2, 3], [0, 0, 0], [5, 6, 7])
+    t.insert([3, 1, 2], [1, 2, 3], [5, 6, 7])
     t.freeze()
     return CatalogIndex(
         table=t, tracks={1: TrackInfo(1, "x", 1.0)}, lsh_seed=0, n_reliable=10,
@@ -333,7 +350,7 @@ class TestIndexFile:
         rng = np.random.default_rng(7)
         t = HashTable()
         codes = rng.integers(0, 1 << 24, 2000)
-        t.insert(codes, rng.integers(1, 50, 2000), rng.integers(0, 4, 2000), rng.integers(0, 1500, 2000))
+        t.insert(codes, rng.integers(1, 50, 2000), rng.integers(0, 1500, 2000))
         t.freeze()
         index = CatalogIndex(
             table=t,
@@ -355,6 +372,11 @@ class TestIndexFile:
         assert back.n_reliable == 10
         assert back.segment_frames == 752
         assert np.array_equal(back.spec.selections, make_lsh_spec(99).selections)
+
+    def test_file_sized_by_postings(self, tmp_path):
+        path = tmp_path / "i.bmix"
+        save_index(path, _small_index())
+        assert path.stat().st_size == 46 + 12 * 3 + (14 + len("x"))
 
     def test_save_deterministic(self, tmp_path):
         index = _small_index()
@@ -380,6 +402,40 @@ class TestIndexFile:
         raw[34:46] = struct.pack("<QI", n_postings, n_tracks)  # the header's last two fields
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=f"truncated index file .* claims {n_postings} postings and {n_tracks} tracks"):
+            load_index(path)
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_version_rejected(self, tmp_path, version):
+        path = tmp_path / "old.bmix"
+        save_index(path, _small_index())
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = struct.pack("<H", version)
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"unsupported index version {version} in .*old.bmix.*reads version 2"):
+            load_index(path)
+
+    @pytest.mark.parametrize("field, value", [(slice(6, 8), 50), (slice(30, 34), 0)], ids=["n_lsh", "segment_frames"])
+    def test_forged_geometry_rejected(self, tmp_path, field, value):
+        path = tmp_path / "forged.bmix"
+        save_index(path, _small_index())
+        raw = bytearray(path.read_bytes())
+        raw[field] = value.to_bytes(field.stop - field.start, "little")
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="unsupported index geometry"):
+            load_index(path)
+
+    @pytest.mark.parametrize("forgery", ["swapped_codes", "code_beyond_24_bits"])
+    def test_forged_posting_codes_rejected(self, tmp_path, forgery):
+        path = tmp_path / "forged.bmix"
+        save_index(path, _small_index())
+        raw = bytearray(path.read_bytes())
+        first, second, last = slice(46, 50), slice(58, 62), slice(70, 74)  # codes of postings 0, 1 and 2
+        if forgery == "swapped_codes":
+            raw[first], raw[second] = raw[second], raw[first]
+        else:
+            raw[last] = struct.pack("<I", EXT_TABLE_SIZE)
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="posting codes are not sorted or not below"):
             load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):

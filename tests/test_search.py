@@ -7,7 +7,17 @@ from printdex import audio, pipeline
 from printdex.audio import SpectrogramConfig, stft
 from printdex.degrade import apply as apply_degradation
 from printdex.degrade import parse_spec
-from printdex.hashing import N_LSH, CatalogIndex, HashTable, TrackInfo, codes_from_bits, extended_code, make_lsh_spec
+from printdex.hashing import (
+    N_LSH,
+    CatalogIndex,
+    HashTable,
+    TrackInfo,
+    codes_from_bits,
+    extended_code,
+    load_index,
+    make_lsh_spec,
+    save_index,
+)
 from printdex.search import (
     MatchHistogram,
     SearchConfig,
@@ -40,7 +50,7 @@ def _synthetic_index(track_gammas, duration_s=30.0, seed=42, n_reliable=10, n_ba
                 betas = codes_from_bits(bits[None, :], spec)[0]
                 chosen = np.sort(rng.choice(N_LSH, size=n_reliable, replace=False))
                 codes = extended_code(b, chosen, betas[chosen])
-                table.insert(codes, np.full(n_reliable, track_id), np.full(n_reliable, frames[ti] // segment_frames), np.full(n_reliable, frames[ti]))
+                table.insert(codes, np.full(n_reliable, track_id), np.full(n_reliable, frames[ti]))
         tracks[track_id] = TrackInfo(track_id, f"t{track_id}", duration_s)
     table.freeze()
     return CatalogIndex(
@@ -83,6 +93,25 @@ class TestCountMatches:
         codes = np.array([123, 456])
         hist = count_matches(codes, np.array([0.0, 1.0]), index, 7.0)
         assert hist.count_for(99) == 0
+
+    def test_25_minute_posting_roundtrips_into_its_segment(self, tmp_path):
+        segment_frames = int(round(15.0 / FRAME_PERIOD))
+        segment_start = 75000 // segment_frames * segment_frames
+        table = HashTable()
+        # frame 75 000 and the first frame of its segment, then the frame before that segment
+        table.insert([9, 9, 9], [1, 1, 1], [75000, segment_start, segment_start - 1])
+        table.freeze()
+        index = CatalogIndex(
+            table=table, tracks={1: TrackInfo(1, "long", 1500.0)}, lsh_seed=0, n_reliable=10,
+            segment_frames=segment_frames, sample_rate=11025, hop_samples=220,
+        )
+        save_index(tmp_path / "long.bmix", index)
+        back = load_index(tmp_path / "long.bmix")
+        assert back.table.postings.tobytes() == table.postings.tobytes()
+        assert back.table.postings["time"].max() == 75000
+        hist = count_matches(np.array([9]), np.array([0.0]), back, 0.0)  # a zero-length query's window is one segment
+        assert hist.count_for(1) == 2
+        assert 75000 * back.frame_period in hist.match_t.tolist()
 
     def test_empty_query_rejected(self):
         index = _synthetic_index({1: np.random.default_rng(2).integers(0, 1 << 40, (4, 5), dtype=np.uint64)})
