@@ -174,9 +174,6 @@ class Spectrogram:
         fft_size = 2 * (self.n_bins - 1)
         return self.sample_rate / fft_size
 
-    def frame_time(self, frame) -> np.ndarray:
-        return np.asarray(frame, dtype=np.float64) * (self.hop_samples / self.sample_rate)
-
 
 def stft(buf: AudioBuffer, cfg: SpectrogramConfig | None = None) -> Spectrogram:
     """Magnitude STFT with a periodic Hann window, zero-padded to a power of 2.

@@ -18,7 +18,7 @@ from printdex import degrade as _degrade
 from printdex import hashing as _hashing
 from printdex import pipeline as _pipeline
 from printdex import search as _search
-from printdex.audio import load_audio, normalize, save_wav
+from printdex.audio import DEFAULT_SAMPLE_RATE, load_audio, normalize, save_wav
 from printdex.reduction import load_model, save_model
 
 
@@ -75,7 +75,7 @@ def cmd_index(args) -> int:
     )
     _hashing.save_index(args.out, index)
     loads = index.table.bucket_loads()
-    n_prints = index.table.n_postings // args.reliable
+    n_prints = index.table.n_postings // (index.n_bands * index.n_reliable)
     print(f"index written to {args.out}")
     print(f"tracks={len(index.tracks)} prints={n_prints} postings={index.table.n_postings}")
     print(f"bucket load: max={int(loads.max(initial=0))} nonempty={len(loads)}")
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--sample-rate", type=int, default=11025, help="processing sample rate (Hz)")
+        p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE, help="processing sample rate (Hz)")
         p.add_argument("--verbose", action="store_true", help="progress lines on stderr")
 
     p = sub.add_parser("train", help="learn the reduction model from a manifest")

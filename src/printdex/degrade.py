@@ -20,8 +20,7 @@ import scipy.ndimage
 import scipy.signal
 
 from printdex.audio import AudioBuffer, load_audio
-
-_MASK64 = (1 << 64) - 1
+from printdex.hashing import _MASK64, _splitmix64
 
 EQ_CENTERS_HZ = (31.5, 63.0, 125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
 TREMOLO_RATE_HZ = 4.0
@@ -90,14 +89,6 @@ def parse_spec(text: str, seed: int = 0) -> DegradationSpec:
     return DegradationSpec(kind="chain", params={"steps": tuple(specs)}, seed=seed)
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, (z ^ (z >> 31)) & _MASK64
-
-
 def _scaled_noise(noise: np.ndarray, signal: np.ndarray, snr_db: float) -> np.ndarray:
     rms_sig = np.sqrt(np.mean(signal**2))
     rms_noise = np.sqrt(np.mean(noise**2))
@@ -161,14 +152,23 @@ def _stft_frames(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.
 
 
 def _istft_frames(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
+    """Overlap-add the inverse frames, divided by the summed squared window.
+
+    ``n_fft`` must be a multiple of ``hop``. The output is viewed as blocks
+    of ``hop`` samples; chunk k of frame m lands in block m + k. Adding the
+    chunks from the last k to the first sums each sample's frames in
+    ascending order.
+    """
     frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window
-    n_out = (spec.shape[1] - 1) * hop + n_fft
-    out = np.zeros(n_out)
-    norm = np.zeros(n_out)
-    win_sq = window**2
-    for m in range(spec.shape[1]):
-        out[m * hop : m * hop + n_fft] += frames[m]
-        norm[m * hop : m * hop + n_fft] += win_sq
+    n_frames = spec.shape[1]
+    overlap = n_fft // hop
+    out = np.zeros((n_frames + overlap - 1, hop))
+    norm = np.zeros_like(out)
+    win_sq = (window**2).reshape(overlap, hop)
+    for k in reversed(range(overlap)):
+        out[k : k + n_frames] += frames[:, k * hop : (k + 1) * hop]
+        norm[k : k + n_frames] += win_sq[k]
+    out, norm = out.reshape(-1), norm.reshape(-1)
     good = norm > 1e-3 * norm.max()
     out[good] /= norm[good]
     out[~good] = 0.0

@@ -17,10 +17,9 @@ from printdex import degrade as _degrade
 from printdex import hashing as _hashing
 from printdex import search as _search
 from printdex.audio import AudioBuffer, load_audio, normalize, resample
+from printdex.hashing import _MASK64, _splitmix64
 from printdex.prints import PipelineConfig, analyze
 from printdex.reduction import ReductionModel, reduce_prints, train_reduction
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def _derive_seed(base: int, *parts: int) -> int:
     state = base & _MASK64
     for p in parts:
         state = (state * 0x100000001B3 + (p & _MASK64) + 1) & _MASK64
-    state, value = _degrade._splitmix64(state)
+    state, value = _splitmix64(state)
     return value
 
 
@@ -182,10 +181,11 @@ def train_from_manifest(
         seed=seed,
         progress=progress,
     )
-    bands = range(data.prints.shape[1])
     return train_reduction(
-        [(data.prints[:, b], data.class_ids, data.is_original) for b in bands],
-        [data.pools[:, b] for b in bands],
+        data.prints,
+        data.class_ids,
+        data.is_original,
+        data.pools,
         lda_dim=lda_dim,
         seed=seed,
         use_original_centers=use_original_centers,

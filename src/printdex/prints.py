@@ -315,7 +315,7 @@ def print_matrix(spec, frames, cfg: PrintConfig | None = None) -> tuple[np.ndarr
 class PipelineConfig:
     """Geometry of the front end: processing rate, spectrogram, anchors, prints."""
 
-    sample_rate: int = 11025
+    sample_rate: int = _audio.DEFAULT_SAMPLE_RATE
     spectrogram: _audio.SpectrogramConfig = field(default_factory=_audio.SpectrogramConfig)
     onset: _onsets.OnsetConfig = field(default_factory=_onsets.OnsetConfig)
     prints: PrintConfig = field(default_factory=PrintConfig)

@@ -100,88 +100,56 @@ def fit_iccr(x: np.ndarray, rel_threshold: float = ICCR_REL_THRESHOLD, enforce_m
 
 
 # ---------------------------------------------------------------------------
-# LDA with cumulative scatter accumulation
+# Classes and LDA
 
 
-class ScatterAccumulator:
-    """Running sums for total and between-class covariance.
+def class_index(class_ids: np.ndarray, is_original: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(record_class, original_row)``: each record's class, as a position in
+    the sorted distinct ``class_ids``, and the row of each class's original.
 
-    Memory stays O(dim^2 + C * dim) however many vectors are accumulated;
-    class means (or the class originals, in the variant) are resolved in a
-    second pass over the per-class sums at finalize time.
+    There must be at least 2 classes, each with exactly one original record.
     """
+    labels, record_class = np.unique(np.asarray(class_ids), return_inverse=True)
+    if len(labels) < 2:
+        raise TrainingError("need at least 2 classes")
+    rows = np.flatnonzero(np.asarray(is_original, dtype=bool))
+    n_originals = np.bincount(record_class[rows], minlength=len(labels))
+    if n_originals.max() > 1:
+        raise TrainingError(f"class {labels[np.argmax(n_originals)]} has more than one original record")
+    if n_originals.min() == 0:
+        raise TrainingError(f"class {labels[np.argmin(n_originals)]} lacks an original record")
+    original_row = np.empty(len(labels), dtype=np.intp)
+    original_row[record_class[rows]] = rows
+    return record_class, original_row
 
-    def __init__(self, dim: int, use_original_centers: bool = False):
-        self.dim = dim
-        self.use_original_centers = use_original_centers
-        self.vector_sum = np.zeros(dim)
-        self.outer_sum = np.zeros((dim, dim))
-        self.n = 0
-        self.class_sums: dict = {}
-        self.class_counts: dict = {}
-        self.class_originals: dict = {}
 
-    def add(self, x: np.ndarray, class_id, is_original: bool = False) -> None:
-        x = np.asarray(x, dtype=np.float64)
-        self.vector_sum += x
-        self.outer_sum += np.outer(x, x)
-        self.n += 1
-        if class_id in self.class_sums:
-            self.class_sums[class_id] += x
-            self.class_counts[class_id] += 1
-        else:
-            self.class_sums[class_id] = x.copy()
-            self.class_counts[class_id] = 1
-        if is_original:
-            if class_id in self.class_originals:
-                raise TrainingError(f"class {class_id!r} has two original records")
-            self.class_originals[class_id] = x.copy()
+def scatter_matrices(
+    x: np.ndarray, record_class: np.ndarray, original_row: np.ndarray, use_original_centers: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, B, mu) of the rows of x: total covariance, between-class covariance, mean.
 
-    def add_batch(self, x: np.ndarray, class_ids, is_original) -> None:
-        """Vectorized accumulation of columns of x (dim x n)."""
-        x = np.asarray(x, dtype=np.float64)
-        self.vector_sum += x.sum(axis=1)
-        self.outer_sum += x @ x.T
-        self.n += x.shape[1]
-        for i, cid in enumerate(class_ids):
-            col = x[:, i]
-            if cid in self.class_sums:
-                self.class_sums[cid] += col
-                self.class_counts[cid] += 1
-            else:
-                self.class_sums[cid] = col.copy()
-                self.class_counts[cid] = 1
-            if is_original[i]:
-                if cid in self.class_originals:
-                    raise TrainingError(f"class {cid!r} has two original records")
-                self.class_originals[cid] = col.copy()
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_sums)
-
-    def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (T, B, mu): total covariance, between-class covariance, mean."""
-        c = self.n_classes
-        if c < 2:
-            raise TrainingError("need at least 2 classes")
-        if self.n < 2:
-            raise TrainingError("need at least 2 vectors")
-        mu = self.vector_sum / self.n
-        t = self.outer_sum / (self.n - 1) - (self.n / (self.n - 1)) * np.outer(mu, mu)
-        center_outer = np.zeros((self.dim, self.dim))
-        for cid, s in self.class_sums.items():
-            if self.use_original_centers:
-                if cid not in self.class_originals:
-                    raise TrainingError(f"class {cid!r} lacks an original record")
-                center = self.class_originals[cid]
-            else:
-                center = s / self.class_counts[cid]
-            center_outer += np.outer(center, center)
-        b = center_outer / (c - 1) - (c / (c - 1)) * np.outer(mu, mu)
-        t = (t + t.T) / 2.0
-        b = (b + b.T) / 2.0
-        return t, b, mu
+    The class centers are the class means, or the class originals in the
+    variant. Class sums accumulate in record order and the centers' outer
+    products in the order each class first appears, which keeps trained
+    models bit-stable.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, dim = x.shape
+    n_classes = len(original_row)
+    mu = x.sum(axis=0) / n
+    t = (x.T @ x) / (n - 1) - (n / (n - 1)) * np.outer(mu, mu)
+    if use_original_centers:
+        centers = x[original_row]
+    else:
+        centers = np.zeros((n_classes, dim))
+        np.add.at(centers, record_class, x)
+        centers /= np.bincount(record_class, minlength=n_classes)[:, None]
+    _, first = np.unique(record_class, return_index=True)
+    center_outer = np.zeros((dim, dim))
+    for c in record_class[np.sort(first)]:
+        center_outer += np.outer(centers[c], centers[c])
+    b = center_outer / (n_classes - 1) - (n_classes / (n_classes - 1)) * np.outer(mu, mu)
+    return (t + t.T) / 2.0, (b + b.T) / 2.0, mu
 
 
 def fit_lda(t: np.ndarray, b: np.ndarray, k: int, n_classes: int, n_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -253,39 +221,25 @@ def fit_ica(z: np.ndarray, seed: int = 0, max_iter: int = 500, tol: float = 1e-6
 # OMPCA
 
 
-def build_distributions(x: np.ndarray, class_ids: np.ndarray, is_original: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def build_distributions(x: np.ndarray, record_class: np.ndarray, original_row: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Positive/negative difference distributions from transformed prints.
 
-    x holds column vectors already taken through ICCR -> LDA -> ICA. Each
-    degraded column yields one positive difference (to its own original) and
-    one negative difference (to one uniformly drawn mismatched original).
+    x holds column vectors already taken through ICCR -> LDA -> ICA, indexed
+    by ``class_index``. Each degraded column yields one positive difference
+    (to its own original) and one negative difference (to one uniformly
+    drawn mismatched original).
     """
     x = np.asarray(x, dtype=np.float64)
-    class_ids = np.asarray(class_ids)
-    is_original = np.asarray(is_original, dtype=bool)
-    orig_idx = np.flatnonzero(is_original)
-    orig_classes = class_ids[orig_idx]
-    uniq, first = np.unique(orig_classes, return_index=True)
-    if len(orig_classes) != len(uniq):
-        raise TrainingError("a class has more than one original record")
-    originals = {cid: x[:, orig_idx[i]] for i, cid in zip(first, uniq)}
-    missing = set(class_ids) - set(originals)
-    if missing:
-        raise TrainingError(f"classes lacking an original record: {sorted(missing)[:5]}")
+    degraded = np.setdiff1d(np.arange(len(record_class)), original_row)
+    own = record_class[degraded]
+    other = np.empty_like(own)
     rng = np.random.default_rng(seed)
-    uniq_list = list(uniq)
-    deg_idx = np.flatnonzero(~is_original)
-    pos = np.empty((x.shape[0], len(deg_idx)))
-    neg = np.empty_like(pos)
-    for out_col, n in enumerate(deg_idx):
-        cid = class_ids[n]
-        pos[:, out_col] = x[:, n] - originals[cid]
-        while True:
-            other = uniq_list[rng.integers(len(uniq_list))]
-            if other != cid:
-                break
-        neg[:, out_col] = x[:, n] - originals[other]
-    return pos, neg
+    for i, c in enumerate(own):
+        other[i] = rng.integers(len(original_row))
+        while other[i] == c:
+            other[i] = rng.integers(len(original_row))
+    deg = x[:, degraded]
+    return deg - x[:, original_row[own]], deg - x[:, original_row[other]]
 
 
 def _householder_with_first_column(g: np.ndarray) -> np.ndarray:
@@ -584,20 +538,18 @@ def train_band(
     feeds the ICCR and ICA fits (those need far more samples than classes).
     """
     prints = np.asarray(prints, dtype=np.float64)
-    class_ids = np.asarray(class_ids)
     is_original = np.asarray(is_original, dtype=bool)
+    record_class, original_row = class_index(class_ids, is_original)
     originals = prints[is_original]
     pool = originals if extra_originals is None else np.vstack([originals, extra_originals])
     p_iccr, j0 = fit_iccr(pool.T, enforce_min_samples=enforce_min_originals)
     z_all = prints @ p_iccr.T
-    acc = ScatterAccumulator(j0, use_original_centers=use_original_centers)
-    acc.add_batch(z_all.T, class_ids, is_original)
-    t, b, _ = acc.finalize()
-    p_lda, lda_evals = fit_lda(t, b, lda_dim, acc.n_classes, n_samples=acc.n)
+    t, b, _ = scatter_matrices(z_all, record_class, original_row, use_original_centers)
+    p_lda, lda_evals = fit_lda(t, b, lda_dim, len(original_row), n_samples=len(prints))
     pool_lda = (pool @ p_iccr.T) @ p_lda.T
     p_ica, t_ica, converged = fit_ica(pool_lda.T, seed=seed)
     y_all = (z_all @ p_lda.T) @ p_ica.T + t_ica
-    pos, neg = build_distributions(y_all.T, class_ids, is_original, seed=seed + 1)
+    pos, neg = build_distributions(y_all.T, record_class, original_row, seed=seed + 1)
     p_ompca, quotients = fit_ompca(pos, neg, out_dim)
     chain = BandChain(
         p_iccr=p_iccr,
@@ -612,7 +564,7 @@ def train_band(
             "neg_seed": str(seed + 1),
             "ica_converged": str(int(converged)),
             "n_records": str(len(prints)),
-            "n_classes": str(acc.n_classes),
+            "n_classes": str(len(original_row)),
             "n_original_pool": str(len(pool)),
             "lda_eig_max": repr(float(lda_evals[0])),
             "rayleigh_first": repr(float(quotients[0])),
@@ -621,16 +573,17 @@ def train_band(
     )
     compose_final(chain)
     reduced = apply_reduction(prints, ReductionModel(bands=[chain]), 0)
-    orig_rows = {cid: reduced[i] for i, cid in enumerate(class_ids) if is_original[i]}
-    residuals = np.array([reduced[i] - orig_rows[cid] for i, cid in enumerate(class_ids) if not is_original[i]])
+    residuals = reduced[~is_original] - reduced[original_row[record_class[~is_original]]]
     sigma = residuals.std(axis=0, ddof=1)
     chain.sigma_e = np.maximum(sigma, 1e-9 * max(float(np.abs(reduced).max()), 1.0))
     return chain
 
 
 def train_reduction(
-    band_records,
-    extra_originals_by_band=None,
+    prints: np.ndarray,
+    class_ids: np.ndarray,
+    is_original: np.ndarray,
+    pools: np.ndarray | None = None,
     *,
     lda_dim: int = LDA_DIM,
     out_dim: int = OUT_DIM,
@@ -640,23 +593,22 @@ def train_reduction(
 ) -> ReductionModel:
     """Fit all per-band chains.
 
-    ``band_records`` is a sequence over bands of (prints, class_ids,
-    is_original) triples; seeds are derived per band for determinism.
+    ``prints`` is (n, bands, in_dim) with one class label per record;
+    ``pools`` is an optional (m, bands, in_dim) stack of extra original
+    prints. Seeds are derived per band for determinism.
     """
-    bands = []
-    for b, (prints, class_ids, is_original) in enumerate(band_records):
-        extra = None if extra_originals_by_band is None else extra_originals_by_band[b]
-        bands.append(
-            train_band(
-                prints,
-                class_ids,
-                is_original,
-                extra,
-                lda_dim=lda_dim,
-                out_dim=out_dim,
-                seed=seed * 1000 + b,
-                use_original_centers=use_original_centers,
-                enforce_min_originals=enforce_min_originals,
-            )
+    bands = [
+        train_band(
+            prints[:, b],
+            class_ids,
+            is_original,
+            None if pools is None else pools[:, b],
+            lda_dim=lda_dim,
+            out_dim=out_dim,
+            seed=seed * 1000 + b,
+            use_original_centers=use_original_centers,
+            enforce_min_originals=enforce_min_originals,
         )
-    return ReductionModel(bands=bands, in_dim=bands[0].p_iccr.shape[1], out_dim=out_dim)
+        for b in range(prints.shape[1])
+    ]
+    return ReductionModel(bands=bands, in_dim=prints.shape[2], out_dim=out_dim)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from corpus import build_corpus, synth_track
 
 from printdex.audio import load_audio, save_wav
 from printdex.cli import build_parser, main
-from printdex.pipeline import read_manifest, write_manifest
+from printdex.pipeline import PipelineConfig, load_track, read_manifest, reduced_prints_for_buffer, write_manifest
 from printdex.reduction import load_model, save_model
 
 TRAIN_ARGS = [
@@ -220,11 +221,21 @@ class TestIndexCommand:
 
         root, manifest, entries, model, index = cli_setup
         idx = load_index(index)
-        n_prints = idx.table.n_postings / idx.n_reliable
+        n_prints = idx.table.n_postings / (idx.n_bands * idx.n_reliable)
         # anchors in the last 3 s have no room for a print window, which on
         # these short 15 s tracks is a fifth of the duration
-        expected = len(entries) * (15.0 - 3.0) * 4.0 * 5
+        expected = len(entries) * (15.0 - 3.0) * 4.0
         assert abs(n_prints - expected) / expected < 0.30
+
+    def test_printed_print_count(self, cli_setup, tmp_path, capsys):
+        root, manifest, entries, model, index = cli_setup
+        three = tmp_path / "three.tsv"
+        write_manifest(three, read_manifest(manifest)[:3])
+        assert main(["index", "--manifest", str(three), "--model", model, "--out", str(tmp_path / "i.bmix")]) == 0
+        printed = int(re.search(r"\bprints=(\d+)", capsys.readouterr().out).group(1))
+        cfg, loaded = PipelineConfig(), load_model(model)
+        kept = [reduced_prints_for_buffer(load_track(e, cfg), loaded, cfg)[0] for e in read_manifest(three)]
+        assert printed == sum(len(k) for k in kept) > 0
 
     def test_rebuild_is_byte_identical(self, cli_setup, tmp_path):
         root, manifest, entries, model, index = cli_setup

@@ -6,6 +6,8 @@ from printdex.audio import AudioBuffer, save_wav
 from printdex.degrade import (
     DegradationError,
     DegradationSpec,
+    _istft_frames,
+    _stft_frames,
     apply,
     parse_spec,
     pitch_shift,
@@ -201,6 +203,32 @@ class TestScaleTransforms:
         ref = centroid(x)
         assert centroid(up) > ref * 1.02  # pitch went up
         assert abs(centroid(back) - ref) / ref < 0.02
+
+
+def _istft_frames_loop(spec, n_fft, hop, window):
+    """Frame-by-frame overlap-add: the oracle for ``_istft_frames``."""
+    frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window
+    n_out = (spec.shape[1] - 1) * hop + n_fft
+    out = np.zeros(n_out)
+    norm = np.zeros(n_out)
+    for m in range(spec.shape[1]):
+        out[m * hop : m * hop + n_fft] += frames[m]
+        norm[m * hop : m * hop + n_fft] += window**2
+    good = norm > 1e-3 * norm.max()
+    out[good] /= norm[good]
+    out[~good] = 0.0
+    return out
+
+
+# 100 samples is zero-padded to n_fft + hop as time_stretch pads short input
+@pytest.mark.parametrize("n", [100, 1280, 5000, 33075])
+def test_istft_overlap_add_equals_frame_loop(n):
+    n_fft, hop = 1024, 256
+    x = np.pad(_music(n / SR + 0.01, seed=n).samples[:n], (0, max(0, n_fft + hop - n)))
+    window = scipy.signal.windows.hann(n_fft, sym=False)
+    spec = _stft_frames(x, n_fft, hop, window)
+    spec = spec * np.exp(1j * np.random.default_rng(n).uniform(-np.pi, np.pi, spec.shape))
+    assert np.array_equal(_istft_frames(spec, n_fft, hop, window), _istft_frames_loop(spec, n_fft, hop, window))
 
 
 class TestChainAndScenario:

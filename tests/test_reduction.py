@@ -8,12 +8,12 @@ import scipy.stats
 
 from printdex.reduction import (
     ReductionModel,
-    ScatterAccumulator,
     TrainingError,
     _eigh,
     apply_chain,
     apply_reduction,
     build_distributions,
+    class_index,
     fit_ica,
     fit_iccr,
     fit_lda,
@@ -23,6 +23,7 @@ from printdex.reduction import (
     load_model,
     reduce_prints,
     save_model,
+    scatter_matrices,
     train_band,
 )
 
@@ -116,24 +117,30 @@ class TestIccr:
         assert j0 <= 25
 
 
+def _scatter(x, class_ids, is_original, use_original_centers=False):
+    return scatter_matrices(x, *class_index(class_ids, is_original), use_original_centers)
+
+
+def _first_of_each(class_ids):
+    """Marks each class's first record as its original."""
+    first = np.unique(class_ids, return_index=True)[1]
+    return np.isin(np.arange(len(class_ids)), first)
+
+
 class TestScatterAccumulator:
+    """(T, B, mu) from ``scatter_matrices`` over ``class_index``."""
+
     def test_identical_records(self):
-        acc = ScatterAccumulator(4)
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        for c in range(3):
-            for _ in range(5):
-                acc.add(v, c)
-        t, b, mu = acc.finalize()
+        classes = np.repeat(np.arange(3), 5)
+        t, b, mu = _scatter(np.tile(v, (15, 1)), classes, _first_of_each(classes))
         assert np.abs(t).max() < 1e-12
         assert np.abs(b).max() < 1e-12
         assert np.allclose(mu, v)
 
     def test_two_singleton_classes(self):
-        acc = ScatterAccumulator(3)
         x1, x2 = np.array([1.0, 0.0, 2.0]), np.array([3.0, 1.0, 0.0])
-        acc.add(x1, "a", is_original=True)
-        acc.add(x2, "b", is_original=True)
-        t, b, mu = acc.finalize()
+        t, b, mu = _scatter(np.stack([x1, x2]), np.array(["a", "b"]), np.array([True, True]))
         sample_cov = np.cov(np.stack([x1, x2]).T, ddof=1)
         assert np.allclose(b, sample_cov, atol=1e-12)
         assert np.abs(t - b).max() < 1e-12  # W = T - B = 0
@@ -142,75 +149,50 @@ class TestScatterAccumulator:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((100, 8))
         classes = np.repeat(np.arange(20), 5)
-        acc = ScatterAccumulator(8)
-        for row, c in zip(x, classes):
-            acc.add(row, int(c))
-        t, b, mu = acc.finalize()
+        t, b, mu = _scatter(x, classes, _first_of_each(classes))
         assert np.allclose(t, np.cov(x.T, ddof=1), atol=1e-10)
         means = np.stack([x[classes == c].mean(axis=0) for c in range(20)])
         b_direct = means.T @ means / 19 - (20 / 19) * np.outer(x.mean(axis=0), x.mean(axis=0))
         assert np.allclose(b, b_direct, atol=1e-10)
 
-    def test_batch_equals_incremental(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((6, 50))
-        classes = list(np.repeat(np.arange(10), 5))
-        originals = [i % 5 == 0 for i in range(50)]
-        a1 = ScatterAccumulator(6)
-        a1.add_batch(x, classes, originals)
-        a2 = ScatterAccumulator(6)
-        for i in range(50):
-            a2.add(x[:, i], classes[i], originals[i])
-        for m1, m2 in zip(a1.finalize(), a2.finalize()):
-            assert np.allclose(m1, m2, atol=1e-12)
-
     def test_original_centers_variant(self):
-        acc = ScatterAccumulator(2, use_original_centers=True)
-        acc.add(np.array([1.0, 0.0]), "a", is_original=True)
-        acc.add(np.array([5.0, 0.0]), "a")
-        acc.add(np.array([0.0, 1.0]), "b", is_original=True)
-        acc.add(np.array([0.0, 7.0]), "b")
-        t, b, mu = acc.finalize()
+        x = np.array([[5.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 7.0]])
+        t, b, mu = _scatter(x, np.array(["a", "a", "b", "b"]), np.array([False, True, True, False]), True)
         centers = np.array([[1.0, 0.0], [0.0, 1.0]])
         expected = centers.T @ centers / 1 - 2 * np.outer(mu, mu)
         assert np.allclose(b, expected)
 
     def test_duplicate_original_rejected(self):
-        acc = ScatterAccumulator(2)
-        acc.add(np.zeros(2), "a", is_original=True)
-        with pytest.raises(TrainingError):
-            acc.add(np.ones(2), "a", is_original=True)
+        with pytest.raises(TrainingError, match="^class a has more than one original record$"):
+            class_index(np.array(["a", "a", "b"]), np.array([True, True, True]))
 
     def test_single_class_rejected(self):
-        acc = ScatterAccumulator(2)
-        acc.add(np.zeros(2), "a")
-        acc.add(np.ones(2), "a")
-        with pytest.raises(TrainingError):
-            acc.finalize()
+        with pytest.raises(TrainingError, match="need at least 2 classes"):
+            class_index(np.array(["a", "a"]), np.array([True, False]))
+
+    def test_class_without_original_rejected(self):
+        with pytest.raises(TrainingError, match="^class 7 lacks an original record$"):
+            class_index(np.array([3, 7, 7]), np.array([True, False, False]))
 
 
 class TestLda:
     def test_two_gaussians_recover_axis(self):
         rng = np.random.default_rng(8)
-        acc = ScatterAccumulator(3)
-        for c, shift in enumerate((-5.0, 5.0)):
-            pts = rng.standard_normal((200, 3))
-            pts[:, 0] += shift
-            for row in pts:
-                acc.add(row, c)
-        t, b, mu = acc.finalize()
+        pts = rng.standard_normal((400, 3))
+        pts[:200, 0] -= 5.0
+        pts[200:, 0] += 5.0
+        classes = np.repeat([0, 1], 200)
+        t, b, mu = _scatter(pts, classes, _first_of_each(classes))
         p, evals = fit_lda(t, b, 1, n_classes=2, n_samples=400)
         cos = abs(p[0] @ np.array([1.0, 0.0, 0.0])) / np.linalg.norm(p[0])
         assert cos > 0.99
 
     def test_eigenvalues_sorted_and_bounded(self):
         rng = np.random.default_rng(9)
-        acc = ScatterAccumulator(6)
         centers = rng.standard_normal((40, 6)) * 1.5
-        for c in range(40):
-            for _ in range(30):
-                acc.add(centers[c] + rng.standard_normal(6), c)
-        t, b, mu = acc.finalize()
+        classes = np.repeat(np.arange(40), 30)
+        x = centers[classes] + rng.standard_normal((1200, 6))
+        t, b, mu = _scatter(x, classes, _first_of_each(classes))
         p, evals = fit_lda(t, b, 5, n_classes=40, n_samples=1200)
         assert np.all(np.diff(evals) <= 1e-12)
         assert np.all(evals >= -1e-9)
@@ -280,7 +262,7 @@ class TestBuildDistributions:
         x[:, 5] = x[:, 4]
         class_ids = np.array([0, 0, 1, 1, 2, 2])
         is_orig = np.array([True, False, True, False, True, False])
-        pos, neg = build_distributions(x, class_ids, is_orig, seed=0)
+        pos, neg = build_distributions(x, *class_index(class_ids, is_orig), seed=0)
         assert pos.shape == (4, 3)
         assert np.abs(pos).max() < 1e-12
         assert neg.shape == (4, 3)
@@ -288,8 +270,8 @@ class TestBuildDistributions:
 
     def test_missing_original_rejected(self):
         x = np.zeros((2, 3))
-        with pytest.raises(TrainingError):
-            build_distributions(x, np.array([0, 0, 1]), np.array([True, False, False]), seed=0)
+        with pytest.raises(TrainingError, match="class 1 lacks an original record"):
+            build_distributions(x, *class_index(np.array([0, 0, 1]), np.array([True, False, False])), seed=0)
 
     def test_neg_never_uses_own_class(self):
         rng = np.random.default_rng(15)
@@ -297,7 +279,7 @@ class TestBuildDistributions:
         x = rng.standard_normal((3, n_classes * 2))
         class_ids = np.repeat(np.arange(n_classes), 2)
         is_orig = np.tile([True, False], n_classes)
-        pos, neg = build_distributions(x, class_ids, is_orig, seed=1)
+        pos, neg = build_distributions(x, *class_index(class_ids, is_orig), seed=1)
         # a zero negative column would mean the own original was drawn
         assert np.all(np.linalg.norm(neg - pos, axis=0) > 1e-9)
 
@@ -457,6 +439,22 @@ class TestTrainBandAndCompose:
         assert all(getattr(band, name) is None for name in ("p_iccr", "p_lda", "p_ica", "t_ica", "p_ompca", "p_ht"))
         with pytest.raises(TrainingError, match="stage p_iccr not fitted"):
             apply_chain(band, np.zeros(60))
+
+    def test_class_without_original_rejected(self, synth_chain):
+        chain, prints, class_ids, is_orig, extra = synth_chain
+        is_orig = is_orig & (class_ids != 3)
+        with pytest.raises(TrainingError, match="^class 3 lacks an original record$"):
+            train_band(prints, class_ids, is_orig, extra, lda_dim=16, out_dim=8, seed=5, enforce_min_originals=False)
+
+    def test_original_centers_variant_trains(self, synth_chain):
+        chain, prints, class_ids, is_orig, extra = synth_chain
+        variant = train_band(
+            prints, class_ids, is_orig, extra, lda_dim=16, out_dim=8, seed=5,
+            use_original_centers=True, enforce_min_originals=False,
+        )
+        assert variant.p_final.shape == chain.p_final.shape
+        assert np.all(np.isfinite(variant.p_final)) and np.all(variant.sigma_e > 0)
+        assert not np.allclose(variant.p_final, chain.p_final)
 
     def test_save_twice_identical_bytes(self, synth_chain, tmp_path):
         chain, *_ = synth_chain
