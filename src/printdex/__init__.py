@@ -11,7 +11,7 @@ possibly heavily degraded excerpts from a reference catalog:
 
 from printdex.audio import AudioBuffer, Spectrogram, SpectrogramConfig, load_audio, normalize, resample, stft
 from printdex.onsets import AnalysisTimes, OnsetConfig, select_analysis_times
-from printdex.prints import PrintConfig, compute_prints
+from printdex.prints import PrintConfig
 from printdex.reduction import ReductionModel, load_model, save_model, train_reduction
 from printdex.hashing import CatalogIndex, LshSpec, load_index
 from printdex.search import SearchConfig, SearchResult, query_index
@@ -30,7 +30,6 @@ __all__ = [
     "OnsetConfig",
     "select_analysis_times",
     "PrintConfig",
-    "compute_prints",
     "ReductionModel",
     "train_reduction",
     "save_model",

@@ -44,7 +44,6 @@ def cmd_train(args) -> int:
         pool_times_per_track=args.pool_times_per_track,
         seed=args.seed,
         lda_dim=args.lda_dim,
-        use_original_centers=args.original_centers,
         enforce_min_originals=not args.allow_small,
         progress=_progress if args.verbose else None,
     )
@@ -69,8 +68,6 @@ def cmd_index(args) -> int:
         model,
         cfg,
         lsh_seed=args.lsh_seed,
-        n_reliable=args.reliable,
-        segment_s=args.segment_s,
         progress=_progress if args.verbose else None,
     )
     _hashing.save_index(args.out, index)
@@ -91,15 +88,12 @@ def _format_result(rank: int, r: _search.SearchResult, index) -> str:
 
 
 def cmd_query(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be at least 1, got {args.top}")
     index = _hashing.load_index(args.index)
     model = load_model(args.model)
-    scfg = _search.SearchConfig(
-        sigma=args.sigma,
-        alpha_max=args.alpha_max,
-        reliability_weighting=args.reliability_weighting,
-    )
     buf = load_audio(args.audio)
-    result = _search.query_index(buf, index, model, scfg)
+    result = _search.query_index(buf, index, model)
     if args.json:
         payload = {
             "no_match": bool(result.no_match),
@@ -154,10 +148,10 @@ def _default_grid() -> list:
 
 
 def _eval_chunk(payload):
-    (index_path, model_path, entries, cfg, queries, conditions, scfg, seed, offset) = payload
+    (index_path, model_path, entries, cfg, queries, conditions, seed, offset) = payload
     index = _hashing.load_index(index_path)
     model = load_model(model_path)
-    return _pipeline.evaluate(index, model, entries, cfg, queries, conditions, scfg, seed=seed, query_offset=offset)
+    return _pipeline.evaluate(index, model, entries, cfg, queries, conditions, seed=seed, query_offset=offset)
 
 
 def cmd_evaluate(args) -> int:
@@ -168,11 +162,10 @@ def cmd_evaluate(args) -> int:
     for label, text in grid:
         conditions.append((label, _degrade.parse_spec(text), False))
     queries = _pipeline.make_queries(entries, cfg, args.queries, args.duration, seed=args.query_seed)
-    scfg = _search.SearchConfig(sigma=args.sigma, alpha_max=args.alpha_max)
     if args.jobs > 1:
         bounds = np.linspace(0, len(queries), args.jobs + 1).astype(int)
         payloads = [
-            (args.index, args.model, entries, cfg, queries[bounds[i] : bounds[i + 1]], conditions, scfg, args.seed, int(bounds[i]))
+            (args.index, args.model, entries, cfg, queries[bounds[i] : bounds[i + 1]], conditions, args.seed, int(bounds[i]))
             for i in range(args.jobs)
             if bounds[i + 1] > bounds[i]
         ]
@@ -182,7 +175,7 @@ def cmd_evaluate(args) -> int:
         index = _hashing.load_index(args.index)
         model = load_model(args.model)
         report = _pipeline.evaluate(
-            index, model, entries, cfg, queries, conditions, scfg, seed=args.seed, progress=_progress if args.verbose else None
+            index, model, entries, cfg, queries, conditions, seed=args.seed, progress=_progress if args.verbose else None
         )
     print(report.table())
     print(f"total queries: {report.total_queries}  runtime: {report.runtime_s:.1f}s")
@@ -235,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool-times-per-track", type=int, default=40)
     p.add_argument("--lda-dim", type=int, default=80)
     p.add_argument("--variant", action="append", help="degradation spec string; repeat to override the default plan")
-    p.add_argument("--original-centers", action="store_true", help="LDA variant: class centers = original prints")
     p.add_argument("--allow-small", action="store_true", help="waive the minimum original-print count (demo scale)")
     p.set_defaults(func=cmd_train)
 
@@ -245,17 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--lsh-seed", type=int, default=0)
-    p.add_argument("--reliable", type=int, default=_hashing.N_RELIABLE, help="codes kept per print (L')")
-    p.add_argument("--segment-s", type=float, default=15.0)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", help="recognize an audio excerpt")
     p.add_argument("audio")
     p.add_argument("--index", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--sigma", type=float, default=0.25)
-    p.add_argument("--alpha-max", type=float, default=1.4)
-    p.add_argument("--reliability-weighting", action="store_true")
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_query)
@@ -280,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-seed", type=int, default=1)
     p.add_argument("--seed", type=int, default=2, help="degradation seed")
     p.add_argument("--degrade", action="append", help="label=spec; repeat for a custom grid")
-    p.add_argument("--sigma", type=float, default=0.25)
-    p.add_argument("--alpha-max", type=float, default=1.4)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the machine-readable TSV report here")
     p.set_defaults(func=cmd_evaluate)

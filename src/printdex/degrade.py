@@ -9,6 +9,7 @@ otherwise.
 
 from __future__ import annotations
 
+import numbers
 import shlex
 import subprocess
 import warnings
@@ -27,20 +28,23 @@ TREMOLO_RATE_HZ = 4.0
 REVERB_RT60_S = 0.8
 COMPRESSOR_THRESHOLD_DB = -20.0
 
-KINDS = (
-    "white_noise",
-    "pink_noise",
-    "file_noise",
-    "graphic_eq",
-    "distortion",
-    "tremolo",
-    "dyn_compress",
-    "reverb_synthetic",
-    "pitch_shift",
-    "time_stretch",
-    "chain",
-    "external_command",
-)
+# (required, optional) parameter names of each kind; a parameter not in
+# TEXT_PARAMS must be a number.
+PARAMS = {
+    "white_noise": (("snr_db",), ()),
+    "pink_noise": (("snr_db",), ()),
+    "file_noise": (("path", "snr_db"), ()),
+    "graphic_eq": ((), ("gain_db", "gains_db")),
+    "distortion": (("input_gain_db",), ()),
+    "tremolo": (("depth_db",), ("rate_hz",)),
+    "dyn_compress": (("ratio",), ("release_ms",)),
+    "reverb_synthetic": (("mix_db",), ("rt60_s",)),
+    "pitch_shift": (("semitones",), ()),
+    "time_stretch": (("cents",), ()),
+    "chain": (("steps",), ()),
+    "external_command": (("command",), ()),
+}
+TEXT_PARAMS = ("path", "gains_db", "steps", "command")
 
 
 class DegradationError(RuntimeError):
@@ -54,8 +58,17 @@ class DegradationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PARAMS:
             raise DegradationError(f"unknown degradation kind {self.kind!r}")
+        required, optional = PARAMS[self.kind]
+        for name, value in self.params.items():
+            if name not in required + optional:
+                raise DegradationError(f"{self.kind} has no parameter {name!r}")
+            if name not in TEXT_PARAMS and not isinstance(value, numbers.Real):
+                raise DegradationError(f"{self.kind} parameter {name!r} must be a number, got {value!r}")
+        for name in required:
+            if name not in self.params:
+                raise DegradationError(f"{self.kind} needs parameter {name!r}")
 
     def reseeded(self, seed: int) -> "DegradationSpec":
         return DegradationSpec(kind=self.kind, params=self.params, seed=seed)
@@ -73,6 +86,8 @@ def parse_spec(text: str, seed: int = 0) -> DegradationSpec:
     specs = []
     for part in parts:
         kind, _, args = part.partition(":")
+        if kind.strip() == "chain":
+            raise DegradationError("chain steps are written joined by '+'")
         params = {}
         if args:
             for item in args.split(","):
@@ -249,7 +264,7 @@ def apply(spec: DegradationSpec, buf: AudioBuffer) -> AudioBuffer:
         out = x + _scaled_noise(_pink_noise(len(x), rng), x, p["snr_db"])
     elif kind == "file_noise":
         try:
-            noise_buf = load_audio(p["path"])
+            noise_buf = load_audio(str(p["path"]))
         except (OSError, ValueError) as exc:
             raise DegradationError(f"cannot load noise file: {exc}") from exc
         noise = noise_buf.samples

@@ -26,13 +26,12 @@ DEFAULT_MEAN_LAG = 0.25
 class OnsetConfig:
     """Post-filtering of the onset function and the anchor spacing.
 
-    The onset series is raised to the power ``r`` and smoothed by an
-    ``n + 1``-tap windowed-sinc low-pass with cut-off frequency ``1 / t_c``;
-    an anchor is a frame equal to the maximum of the smoothed series over a
-    window of ``mean_lag`` seconds centred on it.
+    The onset series is smoothed by an ``n + 1``-tap windowed-sinc low-pass
+    with cut-off frequency ``1 / t_c``; an anchor is a frame equal to the
+    maximum of the smoothed series over a window of ``mean_lag`` seconds
+    centred on it.
     """
 
-    r: float = 1.0
     t_c: float = DEFAULT_T_C
     n: int = DEFAULT_N_FILTER
     mean_lag: float = DEFAULT_MEAN_LAG
@@ -40,8 +39,8 @@ class OnsetConfig:
     def __post_init__(self):
         if self.n % 2 != 0:
             raise ValueError("filter size n must be even")
-        if self.t_c <= 0 or self.mean_lag <= 0 or self.r <= 0:
-            raise ValueError("t_c, mean_lag and r must be positive")
+        if self.t_c <= 0 or self.mean_lag <= 0:
+            raise ValueError("t_c and mean_lag must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,20 +96,17 @@ def design_smoother(t_c: float, n: int, frame_rate: float) -> np.ndarray:
     return coeffs / coeffs.sum()
 
 
-def post_filter(phi: np.ndarray, coeffs: np.ndarray, r: float = 1.0) -> np.ndarray:
-    """Convolve phi**r with the smoother, same length, reflect-padded edges."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+def post_filter(phi: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Convolve phi with the smoother, same length, reflect-padded edges."""
     phi = np.asarray(phi, dtype=np.float64)
     if np.any(phi < 0):
         raise ValueError("post_filter input must be nonnegative")
-    powered = phi**r
     half = (len(coeffs) - 1) // 2
     if half == 0:
-        return powered * coeffs[0]
-    if len(powered) <= half:
-        raise ValueError(f"series too short ({len(powered)}) for filter support ({half})")
-    padded = np.pad(powered, half, mode="reflect")
+        return phi * coeffs[0]
+    if len(phi) <= half:
+        raise ValueError(f"series too short ({len(phi)}) for filter support ({half})")
+    padded = np.pad(phi, half, mode="reflect")
     return np.convolve(padded, coeffs, mode="valid")
 
 
@@ -142,5 +138,5 @@ def select_analysis_times(spec, cfg: OnsetConfig | None = None) -> AnalysisTimes
     frame_rate = spec.frame_rate
     phi = diff_spectral_norms(spec)
     coeffs = design_smoother(cfg.t_c, cfg.n, frame_rate)
-    smoothed = post_filter(phi, coeffs, cfg.r)
+    smoothed = post_filter(phi, coeffs)
     return select_times(smoothed, cfg.mean_lag, frame_rate)

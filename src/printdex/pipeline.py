@@ -168,7 +168,6 @@ def train_from_manifest(
     pool_times_per_track: int = 40,
     seed: int = 0,
     lda_dim: int = 80,
-    use_original_centers: bool = False,
     enforce_min_originals: bool = True,
     progress=None,
 ) -> ReductionModel:
@@ -188,13 +187,15 @@ def train_from_manifest(
         data.pools,
         lda_dim=lda_dim,
         seed=seed,
-        use_original_centers=use_original_centers,
         enforce_min_originals=enforce_min_originals,
     )
 
 
 # ---------------------------------------------------------------------------
 # Index building
+
+# Length of the reference segments STEP 1 counts matches over.
+SEGMENT_S = 15.0
 
 
 def reduced_prints_for_buffer(buf: AudioBuffer, model: ReductionModel, cfg: PipelineConfig):
@@ -216,19 +217,17 @@ def build_index(
     cfg: PipelineConfig,
     *,
     lsh_seed: int = 0,
-    n_reliable: int = _hashing.N_RELIABLE,
-    segment_s: float = 15.0,
     progress=None,
 ) -> _hashing.CatalogIndex:
     spec = _hashing.make_lsh_spec(lsh_seed)
     hop = cfg.hop_samples()
-    segment_frames = max(1, int(round(segment_s * cfg.sample_rate / hop)))
+    segment_frames = max(1, int(round(SEGMENT_S * cfg.sample_rate / hop)))
     table = _hashing.HashTable()
     tracks = {}
     for i, entry in enumerate(entries):
         buf = load_track(entry, cfg)
         kept, reduced = reduced_prints_for_buffer(buf, model, cfg)
-        codes, frames = index_postings(kept, reduced, model, spec, n_reliable)
+        codes, frames = index_postings(kept, reduced, model, spec, _hashing.N_RELIABLE)
         table.insert(codes, np.full(len(codes), entry.track_id), frames)
         tracks[entry.track_id] = _hashing.TrackInfo(track_id=entry.track_id, name=entry.label or entry.path, duration=buf.duration)
         if progress:
@@ -238,7 +237,7 @@ def build_index(
         table=table,
         tracks=tracks,
         lsh_seed=lsh_seed,
-        n_reliable=n_reliable,
+        n_reliable=_hashing.N_RELIABLE,
         segment_frames=segment_frames,
         sample_rate=cfg.sample_rate,
         hop_samples=hop,
@@ -297,7 +296,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def make_queries(entries, cfg: PipelineConfig, count: int, duration_s: float, seed: int = 0, durations=None) -> list:
+def make_queries(entries, cfg: PipelineConfig, count: int, duration_s: float, seed: int = 0) -> list:
     """Uniformly sampled (track, offset) cuts, offsets aligned to the hop grid.
 
     Hop alignment keeps the ground truth aligned with the reference frame
@@ -307,8 +306,7 @@ def make_queries(entries, cfg: PipelineConfig, count: int, duration_s: float, se
     rng = np.random.default_rng(seed)
     hop_period = cfg.frame_period()
     queries = []
-    if durations is None:
-        durations = {e.track_id: load_track(e, cfg).duration for e in entries}
+    durations = {e.track_id: load_track(e, cfg).duration for e in entries}
     usable = [e for e in entries if durations[e.track_id] >= duration_s + 0.5]
     if not usable:
         raise ValueError("no track long enough for the requested query duration")
@@ -334,7 +332,6 @@ def evaluate(
     cfg: PipelineConfig,
     queries,
     conditions,
-    search_cfg: _search.SearchConfig | None = None,
     seed: int = 0,
     query_offset: int = 0,
     progress=None,
@@ -349,7 +346,6 @@ def evaluate(
     ``ValueError`` before any query runs; a query that fails on its own (no
     usable analysis window) counts as a miss.
     """
-    search_cfg = search_cfg or _search.SearchConfig()
     _search.check_index_hop(index, cfg.spectrogram)
     t0 = time.monotonic()
     cache: dict = {}
@@ -368,7 +364,9 @@ def evaluate(
             if dspec is not None:
                 excerpt = _degrade.apply(dspec.reseeded(_derive_seed(seed, c_idx, query_offset + q_idx)), excerpt)
             try:
-                result = _search.query_index(excerpt, index, model, search_cfg, cfg.prints, cfg.onset, cfg.spectrogram)
+                result = _search.query_index(
+                    excerpt, index, model, print_cfg=cfg.prints, onset_cfg=cfg.onset, spectrogram_cfg=cfg.spectrogram
+                )
             except ValueError:
                 continue
             if len(result.step1_ranking) and result.step1_ranking[0] == q.track_id:

@@ -123,27 +123,21 @@ def class_index(class_ids: np.ndarray, is_original: np.ndarray) -> tuple[np.ndar
     return record_class, original_row
 
 
-def scatter_matrices(
-    x: np.ndarray, record_class: np.ndarray, original_row: np.ndarray, use_original_centers: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def scatter_matrices(x: np.ndarray, record_class: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T, B, mu) of the rows of x: total covariance, between-class covariance, mean.
 
-    The class centers are the class means, or the class originals in the
-    variant. Class sums accumulate in record order and the centers' outer
-    products in the order each class first appears, which keeps trained
-    models bit-stable.
+    ``record_class`` gives each row's class in ``range(n_classes)``; the
+    class centers are the class means. Class sums accumulate in record order
+    and the centers' outer products in the order each class first appears,
+    which keeps trained models bit-stable.
     """
     x = np.asarray(x, dtype=np.float64)
     n, dim = x.shape
-    n_classes = len(original_row)
     mu = x.sum(axis=0) / n
     t = (x.T @ x) / (n - 1) - (n / (n - 1)) * np.outer(mu, mu)
-    if use_original_centers:
-        centers = x[original_row]
-    else:
-        centers = np.zeros((n_classes, dim))
-        np.add.at(centers, record_class, x)
-        centers /= np.bincount(record_class, minlength=n_classes)[:, None]
+    centers = np.zeros((n_classes, dim))
+    np.add.at(centers, record_class, x)
+    centers /= np.bincount(record_class, minlength=n_classes)[:, None]
     _, first = np.unique(record_class, return_index=True)
     center_outer = np.zeros((dim, dim))
     for c in record_class[np.sort(first)]:
@@ -528,7 +522,6 @@ def train_band(
     lda_dim: int = LDA_DIM,
     out_dim: int = OUT_DIM,
     seed: int = 0,
-    use_original_centers: bool = False,
     enforce_min_originals: bool = True,
 ) -> BandChain:
     """Fit the full chain for one band.
@@ -544,7 +537,7 @@ def train_band(
     pool = originals if extra_originals is None else np.vstack([originals, extra_originals])
     p_iccr, j0 = fit_iccr(pool.T, enforce_min_samples=enforce_min_originals)
     z_all = prints @ p_iccr.T
-    t, b, _ = scatter_matrices(z_all, record_class, original_row, use_original_centers)
+    t, b, _ = scatter_matrices(z_all, record_class, len(original_row))
     p_lda, lda_evals = fit_lda(t, b, lda_dim, len(original_row), n_samples=len(prints))
     pool_lda = (pool @ p_iccr.T) @ p_lda.T
     p_ica, t_ica, converged = fit_ica(pool_lda.T, seed=seed)
@@ -588,7 +581,6 @@ def train_reduction(
     lda_dim: int = LDA_DIM,
     out_dim: int = OUT_DIM,
     seed: int = 0,
-    use_original_centers: bool = False,
     enforce_min_originals: bool = True,
 ) -> ReductionModel:
     """Fit all per-band chains.
@@ -606,7 +598,6 @@ def train_reduction(
             lda_dim=lda_dim,
             out_dim=out_dim,
             seed=seed * 1000 + b,
-            use_original_centers=use_original_centers,
             enforce_min_originals=enforce_min_originals,
         )
         for b in range(prints.shape[1])

@@ -24,24 +24,22 @@ from printdex.reduction import reduce_prints
 # Rows of the sorted pairs compared per step of cone_weights: it bounds each
 # temporary to CONE_BLOCK_ROWS x n elements instead of n x n.
 CONE_BLOCK_ROWS = 32
+# STEP 2 offset-histogram bin width (s) and the largest admissible stretch
+# factor (and its inverse) of a query against its reference.
+SIGMA = 0.25
+ALPHA_MAX = 1.4
+# STEP 1 hands at least CANDIDATE_MIN and at most CANDIDATE_MAX tracks to STEP 2.
+CANDIDATE_MIN = 10
+CANDIDATE_MAX = 500
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    sigma: float = 0.25
-    alpha_max: float = 1.4
-    candidate_min: int = 10
-    candidate_max: int = 500
-    reliability_weighting: bool = False
+    """No-match rule: reject a top score under max(no_match_abs, no_match_factor * median of the rest)."""
+
     # desk calibration: 100 unrelated 7 s queries topped out at score 9
     no_match_abs: float = 12.0
     no_match_factor: float = 3.0
-
-    def __post_init__(self):
-        if self.alpha_max <= 1.0:
-            raise ValueError("alpha_max must exceed 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
 
 @dataclass
@@ -53,7 +51,6 @@ class MatchHistogram:
     match_track: np.ndarray  # one entry per raw code match
     match_t: np.ndarray  # reference time (s)
     match_tau: np.ndarray  # query time (s)
-    match_weight: np.ndarray
     query_duration: float
 
     def count_for(self, track_id: int) -> int:
@@ -84,7 +81,7 @@ class QueryResult:
         return self.results[0] if self.results else None
 
 
-def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: float, weights: np.ndarray | None = None) -> MatchHistogram:
+def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: float) -> MatchHistogram:
     """STEP 1: per-track match counts over sliding segment windows.
 
     ``codes`` are 24-bit extended codes of the query prints (all 51 per
@@ -97,11 +94,8 @@ def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: f
     if len(codes) == 0:
         raise ValueError("empty query code set")
     times = np.asarray(times, dtype=np.float64)
-    if weights is None:
-        weights = np.ones(len(codes))
     counts, postings = index.table.lookup_many(codes)
     match_tau = np.repeat(times, counts)
-    match_weight = np.repeat(weights, counts)
     match_track = postings["track"].astype(np.int64)
     match_segment = postings["time"].astype(np.int64) // index.segment_frames
     match_t = postings["time"].astype(np.float64) * index.frame_period
@@ -127,21 +121,19 @@ def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: f
         match_track=match_track,
         match_t=match_t,
         match_tau=match_tau,
-        match_weight=match_weight,
         query_duration=query_duration,
     )
 
 
-def select_candidates(hist: MatchHistogram, cfg: SearchConfig | None = None) -> np.ndarray:
-    """Tracks with N_i >= N_1 / 2, padded to a minimum of 10, capped at 500."""
-    cfg = cfg or SearchConfig()
+def select_candidates(hist: MatchHistogram) -> np.ndarray:
+    """Tracks with N_i >= N_1 / 2, padded to CANDIDATE_MIN, capped at CANDIDATE_MAX."""
     nonzero = hist.counts > 0
     if not np.any(nonzero):
         return np.empty(0, dtype=np.int64)
     ids = hist.track_ids[nonzero]
     counts = hist.counts[nonzero]
     n_rule = int(np.sum(counts >= counts[0] / 2))
-    n_keep = min(max(n_rule, cfg.candidate_min), cfg.candidate_max, len(ids))
+    n_keep = min(max(n_rule, CANDIDATE_MIN), CANDIDATE_MAX, len(ids))
     return ids[:n_keep]
 
 
@@ -251,7 +243,7 @@ def check_index_hop(index, spectrogram_cfg=None):
 
 
 def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_cfg=None):
-    """Analyze an excerpt into extended codes, anchor times and reliabilities.
+    """Analyze an excerpt into extended codes and their anchor times.
 
     ``spectrogram_cfg`` must give the index's frame hop at its sample rate;
     a None config takes its default.
@@ -267,28 +259,25 @@ def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_c
         raise ValueError("no usable analysis window in excerpt")
     anchor_seconds = kept * index.frame_period
     sigma_e = [chain.sigma_e for chain in model.bands]
-    codes, rels = _hashing.derive_codes(reduce_prints(coeffs, model), sigma_e, index.spec, _hashing.N_LSH)
+    codes, _ = _hashing.derive_codes(reduce_prints(coeffs, model), sigma_e, index.spec, _hashing.N_LSH)
     times = np.broadcast_to(anchor_seconds[:, None], codes.shape)
-    return codes.reshape(-1), times.reshape(-1), rels.reshape(-1), len(kept), buf.duration
+    return codes.reshape(-1), times.reshape(-1), len(kept), buf.duration
 
 
 def query_index(buf, index, model, cfg: SearchConfig | None = None, print_cfg=None, onset_cfg=None, spectrogram_cfg=None) -> QueryResult:
     """Full two-step query of an audio excerpt against a catalog index."""
     cfg = cfg or SearchConfig()
-    codes, times, rels, n_prints, duration = query_codes(buf, index, model, print_cfg, onset_cfg, spectrogram_cfg)
-    weights = rels if cfg.reliability_weighting else None
-    hist = count_matches(codes, times, index, duration, weights)
-    candidates = select_candidates(hist, cfg)
+    codes, times, n_prints, duration = query_codes(buf, index, model, print_cfg, onset_cfg, spectrogram_cfg)
+    hist = count_matches(codes, times, index, duration)
+    candidates = select_candidates(hist)
     results = []
     for track_id in candidates:
         mask = hist.match_track == track_id
         t = hist.match_t[mask]
         tau = hist.match_tau[mask]
-        w = cone_weights(t, tau, cfg.alpha_max)
-        if cfg.reliability_weighting:
-            w = w * hist.match_weight[mask]
-        score, delta_t = time_coherence(t, tau, w, cfg.sigma)
-        alpha, delta_star, n_inliers, low_conf = refine_alignment(t, tau, delta_t, cfg.sigma, cfg.alpha_max, weights=w)
+        w = cone_weights(t, tau, ALPHA_MAX)
+        score, delta_t = time_coherence(t, tau, w, SIGMA)
+        alpha, delta_star, n_inliers, low_conf = refine_alignment(t, tau, delta_t, SIGMA, ALPHA_MAX, weights=w)
         results.append(
             SearchResult(
                 track_id=int(track_id),

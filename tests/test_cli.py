@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -110,6 +111,16 @@ class TestQueryCommand:
         save_wav(excerpt_path, synth_track(9_999_111, duration_s=7.0))
         assert main(["query", excerpt_path, "--index", index, "--model", model]) == 0
         assert "no match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_one_line_error(self, cli_setup, tmp_path, capsys, top):
+        root, manifest, entries, model, index = cli_setup
+        excerpt_path = str(tmp_path / "q.wav")
+        save_wav(excerpt_path, synth_track(entries[0].track_id, duration_s=7.0))
+        assert main(["query", excerpt_path, "--index", index, "--model", model, "--top", top]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --top must be at least 1, got {top}\n"
 
     def test_too_short_excerpt_errors(self, cli_setup, tmp_path, capsys):
         root, manifest, entries, model, index = cli_setup
@@ -357,3 +368,42 @@ def test_sample_rate_only_where_read(argv, accepted, capsys):
                 main([*argv, *option])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["white_noise", "white_noise:snr=12", "pitch_shift", "tremolo", "white_noise:snr_db=abc"])
+@pytest.mark.parametrize("command", ["degrade", "train", "evaluate"])
+def test_malformed_spec_one_line_error(spec, command, tmp_path, capsys):
+    """A spec missing, misnaming or mistyping a parameter fails in one line on every command that reads specs."""
+    wav = str(tmp_path / "t.wav")
+    save_wav(wav, synth_track(1, duration_s=4.0))
+    manifest = str(tmp_path / "m.tsv")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(f"1\t{wav}\n")
+    argv = {
+        "degrade": ["degrade", wav, "--spec", spec, "--out", str(tmp_path / "o.wav")],
+        "train": ["train", "--manifest", manifest, "--out", str(tmp_path / "m.bmrm"), "--variant", spec],
+        "evaluate": ["evaluate", "--manifest", manifest, "--index", "i.bmix", "--model", "m.bmrm", "--degrade", f"x={spec}"],
+    }[command]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and spec.partition(":")[0] in lines[0]
+
+
+COMMON = {"-h", "--help", "--sample-rate", "--verbose"}
+CLI_SURFACE = {
+    "train": COMMON
+    | {"--manifest", "--out", "--seed", "--times-per-track", "--pool-times-per-track", "--lda-dim", "--variant", "--allow-small"},
+    "index": COMMON | {"--manifest", "--model", "--out", "--lsh-seed"},
+    "query": {"-h", "--help", "audio", "--index", "--model", "--top", "--json"},
+    "degrade": {"-h", "--help", "audio", "--spec", "--scenario", "--level", "--codec-cmd", "--seed", "--out"},
+    "evaluate": COMMON
+    | {"--manifest", "--index", "--model", "--queries", "--duration", "--query-seed", "--seed", "--degrade", "--jobs", "--out"},
+    "inspect": {"-h", "--help", "--model", "--index"},
+}
+
+
+def test_cli_surface():
+    """Every subcommand's options (and positionals, by name): an option added or dropped fails here."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: {s for a in p._actions for s in a.option_strings or [a.dest]} for name, p in sub.choices.items()}
+    assert surface == CLI_SURFACE

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -14,6 +17,7 @@ from printdex.degrade import (
     scenario,
     time_stretch,
 )
+from printdex.pipeline import DEFAULT_TRAINING_PLAN
 
 from conftest import make_sine
 
@@ -50,6 +54,47 @@ class TestParseSpec:
     def test_malformed_param(self):
         with pytest.raises(DegradationError):
             parse_spec("white_noise:snr12")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("white_noise", "white_noise needs parameter 'snr_db'"),
+            ("white_noise:snr=12", "white_noise has no parameter 'snr'"),
+            ("white_noise:snr_db=abc", "white_noise parameter 'snr_db' must be a number, got 'abc'"),
+            ("pitch_shift", "pitch_shift needs parameter 'semitones'"),
+            ("tremolo", "tremolo needs parameter 'depth_db'"),
+            ("tremolo:rate_hz=2", "tremolo needs parameter 'depth_db'"),
+            ("graphic_eq:gain_db=3+time_stretch:cent=30", "time_stretch has no parameter 'cent'"),
+            ("chain:steps=white_noise", "chain steps are written joined by '+'"),
+        ],
+    )
+    def test_params_checked_for_kind(self, text, message):
+        with pytest.raises(DegradationError, match=f"^{re.escape(message)}$"):
+            parse_spec(text)
+
+    def test_direct_construction_checked(self):
+        with pytest.raises(DegradationError, match="^dyn_compress parameter 'ratio' must be a number, got '8'$"):
+            DegradationSpec(kind="dyn_compress", params={"ratio": "8"})
+
+    def test_optional_params_keep_defaults(self):
+        buf = _music(duration=1.0, seed=14)
+        for short, full in [
+            ("tremolo:depth_db=6", "tremolo:depth_db=6,rate_hz=4"),
+            ("dyn_compress:ratio=8", "dyn_compress:ratio=8,release_ms=100"),
+            ("reverb_synthetic:mix_db=3", "reverb_synthetic:mix_db=3,rt60_s=0.8"),
+            ("graphic_eq", "graphic_eq:gain_db=0"),
+        ]:
+            assert np.array_equal(apply(parse_spec(short, seed=3), buf).samples, apply(parse_spec(full, seed=3), buf).samples)
+
+    def test_shipped_specs_construct(self):
+        for _, text in DEFAULT_TRAINING_PLAN:
+            parse_spec(text).reseeded(7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for name in ("gsm_like", "slowdown", "noise"):
+                for level in (1, 2, 3):
+                    for codec in (None, "cat"):
+                        assert scenario(name, level, codec_command=codec).kind == "chain"
 
 
 class TestNoise:

@@ -63,23 +63,18 @@ class TestSmoother:
 class TestPostFilter:
     def test_identity(self):
         phi = np.abs(np.sin(np.arange(50)))
-        assert np.allclose(post_filter(phi, np.array([1.0]), 1.0), phi)
-
-    def test_constant_powers(self):
-        b = design_smoother(0.05, 10, 50.0)
-        phi = np.full(40, 2.0)
-        assert np.allclose(post_filter(phi, b, 2.0), 4.0)
+        assert np.allclose(post_filter(phi, np.array([1.0])), phi)
 
     def test_impulse_gives_coefficients(self):
         b = design_smoother(0.05, 10, 50.0)
         phi = np.zeros(41)
         phi[20] = 1.0
-        out = post_filter(phi, b, 1.0)
+        out = post_filter(phi, b)
         assert np.allclose(out[15:26], b)
 
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
-            post_filter(np.array([1.0, -0.1, 0.0] * 10), np.array([1.0]), 1.0)
+            post_filter(np.array([1.0, -0.1, 0.0] * 10), np.array([1.0]))
 
 
 class TestSelectTimes:

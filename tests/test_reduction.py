@@ -117,8 +117,9 @@ class TestIccr:
         assert j0 <= 25
 
 
-def _scatter(x, class_ids, is_original, use_original_centers=False):
-    return scatter_matrices(x, *class_index(class_ids, is_original), use_original_centers)
+def _scatter(x, class_ids, is_original):
+    record_class, original_row = class_index(class_ids, is_original)
+    return scatter_matrices(x, record_class, len(original_row))
 
 
 def _first_of_each(class_ids):
@@ -154,13 +155,6 @@ class TestScatterAccumulator:
         means = np.stack([x[classes == c].mean(axis=0) for c in range(20)])
         b_direct = means.T @ means / 19 - (20 / 19) * np.outer(x.mean(axis=0), x.mean(axis=0))
         assert np.allclose(b, b_direct, atol=1e-10)
-
-    def test_original_centers_variant(self):
-        x = np.array([[5.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 7.0]])
-        t, b, mu = _scatter(x, np.array(["a", "a", "b", "b"]), np.array([False, True, True, False]), True)
-        centers = np.array([[1.0, 0.0], [0.0, 1.0]])
-        expected = centers.T @ centers / 1 - 2 * np.outer(mu, mu)
-        assert np.allclose(b, expected)
 
     def test_duplicate_original_rejected(self):
         with pytest.raises(TrainingError, match="^class a has more than one original record$"):
@@ -445,16 +439,6 @@ class TestTrainBandAndCompose:
         is_orig = is_orig & (class_ids != 3)
         with pytest.raises(TrainingError, match="^class 3 lacks an original record$"):
             train_band(prints, class_ids, is_orig, extra, lda_dim=16, out_dim=8, seed=5, enforce_min_originals=False)
-
-    def test_original_centers_variant_trains(self, synth_chain):
-        chain, prints, class_ids, is_orig, extra = synth_chain
-        variant = train_band(
-            prints, class_ids, is_orig, extra, lda_dim=16, out_dim=8, seed=5,
-            use_original_centers=True, enforce_min_originals=False,
-        )
-        assert variant.p_final.shape == chain.p_final.shape
-        assert np.all(np.isfinite(variant.p_final)) and np.all(variant.sigma_e > 0)
-        assert not np.allclose(variant.p_final, chain.p_final)
 
     def test_save_twice_identical_bytes(self, synth_chain, tmp_path):
         chain, *_ = synth_chain

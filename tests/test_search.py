@@ -20,7 +20,6 @@ from printdex.hashing import (
 )
 from printdex.search import (
     MatchHistogram,
-    SearchConfig,
     cone_weights,
     count_matches,
     query_codes,
@@ -158,7 +157,7 @@ class TestSelectCandidates:
         return MatchHistogram(
             track_ids=np.array(ids), counts=np.array(counts),
             match_track=np.array([]), match_t=np.array([]), match_tau=np.array([]),
-            match_weight=np.array([]), query_duration=7.0,
+            query_duration=7.0,
         )
 
     def test_rule_with_padding(self):
@@ -403,17 +402,10 @@ class TestQueryIndex:
         res = query_index(noisy, s.index, s.model)
         assert res.best.track_id == s.entries[9].track_id
 
-    def test_reliability_weighting_option(self, small_setup):
-        s = small_setup
-        buf = pipeline.load_track(s.entries[4], s.cfg)
-        excerpt = pipeline.cut_excerpt(buf, 5.0, 7.0)
-        res = query_index(excerpt, s.index, s.model, SearchConfig(reliability_weighting=True))
-        assert res.best.track_id == s.entries[4].track_id
-
     def test_index_postings_among_query_codes_at_same_anchor(self, small_setup):
         s = small_setup
         entry = s.entries[3]
-        codes, times, _, n_prints, _ = query_codes(pipeline.load_track(entry, s.cfg), s.index, s.model)
+        codes, times, n_prints, _ = query_codes(pipeline.load_track(entry, s.cfg), s.index, s.model)
         counts, postings = s.index.table.lookup_many(codes)
         frames = np.repeat(np.rint(times / s.index.frame_period).astype(np.int64), counts)
         same_anchor = (postings["track"] == entry.track_id) & (postings["time"] == frames)
