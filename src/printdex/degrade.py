@@ -69,9 +69,25 @@ class DegradationSpec:
         for name in required:
             if name not in self.params:
                 raise DegradationError(f"{self.kind} needs parameter {name!r}")
+        if self.kind == "graphic_eq":
+            _eq_gains(self.params)
 
     def reseeded(self, seed: int) -> "DegradationSpec":
         return DegradationSpec(kind=self.kind, params=self.params, seed=seed)
+
+
+def _eq_gains(params: dict) -> np.ndarray:
+    """The dB gain at each of EQ_CENTERS_HZ of a graphic_eq's parameters."""
+    if "gains_db" not in params:
+        return float(params.get("gain_db", 0.0)) * np.array([1.0, -1.0] * 5)
+    text = str(params["gains_db"])
+    try:
+        gains = [float(v) for v in text.split("/")]
+    except ValueError:
+        gains = []
+    if len(gains) != len(EQ_CENTERS_HZ):
+        raise DegradationError(f"graphic_eq parameter 'gains_db' must be {len(EQ_CENTERS_HZ)} numbers joined by '/', got {text!r}")
+    return np.array(gains)
 
 
 def parse_spec(text: str, seed: int = 0) -> DegradationSpec:
@@ -276,13 +292,7 @@ def apply(spec: DegradationSpec, buf: AudioBuffer) -> AudioBuffer:
         noise = np.tile(noise, reps)[: len(x)]
         out = x + _scaled_noise(noise, x, p["snr_db"])
     elif kind == "graphic_eq":
-        if "gains_db" in p:
-            gains = np.array([float(v) for v in str(p["gains_db"]).split("/")])
-        else:
-            gains = float(p.get("gain_db", 0.0)) * np.array([1.0, -1.0] * 5)
-        if len(gains) != len(EQ_CENTERS_HZ):
-            raise DegradationError(f"graphic_eq needs {len(EQ_CENTERS_HZ)} gains")
-        out = _apply_eq(x, sr, gains)
+        out = _apply_eq(x, sr, _eq_gains(p))
     elif kind == "distortion":
         g = 10.0 ** (p["input_gain_db"] / 20.0)
         out = np.arctan(g * x) / np.arctan(g)

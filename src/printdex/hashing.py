@@ -147,13 +147,14 @@ def extended_code(band, lsh_index, beta) -> np.ndarray:
     return (slot << 16) | np.asarray(beta, dtype=np.uint32)
 
 
-def derive_codes(reduced: np.ndarray, sigma_e, spec: LshSpec, n_keep: int) -> tuple[np.ndarray, np.ndarray]:
-    """Extended codes and reliabilities of reduced prints, all bands at once.
+def derive_codes(reduced: np.ndarray, sigma_e, spec: LshSpec, n_keep: int) -> np.ndarray:
+    """Extended codes of reduced prints, all bands at once.
 
     ``reduced`` is (n, bands, 40) and ``sigma_e`` holds each band's 40 noise
-    deviations. Returns band-major ``(codes, reliabilities)``, each
-    (bands, n, n_keep): per print, the ``n_keep`` most reliable of the 51
-    codes (ties keep the lower selection index), in selection order.
+    deviations. Returns band-major codes (bands, n, n_keep): per print, the
+    ``n_keep`` most reliable of the 51 codes (ties keep the lower selection
+    index), in selection order. Reliabilities are computed only to choose
+    the kept codes, so keeping all 51 never reads ``sigma_e``.
     """
     if not 1 <= n_keep <= N_LSH:
         raise ValueError(f"codes kept per print must be in [1, {N_LSH}], got {n_keep}")
@@ -161,14 +162,13 @@ def derive_codes(reduced: np.ndarray, sigma_e, spec: LshSpec, n_keep: int) -> tu
         raise ValueError(f"reduced prints must have {CODE_BITS} components, got {reduced.shape[-1]}")
     z = np.ascontiguousarray(np.swapaxes(reduced, 0, 1), dtype=np.float64)
     betas = codes_from_bits(binarize_bits(z), spec)
-    rel = reliability_batch(z, sigma_e, spec)
     selection = np.arange(N_LSH)
     if n_keep < N_LSH:
+        rel = reliability_batch(z, sigma_e, spec)
         selection = np.sort(np.argsort(-rel, axis=2, kind="stable")[:, :, :n_keep], axis=2)
         betas = np.take_along_axis(betas, selection, axis=2)
-        rel = np.take_along_axis(rel, selection, axis=2)
     bands = np.arange(z.shape[0])[:, None, None]
-    return extended_code(bands, selection, betas), rel
+    return extended_code(bands, selection, betas)
 
 
 def expected_unchanged(k: int) -> float:

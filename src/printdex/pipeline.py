@@ -207,7 +207,7 @@ def reduced_prints_for_buffer(buf: AudioBuffer, model: ReductionModel, cfg: Pipe
 def index_postings(kept, reduced, model, lsh_spec, n_reliable: int):
     """Extended codes and posting frames of one track's reduced prints."""
     sigma_e = [chain.sigma_e for chain in model.bands]
-    codes, _ = _hashing.derive_codes(reduced, sigma_e, lsh_spec, n_reliable)
+    codes = _hashing.derive_codes(reduced, sigma_e, lsh_spec, n_reliable)
     return codes.reshape(-1), np.broadcast_to(kept[:, None], codes.shape).reshape(-1)
 
 

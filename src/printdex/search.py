@@ -21,8 +21,8 @@ from printdex import hashing as _hashing
 from printdex import prints as _prints
 from printdex.reduction import reduce_prints
 
-# Rows of the sorted pairs compared per step of cone_weights: it bounds each
-# temporary to CONE_BLOCK_ROWS x n elements instead of n x n.
+# Rows of the sorted distinct points compared per step of cone_weights: it
+# bounds each temporary to CONE_BLOCK_ROWS x m elements for m points, not m x m.
 CONE_BLOCK_ROWS = 32
 # STEP 2 offset-histogram bin width (s) and the largest admissible stretch
 # factor (and its inverse) of a query against its reference.
@@ -142,31 +142,42 @@ def cone_weights(t: np.ndarray, tau: np.ndarray, alpha_max: float) -> np.ndarray
 
     The cone from (t_n, tau_n) holds pairs (t_m, tau_m) with t_m > t_n whose
     connecting slope lies in [1/alpha_max, alpha_max]; collinear pairs under
-    any admissible stretch support each other. Pairs are sorted by t once, so
-    each block of rows is compared only with the suffix of strictly later
-    pairs.
+    any admissible stretch support each other. One anchor pair gives many
+    equal (t, tau) pairs, and copies of one point have dt = 0, outside every
+    cone. So support is counted between distinct points sorted by t, each
+    block of rows against the suffix of strictly later points, weighted by
+    how many pairs share each point; every copy gets its point's weight.
     """
     if alpha_max <= 1.0:
         raise ValueError("alpha_max must exceed 1")
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     n = len(t)
-    order = np.argsort(t, kind="stable")
+    order = np.lexsort((tau, t))
     ts, taus = t[order], tau[order]
-    first_later = np.searchsorted(ts, ts, side="right")
-    weights = np.ones(n)
+    # edges: where each run of equal points starts, then n
+    boundary = np.ones(n + 1, dtype=bool)
+    boundary[1:n] = (ts[1:] != ts[:-1]) | (taus[1:] != taus[:-1])
+    edges = np.flatnonzero(boundary)
+    mult = edges[1:] - edges[:-1]
+    pt, ptau = ts[edges[:-1]], taus[edges[:-1]]
+    m = len(pt)
+    first_later = np.searchsorted(pt, pt, side="right")
+    support = np.zeros(m, dtype=np.int64)
     lo, hi = 1.0 / alpha_max, alpha_max
-    for start in range(0, n, CONE_BLOCK_ROWS):
+    for start in range(0, m, CONE_BLOCK_ROWS):
         later = first_later[start]
-        if later == n:
+        if later == m:
             break
-        stop = min(start + CONE_BLOCK_ROWS, n)
-        dt = ts[None, later:] - ts[start:stop, None]
-        dtau = taus[None, later:] - taus[start:stop, None]
+        stop = min(start + CONE_BLOCK_ROWS, m)
+        dt = pt[None, later:] - pt[start:stop, None]
+        dtau = ptau[None, later:] - ptau[start:stop, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = dtau / dt
         inside = (dt > 0) & (slope >= lo) & (slope <= hi)
-        weights[order[start:stop]] += np.count_nonzero(inside, axis=1)
+        support[start:stop] = inside @ mult[later:]
+    weights = np.empty(n)
+    weights[order] = np.repeat(1.0 + support, mult)
     return weights
 
 
@@ -258,8 +269,8 @@ def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_c
     if len(kept) == 0:
         raise ValueError("no usable analysis window in excerpt")
     anchor_seconds = kept * index.frame_period
-    sigma_e = [chain.sigma_e for chain in model.bands]
-    codes, _ = _hashing.derive_codes(reduce_prints(coeffs, model), sigma_e, index.spec, _hashing.N_LSH)
+    # a query keeps all 51 codes, so no reliabilities and no sigma_e
+    codes = _hashing.derive_codes(reduce_prints(coeffs, model), None, index.spec, _hashing.N_LSH)
     times = np.broadcast_to(anchor_seconds[:, None], codes.shape)
     return codes.reshape(-1), times.reshape(-1), len(kept), buf.duration
 

@@ -66,6 +66,8 @@ class TestParseSpec:
             ("tremolo:rate_hz=2", "tremolo needs parameter 'depth_db'"),
             ("graphic_eq:gain_db=3+time_stretch:cent=30", "time_stretch has no parameter 'cent'"),
             ("chain:steps=white_noise", "chain steps are written joined by '+'"),
+            ("graphic_eq:gains_db=1/x/3", "graphic_eq parameter 'gains_db' must be 10 numbers joined by '/', got '1/x/3'"),
+            ("graphic_eq:gains_db=1/2/3", "graphic_eq parameter 'gains_db' must be 10 numbers joined by '/', got '1/2/3'"),
         ],
     )
     def test_params_checked_for_kind(self, text, message):

@@ -145,8 +145,11 @@ class TestCodeDerivation:
     def test_keep_all_in_selection_order(self):
         spec = make_lsh_spec(5)
         reduced, sigma_e = _reduced_prints(0)
-        codes, rel = derive_codes(reduced, sigma_e, spec, N_LSH)
+        codes = derive_codes(reduced, sigma_e, spec, N_LSH)
+        rel = reliability_batch(np.swapaxes(reduced, 0, 1), sigma_e, spec)
         assert codes.shape == rel.shape == (N_BANDS, len(reduced), N_LSH)
+        # keeping all 51 codes needs no reliabilities, so no noise deviations
+        assert np.array_equal(derive_codes(reduced, None, spec, N_LSH), codes)
         for b in range(N_BANDS):
             assert np.array_equal(rel[b], reliability_batch(reduced[:, b, :], sigma_e[b], spec))
             for i in range(len(reduced)):
@@ -158,28 +161,29 @@ class TestCodeDerivation:
         spec = make_lsh_spec(6)
         reduced, sigma_e = _reduced_prints(1)
         reduced[::2] = 50.0 * np.sign(reduced[::2])  # every code of these prints has reliability 1.0: all tied
-        codes, rel = derive_codes(reduced, sigma_e, spec, 10)
-        all_codes, all_rel = derive_codes(reduced, sigma_e, spec, N_LSH)
+        codes = derive_codes(reduced, sigma_e, spec, 10)
+        all_codes = derive_codes(reduced, sigma_e, spec, N_LSH)
+        all_rel = reliability_batch(np.swapaxes(reduced, 0, 1), sigma_e, spec)
         for b in range(N_BANDS):
             selection = (codes[b] >> 16).astype(np.int64) - b * N_LSH
             for i in range(len(reduced)):
                 kept = selection[i]
                 assert np.all(np.diff(kept) > 0)
                 assert np.array_equal(codes[b, i], all_codes[b, i, kept])
-                assert np.array_equal(rel[b, i], all_rel[b, i, kept])
+                assert np.array_equal(kept, np.sort(np.argsort(-all_rel[b, i], kind="stable")[:10]))
                 dropped = np.setdiff1d(np.arange(N_LSH), kept)
-                threshold = rel[b, i].min()
+                threshold = all_rel[b, i, kept].min()
                 assert np.all(all_rel[b, i, dropped] <= threshold)
                 # among codes tied at the threshold, the lower selection index wins
                 tied_dropped = dropped[all_rel[b, i, dropped] == threshold]
-                tied_kept = kept[rel[b, i] == threshold]
+                tied_kept = kept[all_rel[b, i, kept] == threshold]
                 assert len(tied_dropped) == 0 or tied_kept.max() < tied_dropped.min()
 
     def test_all_equal_keeps_first(self):
         spec = make_lsh_spec(0)
         reduced = np.where(np.random.default_rng(4).random((3, N_BANDS, CODE_BITS)) < 0.5, -50.0, 50.0)
-        codes, rel = derive_codes(reduced, np.ones((N_BANDS, CODE_BITS)), spec, 10)
-        assert np.all(rel == 1.0)
+        codes = derive_codes(reduced, np.ones((N_BANDS, CODE_BITS)), spec, 10)
+        assert np.all(reliability_batch(np.swapaxes(reduced, 0, 1), np.ones((N_BANDS, CODE_BITS)), spec) == 1.0)
         selection = (codes >> 16).astype(np.int64) - np.arange(N_BANDS)[:, None, None] * N_LSH
         assert np.array_equal(selection, np.broadcast_to(np.arange(10), selection.shape))
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from printdex import audio, pipeline
+from printdex import audio, pipeline, search
 from printdex.audio import SpectrogramConfig, stft
 from printdex.degrade import apply as apply_degradation
 from printdex.degrade import parse_spec
@@ -185,6 +185,18 @@ class TestSelectCandidates:
         assert len(select_candidates(hist)) == 0
 
 
+def _cone_oracle(t, tau, alpha):
+    """Brute force over every pair of matches: 1 + later matches inside the cone."""
+    t = np.asarray(t, dtype=np.float64)
+    tau = np.asarray(tau, dtype=np.float64)
+    oracle = np.ones(len(t))
+    for i in range(len(t)):
+        later = t > t[i]
+        slope = (tau[later] - tau[i]) / (t[later] - t[i])
+        oracle[i] += np.count_nonzero((1 / alpha <= slope) & (slope <= alpha))
+    return oracle
+
+
 class TestConeWeights:
     def test_unit_slope_line(self):
         for n in (10, 34, 98):
@@ -211,17 +223,26 @@ class TestConeWeights:
         cases.append((edge_t, edge_tau, 1.4))
         # sizes straddling the row block
         cases += [(rng.integers(0, 40, n) * frame, rng.uniform(0, 1, n), 1.4) for n in (1, 31, 32, 33, 65)]
+        # as one anchor pair's codes give them: every point of a frame grid 1-40 times, shuffled
+        grid_t, grid_tau = (g.ravel() * frame for g in np.meshgrid(np.arange(0, 60, 5), np.arange(0, 60, 5)))
+        copies = rng.integers(1, 41, len(grid_t))
+        order = rng.permutation(copies.sum())
+        cases += [(np.repeat(grid_t, copies)[order], np.repeat(grid_tau, copies)[order], alpha) for alpha in (1.3, 1.4)]
+        # points that share t but differ in tau
+        shared_t = np.repeat(rng.integers(0, 6, 40), rng.integers(1, 5, 40)) * frame
+        cases.append((shared_t, rng.integers(0, 8, len(shared_t)) * frame, 1.4))
+        # the 5:7 edge slopes again, each point repeated
+        edge_copies = rng.integers(1, 10, len(edge_t))
+        order = rng.permutation(edge_copies.sum())
+        cases.append((np.repeat(edge_t, edge_copies)[order], np.repeat(edge_tau, edge_copies)[order], 1.4))
+        # one point, many times
+        cases.append((np.full(70, 3 * frame), np.full(70, frame), 1.4))
         for t, tau, alpha in cases:
-            n = len(t)
-            oracle = np.ones(n)
-            for i in range(n):
-                for m in range(n):
-                    if m == i or t[m] <= t[i]:
-                        continue
-                    slope = (tau[m] - tau[i]) / (t[m] - t[i])
-                    if 1 / alpha <= slope <= alpha:
-                        oracle[i] += 1
-            assert np.array_equal(cone_weights(t, tau, alpha), oracle)
+            assert np.array_equal(cone_weights(t, tau, alpha), _cone_oracle(t, tau, alpha))
+
+    def test_empty_input(self):
+        w = cone_weights(np.array([]), np.array([]), 1.4)
+        assert w.shape == (0,) and w.dtype == np.float64
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -387,6 +408,33 @@ class TestQueryIndex:
         res = query_index(excerpt, s.index, s.model)
         assert res.best.track_id == s.entries[2].track_id
         assert abs(res.best.delta_t_star - 10.0) <= 0.5
+
+    def test_same_results_with_bruteforce_cone_weights(self, small_setup, monkeypatch):
+        import corpus
+
+        s = small_setup
+        clean = [pipeline.cut_excerpt(pipeline.load_track(s.entries[i], s.cfg), start, 7.0) for i, start in ((1, 2.0), (4, 9.0))]
+        excerpts = clean + [
+            apply_degradation(parse_spec("time_stretch:cents=30", seed=2), clean[0]),
+            apply_degradation(parse_spec("white_noise:snr_db=6", seed=3), clean[1]),
+            corpus.synth_track(5_000_100, duration_s=7.0),
+        ]
+        fast = [query_index(x, s.index, s.model) for x in excerpts]
+        repeated_points = []
+
+        def oracle(t, tau, alpha_max):
+            repeated_points.append(len(set(zip(t.tolist(), tau.tolist()))) < len(t))
+            return _cone_oracle(t, tau, alpha_max)
+
+        monkeypatch.setattr(search, "cone_weights", oracle)
+        slow = [query_index(x, s.index, s.model) for x in excerpts]
+        assert any(repeated_points)
+        assert [r.no_match for r in fast] == [False, False, False, False, True]
+        for a, b in zip(fast, slow):
+            # SearchResult equality covers track, STEP 1 count, score, alpha, delta*, inliers and low confidence
+            assert a.results == b.results
+            assert np.array_equal(a.step1_ranking, b.step1_ranking)
+            assert a.no_match == b.no_match
 
     def test_short_excerpt_rejected(self, small_setup):
         s = small_setup
