@@ -9,7 +9,7 @@ possibly heavily degraded excerpts from a reference catalog:
            (match counting, then time-coherence with stretch estimation)
 """
 
-from printdex.audio import AudioBuffer, Spectrogram, SpectrogramConfig, load_audio, normalize, resample, stft
+from printdex.audio import AudioBuffer, Spectrogram, load_audio, normalize, resample, stft
 from printdex.onsets import AnalysisTimes, OnsetConfig, select_analysis_times
 from printdex.prints import PrintConfig
 from printdex.reduction import ReductionModel, load_model, save_model, train_reduction
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AudioBuffer",
     "Spectrogram",
-    "SpectrogramConfig",
     "load_audio",
     "normalize",
     "resample",

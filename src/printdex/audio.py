@@ -1,10 +1,11 @@
 """PCM front end: WAV loading, resampling, normalization, magnitude spectrogram.
 
-Everything downstream (anchor selection, print computation) consumes the
-magnitude spectrogram produced here, so the frame geometry is defined once:
-frame ``ell`` covers samples starting at ``ell * hop_samples`` and the
-effective frame rate is ``sample_rate / hop_samples`` (the nominal hop in
-seconds is rounded to an integer sample count).
+The processing rate and the STFT geometry are module constants, because a
+reduction model is valid only for the prints of the geometry it was trained
+on: a 150 ms periodic Hann window and a 20 ms hop, each rounded once to whole
+samples at ``SAMPLE_RATE``, and an FFT zero-padded to twice the next power of
+two. Frame ``ell`` covers samples starting at ``ell * HOP_SAMPLES``. Callers
+resample to ``SAMPLE_RATE`` first; ``stft`` rejects any other rate.
 """
 
 from __future__ import annotations
@@ -17,9 +18,14 @@ import scipy.fft
 import scipy.io.wavfile
 import scipy.signal
 
-DEFAULT_SAMPLE_RATE = 11025
-DEFAULT_WINDOW_S = 0.150
-DEFAULT_HOP_S = 0.020
+SAMPLE_RATE = 11025
+WINDOW_SAMPLES = int(round(0.150 * SAMPLE_RATE))  # 1654
+HOP_SAMPLES = int(round(0.020 * SAMPLE_RATE))  # 220
+# Twice the next power of two: every log-frequency cell of the print grid
+# spans more than two of the 2049 bins, which the pitch-translation property
+# needs.
+FFT_SIZE = 2 << (WINDOW_SAMPLES - 1).bit_length()  # 4096
+FRAME_PERIOD = HOP_SAMPLES / SAMPLE_RATE
 
 # Frames per FFT call in ``stft``: bounds the float32/complex64 temporaries to
 # about 2 MB at the default geometry whatever the buffer length.
@@ -110,51 +116,15 @@ def normalize(buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(samples=buf.samples / peak, sample_rate=buf.sample_rate)
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
-@dataclass(frozen=True)
-class SpectrogramConfig:
-    """STFT geometry. The window is always a periodic Hann.
-
-    ``fft_factor`` adds zero-padding beyond the next power of 2; the default
-    of 2 yields 2049 frequency bins at 11025 Hz / 150 ms, fine enough that
-    every log-frequency cell of the print grid is wider than two bins (the
-    pitch-translation property needs a uniform resampling regime).
-    """
-
-    window_s: float = DEFAULT_WINDOW_S
-    hop_s: float = DEFAULT_HOP_S
-    fft_factor: int = 2
-
-    def __post_init__(self):
-        if self.window_s <= 0 or self.hop_s <= 0:
-            raise AudioError("window_s and hop_s must be positive")
-        if self.fft_factor < 1 or self.fft_factor & (self.fft_factor - 1):
-            raise AudioError("fft_factor must be a power of 2")
-
-    def window_samples(self, sample_rate: int) -> int:
-        return max(1, int(round(self.window_s * sample_rate)))
-
-    def hop_samples(self, sample_rate: int) -> int:
-        return max(1, int(round(self.hop_s * sample_rate)))
-
-    def fft_size(self, sample_rate: int) -> int:
-        return _next_pow2(self.window_samples(sample_rate)) * self.fft_factor
-
-
 @dataclass(frozen=True)
 class Spectrogram:
-    """Magnitude time-frequency matrix, shape (fft_size // 2 + 1, n_frames)."""
+    """Magnitude time-frequency matrix, shape (FFT_SIZE // 2 + 1, n_frames)."""
 
     magnitudes: np.ndarray
-    config: SpectrogramConfig
-    sample_rate: int
-    hop_samples: int
+    sample_rate = SAMPLE_RATE
+    hop_samples = HOP_SAMPLES
+    frame_rate = SAMPLE_RATE / HOP_SAMPLES
+    bin_hz = SAMPLE_RATE / FFT_SIZE
 
     @property
     def n_bins(self) -> int:
@@ -164,39 +134,26 @@ class Spectrogram:
     def n_frames(self) -> int:
         return self.magnitudes.shape[1]
 
-    @property
-    def frame_rate(self) -> float:
-        """Effective frames per second (sample_rate / integer hop)."""
-        return self.sample_rate / self.hop_samples
 
-    @property
-    def bin_hz(self) -> float:
-        fft_size = 2 * (self.n_bins - 1)
-        return self.sample_rate / fft_size
+def stft(buf: AudioBuffer) -> Spectrogram:
+    """Magnitude STFT with a periodic Hann window, zero-padded to ``FFT_SIZE``.
 
-
-def stft(buf: AudioBuffer, cfg: SpectrogramConfig | None = None) -> Spectrogram:
-    """Magnitude STFT with a periodic Hann window, zero-padded to a power of 2.
-
-    Frame ``ell`` starts at sample ``ell * hop``; phase is discarded. The FFT
-    runs in single precision over blocks of ``STFT_BLOCK_FRAMES`` frames (the
-    magnitudes are within ~2e-7 of the peak of a float64 transform); each
-    block's magnitudes go straight into a C-contiguous float64 (bins, frames)
-    matrix, which the sparse log-frequency map in ``print_matrix`` needs for
-    speed.
+    ``buf`` must be at ``SAMPLE_RATE``. Frame ``ell`` starts at sample
+    ``ell * HOP_SAMPLES``; phase is discarded. The FFT runs in single
+    precision over blocks of ``STFT_BLOCK_FRAMES`` frames (the magnitudes are
+    within ~2e-7 of the peak of a float64 transform); each block's magnitudes
+    go straight into a C-contiguous float64 (bins, frames) matrix, which the
+    sparse log-frequency map in ``print_matrix`` needs for speed.
     """
-    cfg = cfg or SpectrogramConfig()
-    sr = buf.sample_rate
-    win = cfg.window_samples(sr)
-    hop = cfg.hop_samples(sr)
-    fft_size = cfg.fft_size(sr)
+    if buf.sample_rate != SAMPLE_RATE:
+        raise AudioError(f"stft needs audio at {SAMPLE_RATE} Hz, got {buf.sample_rate} Hz: resample first")
     x = buf.samples
-    if len(x) < win:
-        raise AudioError(f"buffer ({len(x)} samples) shorter than one window ({win})")
-    window = scipy.signal.windows.hann(win, sym=False).astype(np.float32)
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
-    mags = np.empty((fft_size // 2 + 1, len(frames)))
+    if len(x) < WINDOW_SAMPLES:
+        raise AudioError(f"buffer ({len(x)} samples) shorter than one window ({WINDOW_SAMPLES})")
+    window = scipy.signal.windows.hann(WINDOW_SAMPLES, sym=False).astype(np.float32)
+    frames = np.lib.stride_tricks.sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    mags = np.empty((FFT_SIZE // 2 + 1, len(frames)))
     for start in range(0, len(frames), STFT_BLOCK_FRAMES):
         block = np.multiply(frames[start : start + STFT_BLOCK_FRAMES], window, dtype=np.float32)
-        mags.T[start : start + STFT_BLOCK_FRAMES] = np.abs(scipy.fft.rfft(block, n=fft_size, axis=1))
-    return Spectrogram(magnitudes=mags, config=cfg, sample_rate=sr, hop_samples=hop)
+        mags.T[start : start + STFT_BLOCK_FRAMES] = np.abs(scipy.fft.rfft(block, n=FFT_SIZE, axis=1))
+    return Spectrogram(magnitudes=mags)

@@ -18,7 +18,7 @@ from printdex import degrade as _degrade
 from printdex import hashing as _hashing
 from printdex import pipeline as _pipeline
 from printdex import search as _search
-from printdex.audio import DEFAULT_SAMPLE_RATE, load_audio, normalize, save_wav
+from printdex.audio import HOP_SAMPLES, SAMPLE_RATE, load_audio, normalize, save_wav
 from printdex.reduction import load_model, save_model
 
 
@@ -26,13 +26,9 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _pipeline_config(args) -> _pipeline.PipelineConfig:
-    return _pipeline.PipelineConfig(sample_rate=args.sample_rate)
-
-
 def cmd_train(args) -> int:
     entries = _pipeline.read_manifest(args.manifest)
-    cfg = _pipeline_config(args)
+    cfg = _pipeline.PipelineConfig()
     plan = _pipeline.DEFAULT_TRAINING_PLAN
     if args.variant:
         plan = tuple((f"v{i}", text) for i, text in enumerate(args.variant))
@@ -61,7 +57,7 @@ def cmd_train(args) -> int:
 
 def cmd_index(args) -> int:
     entries = _pipeline.read_manifest(args.manifest)
-    cfg = _pipeline_config(args)
+    cfg = _pipeline.PipelineConfig()
     model = load_model(args.model)
     index = _pipeline.build_index(
         entries,
@@ -72,7 +68,7 @@ def cmd_index(args) -> int:
     )
     _hashing.save_index(args.out, index)
     loads = index.table.bucket_loads()
-    n_prints = index.table.n_postings // (index.n_bands * index.n_reliable)
+    n_prints = index.table.n_postings // (index.n_bands * _hashing.N_RELIABLE)
     print(f"index written to {args.out}")
     print(f"tracks={len(index.tracks)} prints={n_prints} postings={index.table.n_postings}")
     print(f"bucket load: max={int(loads.max(initial=0))} nonempty={len(loads)}")
@@ -155,8 +151,12 @@ def _eval_chunk(payload):
 
 
 def cmd_evaluate(args) -> int:
+    cfg = _pipeline.PipelineConfig()
+    # the duration bound: a shorter excerpt has no print window, so every query would miss
+    for option, value, least in (("--queries", args.queries, 1), ("--jobs", args.jobs, 1), ("--duration", args.duration, cfg.prints.window_s)):
+        if value < least:
+            raise ValueError(f"{option} must be at least {least:g}, got {value:g}")
     entries = _pipeline.read_manifest(args.manifest)
-    cfg = _pipeline_config(args)
     conditions = [("clean", None, False)]
     grid = [tuple(g.split("=", 1)) for g in args.degrade] if args.degrade else _default_grid()
     for label, text in grid:
@@ -198,8 +198,8 @@ def cmd_inspect(args) -> int:
         loads = index.table.bucket_loads()
         print(
             f"index: tracks={len(index.tracks)} postings={index.table.n_postings} "
-            f"L={_hashing.N_LSH} L'={index.n_reliable} b={_hashing.LSH_BITS} seed={index.lsh_seed} "
-            f"segment_frames={index.segment_frames} sample_rate={index.sample_rate} hop={index.hop_samples}"
+            f"L={_hashing.N_LSH} L'={_hashing.N_RELIABLE} b={_hashing.LSH_BITS} seed={index.lsh_seed} "
+            f"segment_frames={_hashing.SEGMENT_FRAMES} sample_rate={SAMPLE_RATE} hop={HOP_SAMPLES}"
         )
         if index.table.n_postings:
             print(f"bucket load: max={int(loads.max())} mean_nonempty={loads.mean():.2f}")
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE, help="processing sample rate (Hz)")
         p.add_argument("--verbose", action="store_true", help="progress lines on stderr")
 
     p = sub.add_parser("train", help="learn the reduction model from a manifest")

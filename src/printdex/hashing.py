@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special
 
+from printdex import audio as _audio
+
 CODE_BITS = 40
 N_LSH = 51
 LSH_BITS = 16
@@ -31,6 +33,8 @@ N_RELIABLE = 10
 N_BANDS = 5
 EXT_TABLE_SIZE = 1 << 24
 DIR_SHIFT = 6  # one lookup-directory bucket per 64 consecutive codes
+# STEP 1 counts matches per 15 s reference segment: 752 frames.
+SEGMENT_FRAMES = int(round(15.0 * _audio.SAMPLE_RATE / _audio.HOP_SAMPLES))
 
 INDEX_MAGIC = b"BMIX"
 INDEX_VERSION = 2
@@ -290,25 +294,21 @@ class TrackInfo:
 
 @dataclass
 class CatalogIndex:
-    """Frozen hash table plus track metadata and pipeline geometry."""
+    """Frozen hash table plus track metadata.
+
+    The rate, hop, segment length and L' are this build's constants; the file
+    header repeats them and ``load_index`` checks them.
+    """
 
     table: HashTable
     tracks: dict
     lsh_seed: int
-    n_reliable: int
-    segment_frames: int
-    sample_rate: int
-    hop_samples: int
     n_bands: int = N_BANDS
     spec: LshSpec = field(default=None)
 
     def __post_init__(self):
         if self.spec is None:
             self.spec = make_lsh_spec(self.lsh_seed)
-
-    @property
-    def frame_period(self) -> float:
-        return self.hop_samples / self.sample_rate
 
 
 def save_index(path, index: CatalogIndex) -> None:
@@ -323,13 +323,13 @@ def save_index(path, index: CatalogIndex) -> None:
                 "<HHHHHQIIIQI",
                 INDEX_VERSION,
                 N_LSH,
-                index.n_reliable,
+                N_RELIABLE,
                 LSH_BITS,
                 index.n_bands,
                 index.lsh_seed & _MASK64,
-                index.sample_rate,
-                index.hop_samples,
-                index.segment_frames,
+                _audio.SAMPLE_RATE,
+                _audio.HOP_SAMPLES,
+                SEGMENT_FRAMES,
                 table.n_postings,
                 len(index.tracks),
             )
@@ -350,6 +350,7 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
 
 
 def load_index(path) -> CatalogIndex:
+    """Read a version-2 BMIX file whose header geometry is this build's."""
     with open(path, "rb") as fh:
         if fh.read(4) != INDEX_MAGIC:
             raise ValueError(f"{path!r} is not an index file")
@@ -357,8 +358,13 @@ def load_index(path) -> CatalogIndex:
         (version, n_lsh, n_reliable, lsh_bits, n_bands, seed, sample_rate, hop, segment_frames, n_postings, n_tracks) = header
         if version != INDEX_VERSION:
             raise ValueError(f"unsupported index version {version} in {path!r}: this build reads version {INDEX_VERSION}")
-        if n_lsh != N_LSH or lsh_bits != LSH_BITS or segment_frames < 1:
-            raise ValueError(f"unsupported index geometry in {path!r}: L={n_lsh} b={lsh_bits} segment_frames={segment_frames}")
+        geometry = (n_lsh, n_reliable, lsh_bits, sample_rate, hop, segment_frames)
+        expected = (N_LSH, N_RELIABLE, LSH_BITS, _audio.SAMPLE_RATE, _audio.HOP_SAMPLES, SEGMENT_FRAMES)
+        if geometry != expected:
+            raise ValueError(
+                f"unsupported index geometry in {path!r}: (L, L', b, sample rate, hop, segment frames) is {geometry}, "
+                f"this build needs {expected}"
+            )
         # A forged count must fail here, not as a MemoryError in the read it sizes.
         needed = 4 + 42 + _POSTING_DTYPE.itemsize * n_postings + 14 * n_tracks
         size = os.fstat(fh.fileno()).st_size
@@ -384,9 +390,5 @@ def load_index(path) -> CatalogIndex:
         table=table,
         tracks=tracks,
         lsh_seed=seed,
-        n_reliable=n_reliable,
-        segment_frames=segment_frames,
-        sample_rate=sample_rate,
-        hop_samples=hop,
         n_bands=n_bands,
     )

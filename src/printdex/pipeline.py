@@ -16,10 +16,14 @@ import numpy as np
 from printdex import degrade as _degrade
 from printdex import hashing as _hashing
 from printdex import search as _search
-from printdex.audio import AudioBuffer, load_audio, normalize, resample
+from printdex.audio import FRAME_PERIOD, AudioBuffer, load_audio, normalize, resample
 from printdex.hashing import _MASK64, _splitmix64
 from printdex.prints import PipelineConfig, analyze
 from printdex.reduction import ReductionModel, reduce_prints, train_reduction
+
+
+# A track id is stored in the index's u32 posting field.
+TRACK_ID_MAX = np.iinfo(_hashing._POSTING_DTYPE["track"]).max
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,7 @@ class ManifestEntry:
 
 
 def read_manifest(path) -> list:
-    """Tab-separated manifest: track_id, file path, optional label."""
+    """Tab-separated manifest: track_id in [0, 2**32), file path, optional label."""
     entries = []
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -41,7 +45,12 @@ def read_manifest(path) -> list:
             parts = line.split("\t")
             if len(parts) < 2:
                 raise ValueError(f"{path}:{line_no}: expected 'id<TAB>path[<TAB>label]'")
-            tid = int(parts[0])
+            try:
+                tid = int(parts[0])
+            except ValueError:
+                tid = None
+            if tid is None or not 0 <= tid <= TRACK_ID_MAX:
+                raise ValueError(f"{path}:{line_no}: track id must be an integer in [0, {TRACK_ID_MAX}], got {parts[0]!r}")
             if tid in seen:
                 raise ValueError(f"{path}:{line_no}: duplicate track id {tid}")
             seen.add(tid)
@@ -194,9 +203,6 @@ def train_from_manifest(
 # ---------------------------------------------------------------------------
 # Index building
 
-# Length of the reference segments STEP 1 counts matches over.
-SEGMENT_S = 15.0
-
 
 def reduced_prints_for_buffer(buf: AudioBuffer, model: ReductionModel, cfg: PipelineConfig):
     """(kept_frames, reduced (n, bands, 40)) for one buffer."""
@@ -220,8 +226,6 @@ def build_index(
     progress=None,
 ) -> _hashing.CatalogIndex:
     spec = _hashing.make_lsh_spec(lsh_seed)
-    hop = cfg.hop_samples()
-    segment_frames = max(1, int(round(SEGMENT_S * cfg.sample_rate / hop)))
     table = _hashing.HashTable()
     tracks = {}
     for i, entry in enumerate(entries):
@@ -237,10 +241,6 @@ def build_index(
         table=table,
         tracks=tracks,
         lsh_seed=lsh_seed,
-        n_reliable=_hashing.N_RELIABLE,
-        segment_frames=segment_frames,
-        sample_rate=cfg.sample_rate,
-        hop_samples=hop,
         n_bands=cfg.prints.n_bands,
         spec=spec,
     )
@@ -304,7 +304,6 @@ def make_queries(entries, cfg: PipelineConfig, count: int, duration_s: float, se
     then introduce their own desynchronization.
     """
     rng = np.random.default_rng(seed)
-    hop_period = cfg.frame_period()
     queries = []
     durations = {e.track_id: load_track(e, cfg).duration for e in entries}
     usable = [e for e in entries if durations[e.track_id] >= duration_s + 0.5]
@@ -314,7 +313,7 @@ def make_queries(entries, cfg: PipelineConfig, count: int, duration_s: float, se
         entry = usable[rng.integers(len(usable))]
         max_offset = durations[entry.track_id] - duration_s - 0.25
         offset = rng.uniform(0.0, max_offset)
-        offset = round(offset / hop_period) * hop_period
+        offset = round(offset / FRAME_PERIOD) * FRAME_PERIOD
         queries.append(QueryCut(track_id=entry.track_id, offset_s=offset, duration_s=duration_s))
     return queries
 
@@ -342,11 +341,9 @@ def evaluate(
     Success = top-1 track match, per step; the cut offset is recorded as
     ground truth but only identity is scored. ``query_offset`` shifts the
     per-query seed derivation so that split runs reproduce a single run.
-    A ``cfg.spectrogram`` whose hop differs from the index's raises
-    ``ValueError`` before any query runs; a query that fails on its own (no
-    usable analysis window) counts as a miss.
+    A query that fails on its own (no usable analysis window) counts as a
+    miss.
     """
-    _search.check_index_hop(index, cfg.spectrogram)
     t0 = time.monotonic()
     cache: dict = {}
 
@@ -364,9 +361,7 @@ def evaluate(
             if dspec is not None:
                 excerpt = _degrade.apply(dspec.reseeded(_derive_seed(seed, c_idx, query_offset + q_idx)), excerpt)
             try:
-                result = _search.query_index(
-                    excerpt, index, model, print_cfg=cfg.prints, onset_cfg=cfg.onset, spectrogram_cfg=cfg.spectrogram
-                )
+                result = _search.query_index(excerpt, index, model, print_cfg=cfg.prints, onset_cfg=cfg.onset)
             except ValueError:
                 continue
             if len(result.step1_ranking) and result.step1_ranking[0] == q.track_id:

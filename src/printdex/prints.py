@@ -286,7 +286,7 @@ def print_matrix(spec, frames, cfg: PrintConfig | None = None) -> tuple[np.ndarr
     are dropped.
     """
     cfg = cfg or PrintConfig()
-    mapper = _mapper(cfg, spec.n_bins, spec.bin_hz, spec.hop_samples / spec.sample_rate)
+    mapper = _mapper(cfg, spec.n_bins, spec.bin_hz, _audio.FRAME_PERIOD)
     n_seg = mapper.n_seg
     frames = np.asarray(frames, dtype=np.int64)
     kept = frames[frames + n_seg <= spec.n_frames]
@@ -313,30 +313,27 @@ def print_matrix(spec, frames, cfg: PrintConfig | None = None) -> tuple[np.ndarr
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Geometry of the front end: processing rate, spectrogram, anchors, prints."""
+    """Anchor and print geometry of the front end.
 
-    sample_rate: int = _audio.DEFAULT_SAMPLE_RATE
-    spectrogram: _audio.SpectrogramConfig = field(default_factory=_audio.SpectrogramConfig)
+    The processing rate and the STFT geometry are ``audio``'s constants;
+    ``sample_rate`` repeats the rate for callers that cut or load audio.
+    """
+
     onset: _onsets.OnsetConfig = field(default_factory=_onsets.OnsetConfig)
     prints: PrintConfig = field(default_factory=PrintConfig)
-
-    def hop_samples(self) -> int:
-        return self.spectrogram.hop_samples(self.sample_rate)
-
-    def frame_period(self) -> float:
-        return self.hop_samples() / self.sample_rate
+    sample_rate = _audio.SAMPLE_RATE
 
 
 def analyze(buf, cfg: PipelineConfig, frames=None):
     """Spectrogram, anchor frames and raw prints of one buffer.
 
     The one front end of training, indexing and querying. ``buf`` must
-    already be at ``cfg.sample_rate``. When ``frames`` is given the anchors
+    already be at ``audio.SAMPLE_RATE``. When ``frames`` is given the anchors
     are reused instead of re-selected (training transforms degraded variants
     at the original anchor times). Returns (kept_frames, coeffs (n, bands,
     1056)).
     """
-    spec = _audio.stft(buf, cfg.spectrogram)
+    spec = _audio.stft(buf)
     if frames is None:
         frames = _onsets.select_analysis_times(spec, cfg.onset).frames
     return print_matrix(spec, frames, cfg.prints)

@@ -97,9 +97,9 @@ def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: f
     counts, postings = index.table.lookup_many(codes)
     match_tau = np.repeat(times, counts)
     match_track = postings["track"].astype(np.int64)
-    match_segment = postings["time"].astype(np.int64) // index.segment_frames
-    match_t = postings["time"].astype(np.float64) * index.frame_period
-    segment_s = index.segment_frames * index.frame_period
+    match_segment = postings["time"].astype(np.int64) // _hashing.SEGMENT_FRAMES
+    match_t = postings["time"].astype(np.float64) * _audio.FRAME_PERIOD
+    segment_s = _hashing.SEGMENT_FRAMES * _audio.FRAME_PERIOD
     window = int(np.ceil(query_duration / segment_s)) + 1
     if len(match_track) == 0:
         track_ids = np.empty(0, dtype=np.int64)
@@ -243,42 +243,28 @@ def _fit_line(t: np.ndarray, tau: np.ndarray, w: np.ndarray) -> tuple[float, flo
     return alpha, delta
 
 
-def check_index_hop(index, spectrogram_cfg=None):
-    """Return ``spectrogram_cfg`` (the default if None); raise ``ValueError``
-    unless it gives the index's frame hop at the index's sample rate."""
-    spectrogram_cfg = spectrogram_cfg or _audio.SpectrogramConfig()
-    hop = spectrogram_cfg.hop_samples(index.sample_rate)
-    if hop != index.hop_samples:
-        raise ValueError(f"spectrogram hop of {hop} samples does not match the index's {index.hop_samples}")
-    return spectrogram_cfg
-
-
-def query_codes(buf, index, model, print_cfg=None, onset_cfg=None, spectrogram_cfg=None):
-    """Analyze an excerpt into extended codes and their anchor times.
-
-    ``spectrogram_cfg`` must give the index's frame hop at its sample rate;
-    a None config takes its default.
-    """
-    cfg = _prints.PipelineConfig(sample_rate=index.sample_rate, spectrogram=check_index_hop(index, spectrogram_cfg))
-    cfg = replace(cfg, prints=print_cfg or cfg.prints, onset=onset_cfg or cfg.onset)
-    buf = _audio.resample(buf, index.sample_rate)
+def query_codes(buf, index, model, print_cfg=None, onset_cfg=None):
+    """Analyze an excerpt into extended codes and their anchor times."""
+    default = _prints.PipelineConfig()
+    cfg = replace(default, prints=print_cfg or default.prints, onset=onset_cfg or default.onset)
+    buf = _audio.resample(buf, _audio.SAMPLE_RATE)
     buf = _audio.normalize(buf)
     if buf.duration < cfg.prints.window_s:
         raise ValueError(f"excerpt shorter than one {cfg.prints.window_s} s print window")
     kept, coeffs = _prints.analyze(buf, cfg)
     if len(kept) == 0:
         raise ValueError("no usable analysis window in excerpt")
-    anchor_seconds = kept * index.frame_period
+    anchor_seconds = kept * _audio.FRAME_PERIOD
     # a query keeps all 51 codes, so no reliabilities and no sigma_e
     codes = _hashing.derive_codes(reduce_prints(coeffs, model), None, index.spec, _hashing.N_LSH)
     times = np.broadcast_to(anchor_seconds[:, None], codes.shape)
     return codes.reshape(-1), times.reshape(-1), len(kept), buf.duration
 
 
-def query_index(buf, index, model, cfg: SearchConfig | None = None, print_cfg=None, onset_cfg=None, spectrogram_cfg=None) -> QueryResult:
+def query_index(buf, index, model, cfg: SearchConfig | None = None, print_cfg=None, onset_cfg=None) -> QueryResult:
     """Full two-step query of an audio excerpt against a catalog index."""
     cfg = cfg or SearchConfig()
-    codes, times, n_prints, duration = query_codes(buf, index, model, print_cfg, onset_cfg, spectrogram_cfg)
+    codes, times, n_prints, duration = query_codes(buf, index, model, print_cfg, onset_cfg)
     hist = count_matches(codes, times, index, duration)
     candidates = select_candidates(hist)
     results = []

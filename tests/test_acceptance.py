@@ -20,6 +20,7 @@ from printdex.degrade import parse_spec
 from printdex.hashing import (
     EXT_TABLE_SIZE,
     N_LSH,
+    N_RELIABLE,
     collision_mean,
     expected_unchanged,
     make_lsh_spec,
@@ -323,7 +324,7 @@ class TestCriterion6DeskScaleEndToEnd:
 
     def test_catalog_print_count(self, desk_setup):
         s = desk_setup
-        n_prints = s.index.table.n_postings / s.index.n_reliable
+        n_prints = s.index.table.n_postings / N_RELIABLE
         expected = len(s.entries) * 30.0 * 4.0 * 5  # tracks x seconds x F_a x bands
         assert abs(n_prints - expected) / expected < 0.30
 
@@ -370,7 +371,7 @@ class TestCriterion7UniformityBenefit:
                     continue
                 n_prints += len(kept) * s.cfg.prints.n_bands
                 for name, model in models.items():
-                    codes, _ = pipeline.index_postings(kept, reduce_prints(coeffs, model), model, spec, s.index.n_reliable)
+                    codes, _ = pipeline.index_postings(kept, reduce_prints(coeffs, model), model, spec, N_RELIABLE)
                     np.add.at(counts[name], codes, 1)
         ratios = {name: c.max() / (c.sum() / EXT_TABLE_SIZE) for name, c in counts.items()}
         ok = n_prints >= 100_000 and ratios["full"] < ratios["ablated"]

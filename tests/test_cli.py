@@ -11,6 +11,7 @@ from corpus import build_corpus, synth_track
 
 from printdex.audio import load_audio, save_wav
 from printdex.cli import build_parser, main
+from printdex.hashing import N_RELIABLE
 from printdex.pipeline import PipelineConfig, load_track, read_manifest, reduced_prints_for_buffer, write_manifest
 from printdex.reduction import load_model, save_model
 
@@ -62,6 +63,14 @@ class TestManifest:
         path.write_text("# only a comment\n")
         with pytest.raises(ValueError):
             read_manifest(path)
+
+    @pytest.mark.parametrize("track_id", ["-3", "4294967296", "7x"])
+    def test_bad_track_id_rejected_with_line(self, tmp_path, track_id):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"1\t/a.wav\n{track_id}\t/b.wav\n")
+        with pytest.raises(ValueError) as exc:
+            read_manifest(path)
+        assert str(exc.value) == f"{path}:2: track id must be an integer in [0, 4294967295], got '{track_id}'"
 
 
 class TestTrain:
@@ -127,6 +136,19 @@ class TestQueryCommand:
         excerpt_path = str(tmp_path / "s.wav")
         save_wav(excerpt_path, synth_track(1, duration_s=1.0))
         assert main(["query", excerpt_path, "--index", index, "--model", model]) == 1
+
+    def test_index_with_forged_hop_one_line_error(self, cli_setup, tmp_path, capsys):
+        root, manifest, entries, model, index = cli_setup
+        forged = tmp_path / "forged.bmix"
+        raw = bytearray(open(index, "rb").read())
+        raw[26:30] = struct.pack("<I", 441)  # the header's hop in samples
+        forged.write_bytes(raw)
+        excerpt_path = str(tmp_path / "q.wav")
+        save_wav(excerpt_path, synth_track(entries[0].track_id, duration_s=7.0))
+        assert main(["query", excerpt_path, "--index", str(forged), "--model", model]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unsupported index geometry") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("width", [32, 48])
     def test_model_of_other_width_one_line_error(self, cli_setup, tmp_path, capsys, width):
@@ -216,6 +238,21 @@ class TestEvaluateCommand:
         assert main([*args, "--jobs", "2", "--out", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--queries", "0", "--jobs", "2"], "--queries must be at least 1, got 0"),
+            (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+            (["--duration", "2.5"], "--duration must be at least 3, got 2.5"),
+        ],
+    )
+    def test_bad_arguments_one_line_error(self, tmp_path, capsys, extra, message):
+        argv = ["evaluate", "--manifest", str(tmp_path / "m.tsv"), "--index", "i.bmix", "--model", "m.bmrm", *extra]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_default_grid_covers_noise_pitch_stretch(self):
         from printdex.cli import _default_grid
 
@@ -232,7 +269,7 @@ class TestIndexCommand:
 
         root, manifest, entries, model, index = cli_setup
         idx = load_index(index)
-        n_prints = idx.table.n_postings / (idx.n_bands * idx.n_reliable)
+        n_prints = idx.table.n_postings / (idx.n_bands * N_RELIABLE)
         # anchors in the last 3 s have no room for a print window, which on
         # these short 15 s tracks is a fifth of the duration
         expected = len(entries) * (15.0 - 3.0) * 4.0
@@ -359,15 +396,15 @@ class TestInspectCommand:
     ],
 )
 def test_sample_rate_only_where_read(argv, accepted, capsys):
-    """--sample-rate and --verbose exist only on the commands that read them."""
-    for option, dest, value in (["--sample-rate", "8000"], "sample_rate", 8000), (["--verbose"], "verbose", True):
-        if accepted:
-            assert getattr(build_parser().parse_args([*argv, *option]), dest) == value
+    """--verbose exists only on the commands that read it; --sample-rate on none, the rate being fixed."""
+    for option, accepted_here in (["--sample-rate", "8000"], False), (["--verbose"], accepted):
+        if accepted_here:
+            assert build_parser().parse_args([*argv, *option]).verbose is True
         else:
             with pytest.raises(SystemExit) as exc:
                 main([*argv, *option])
             assert exc.value.code == 2
-            assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["white_noise", "white_noise:snr=12", "pitch_shift", "tremolo", "white_noise:snr_db=abc"])
@@ -389,7 +426,7 @@ def test_malformed_spec_one_line_error(spec, command, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and spec.partition(":")[0] in lines[0]
 
 
-COMMON = {"-h", "--help", "--sample-rate", "--verbose"}
+COMMON = {"-h", "--help", "--verbose"}
 CLI_SURFACE = {
     "train": COMMON
     | {"--manifest", "--out", "--seed", "--times-per-track", "--pool-times-per-track", "--lda-dim", "--variant", "--allow-small"},

@@ -343,10 +343,7 @@ def _small_index():
     t = HashTable()
     t.insert([3, 1, 2], [1, 2, 3], [5, 6, 7])
     t.freeze()
-    return CatalogIndex(
-        table=t, tracks={1: TrackInfo(1, "x", 1.0)}, lsh_seed=0, n_reliable=10,
-        segment_frames=10, sample_rate=11025, hop_samples=220,
-    )
+    return CatalogIndex(table=t, tracks={1: TrackInfo(1, "x", 1.0)}, lsh_seed=0)
 
 
 class TestIndexFile:
@@ -360,10 +357,6 @@ class TestIndexFile:
             table=t,
             tracks={1: TrackInfo(1, "one", 30.0), 2: TrackInfo(2, "two", 29.5)},
             lsh_seed=99,
-            n_reliable=10,
-            segment_frames=752,
-            sample_rate=11025,
-            hop_samples=220,
         )
         path = tmp_path / "i.bmix"
         save_index(path, index)
@@ -373,8 +366,6 @@ class TestIndexFile:
         assert back.tracks[2].name == "two"
         assert back.tracks[2].duration == 29.5
         assert back.lsh_seed == 99
-        assert back.n_reliable == 10
-        assert back.segment_frames == 752
         assert np.array_equal(back.spec.selections, make_lsh_spec(99).selections)
 
     def test_file_sized_by_postings(self, tmp_path):
@@ -418,14 +409,25 @@ class TestIndexFile:
         with pytest.raises(ValueError, match=f"unsupported index version {version} in .*old.bmix.*reads version 2"):
             load_index(path)
 
-    @pytest.mark.parametrize("field, value", [(slice(6, 8), 50), (slice(30, 34), 0)], ids=["n_lsh", "segment_frames"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (slice(6, 8), 50),
+            (slice(30, 34), 0),
+            (slice(22, 26), 8000),
+            (slice(26, 30), 441),
+            (slice(8, 10), 51),
+            (slice(30, 34), 751),
+        ],
+        ids=["n_lsh", "segment_frames", "sample_rate", "hop", "n_reliable", "segment_frames_751"],
+    )
     def test_forged_geometry_rejected(self, tmp_path, field, value):
         path = tmp_path / "forged.bmix"
         save_index(path, _small_index())
         raw = bytearray(path.read_bytes())
         raw[field] = value.to_bytes(field.stop - field.start, "little")
         path.write_bytes(raw)
-        with pytest.raises(ValueError, match="unsupported index geometry"):
+        with pytest.raises(ValueError, match=r"unsupported index geometry in .*this build needs \(51, 10, 16, 11025, 220, 752\)$"):
             load_index(path)
 
     @pytest.mark.parametrize("forgery", ["swapped_codes", "code_beyond_24_bits"])

@@ -1,14 +1,12 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from printdex import audio, pipeline, search
-from printdex.audio import SpectrogramConfig, stft
+from printdex import pipeline, search
 from printdex.degrade import apply as apply_degradation
 from printdex.degrade import parse_spec
 from printdex.hashing import (
     N_LSH,
+    N_RELIABLE,
     CatalogIndex,
     HashTable,
     TrackInfo,
@@ -33,11 +31,10 @@ FRAME_PERIOD = 220 / 11025
 F_A = 4.0  # analysis times per second in the synthetic index
 
 
-def _synthetic_index(track_gammas, duration_s=30.0, seed=42, n_reliable=10, n_bands=5):
+def _synthetic_index(track_gammas, duration_s=30.0, seed=42, n_bands=5):
     """Index of random 40-bit codes: track_gammas[track][time_idx][band]."""
     spec = make_lsh_spec(seed)
     rng = np.random.default_rng(seed + 1)
-    segment_frames = int(round(15.0 / FRAME_PERIOD))
     table = HashTable()
     tracks = {}
     for track_id, gammas in track_gammas.items():
@@ -47,15 +44,12 @@ def _synthetic_index(track_gammas, duration_s=30.0, seed=42, n_reliable=10, n_ba
             for b in range(n_bands):
                 bits = ((gammas[ti, b] >> np.arange(40, dtype=np.uint64)) & 1).astype(np.uint8)
                 betas = codes_from_bits(bits[None, :], spec)[0]
-                chosen = np.sort(rng.choice(N_LSH, size=n_reliable, replace=False))
+                chosen = np.sort(rng.choice(N_LSH, size=N_RELIABLE, replace=False))
                 codes = extended_code(b, chosen, betas[chosen])
-                table.insert(codes, np.full(n_reliable, track_id), np.full(n_reliable, frames[ti]))
+                table.insert(codes, np.full(N_RELIABLE, track_id), np.full(N_RELIABLE, frames[ti]))
         tracks[track_id] = TrackInfo(track_id, f"t{track_id}", duration_s)
     table.freeze()
-    return CatalogIndex(
-        table=table, tracks=tracks, lsh_seed=seed, n_reliable=n_reliable,
-        segment_frames=segment_frames, sample_rate=11025, hop_samples=220, n_bands=n_bands, spec=spec,
-    )
+    return CatalogIndex(table=table, tracks=tracks, lsh_seed=seed, n_bands=n_bands, spec=spec)
 
 
 def _query_codes_for(gammas, spec, times):
@@ -100,17 +94,14 @@ class TestCountMatches:
         # frame 75 000 and the first frame of its segment, then the frame before that segment
         table.insert([9, 9, 9], [1, 1, 1], [75000, segment_start, segment_start - 1])
         table.freeze()
-        index = CatalogIndex(
-            table=table, tracks={1: TrackInfo(1, "long", 1500.0)}, lsh_seed=0, n_reliable=10,
-            segment_frames=segment_frames, sample_rate=11025, hop_samples=220,
-        )
+        index = CatalogIndex(table=table, tracks={1: TrackInfo(1, "long", 1500.0)}, lsh_seed=0)
         save_index(tmp_path / "long.bmix", index)
         back = load_index(tmp_path / "long.bmix")
         assert back.table.postings.tobytes() == table.postings.tobytes()
         assert back.table.postings["time"].max() == 75000
         hist = count_matches(np.array([9]), np.array([0.0]), back, 0.0)  # a zero-length query's window is one segment
         assert hist.count_for(1) == 2
-        assert 75000 * back.frame_period in hist.match_t.tolist()
+        assert 75000 * FRAME_PERIOD in hist.match_t.tolist()
 
     def test_empty_query_rejected(self):
         index = _synthetic_index({1: np.random.default_rng(2).integers(0, 1 << 40, (4, 5), dtype=np.uint64)})
@@ -455,35 +446,8 @@ class TestQueryIndex:
         entry = s.entries[3]
         codes, times, n_prints, _ = query_codes(pipeline.load_track(entry, s.cfg), s.index, s.model)
         counts, postings = s.index.table.lookup_many(codes)
-        frames = np.repeat(np.rint(times / s.index.frame_period).astype(np.int64), counts)
+        frames = np.repeat(np.rint(times / FRAME_PERIOD).astype(np.int64), counts)
         same_anchor = (postings["track"] == entry.track_id) & (postings["time"] == frames)
-        per_print = s.index.n_bands * s.index.n_reliable
+        per_print = s.index.n_bands * N_RELIABLE
         assert np.count_nonzero(s.index.table.postings["track"] == entry.track_id) == n_prints * per_print
         assert np.count_nonzero(same_anchor) == n_prints * per_print
-
-    def test_spectrogram_hop_mismatch_rejected(self, small_setup):
-        s = small_setup
-        excerpt = pipeline.cut_excerpt(pipeline.load_track(s.entries[1], s.cfg), 2.0, 7.0)
-        with pytest.raises(ValueError, match="hop"):
-            query_index(excerpt, s.index, s.model, spectrogram_cfg=SpectrogramConfig(hop_s=0.040))
-
-    def test_evaluate_rejects_spectrogram_hop_mismatch(self, small_setup):
-        s = small_setup
-        cfg = dataclasses.replace(s.cfg, spectrogram=SpectrogramConfig(hop_s=0.040))
-        queries = pipeline.make_queries(s.entries, s.cfg, 1, 7.0, seed=3)
-        with pytest.raises(ValueError, match="hop"):
-            pipeline.evaluate(s.index, s.model, s.entries, cfg, queries, [("clean", None, False)])
-
-    def test_evaluate_queries_with_pipeline_spectrogram(self, small_setup, monkeypatch):
-        s = small_setup
-        cfg = dataclasses.replace(s.cfg, spectrogram=SpectrogramConfig(window_s=0.160))
-        seen = []
-
-        def recording_stft(buf, spectrogram_cfg=None):
-            seen.append(spectrogram_cfg)
-            return stft(buf, spectrogram_cfg)
-
-        monkeypatch.setattr(audio, "stft", recording_stft)
-        queries = pipeline.make_queries(s.entries, cfg, 1, 7.0, seed=3)
-        pipeline.evaluate(s.index, s.model, s.entries, cfg, queries, [("clean", None, False)])
-        assert seen == [cfg.spectrogram]
