@@ -296,8 +296,8 @@ class TrackInfo:
 class CatalogIndex:
     """Frozen hash table plus track metadata.
 
-    The rate, hop, segment length and L' are this build's constants; the file
-    header repeats them and ``load_index`` checks them.
+    The rate, hop, segment length, band count and L' are this build's
+    constants; the file header repeats them and ``load_index`` checks them.
     """
 
     table: HashTable
@@ -358,11 +358,11 @@ def load_index(path) -> CatalogIndex:
         (version, n_lsh, n_reliable, lsh_bits, n_bands, seed, sample_rate, hop, segment_frames, n_postings, n_tracks) = header
         if version != INDEX_VERSION:
             raise ValueError(f"unsupported index version {version} in {path!r}: this build reads version {INDEX_VERSION}")
-        geometry = (n_lsh, n_reliable, lsh_bits, sample_rate, hop, segment_frames)
-        expected = (N_LSH, N_RELIABLE, LSH_BITS, _audio.SAMPLE_RATE, _audio.HOP_SAMPLES, SEGMENT_FRAMES)
+        geometry = (n_lsh, n_reliable, lsh_bits, n_bands, sample_rate, hop, segment_frames)
+        expected = (N_LSH, N_RELIABLE, LSH_BITS, N_BANDS, _audio.SAMPLE_RATE, _audio.HOP_SAMPLES, SEGMENT_FRAMES)
         if geometry != expected:
             raise ValueError(
-                f"unsupported index geometry in {path!r}: (L, L', b, sample rate, hop, segment frames) is {geometry}, "
+                f"unsupported index geometry in {path!r}: (L, L', b, bands, sample rate, hop, segment frames) is {geometry}, "
                 f"this build needs {expected}"
             )
         # A forged count must fail here, not as a MemoryError in the read it sizes.

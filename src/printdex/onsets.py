@@ -6,7 +6,9 @@ reference track and on a degraded excerpt line up. The onset function is the
 rectified difference of frame-wise spectral 1-norms, the member of the
 generalized spectral-flux family that a robustness study selected. It is
 smoothed by a zero-delay windowed-sinc filter, and the frames where the
-smoothed series equals its sliding maximum are the anchors.
+smoothed series equals its sliding maximum are the anchors. The 1-norms
+come from ``audio.stft`` (``Spectrogram.norms``), which sums each frame's
+magnitudes as it goes, so this module never sees the magnitudes themselves.
 """
 
 from __future__ import annotations
@@ -54,24 +56,14 @@ class AnalysisTimes:
         return len(self.frames)
 
 
-def _magnitudes(spec) -> np.ndarray:
-    m = getattr(spec, "magnitudes", spec)
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[np.newaxis, :]
-    return m
+def diff_spectral_norms(norms) -> np.ndarray:
+    """Rectified difference of consecutive spectral 1-norms, one per frame.
 
-
-def diff_spectral_norms(spec) -> np.ndarray:
-    """Rectified difference of spectral 1-norms, one value per frame.
-
-    Frame 0 (no predecessor) is 0. Magnitudes are nonnegative (the
-    ``Spectrogram`` contract), so each frame's 1-norm is its plain column
-    sum, with no full-size ``abs`` temporary.
+    ``norms`` is the per-frame magnitude 1-norm series (``Spectrogram.norms``,
+    which ``audio.stft`` sums block by block). Frame 0 (no predecessor) is 0.
     """
-    m = _magnitudes(spec)
-    norms = np.sum(m, axis=0)
-    phi = np.zeros(m.shape[1])
+    norms = np.asarray(norms, dtype=np.float64)
+    phi = np.zeros(len(norms))
     phi[1:] = np.maximum(norms[1:] - norms[:-1], 0.0)
     return phi
 
@@ -133,10 +125,10 @@ def select_times(phi: np.ndarray, mean_lag: float, frame_rate: float) -> Analysi
 
 
 def select_analysis_times(spec, cfg: OnsetConfig | None = None) -> AnalysisTimes:
-    """Full anchor-time selection on a spectrogram (flux, smoothing, maxima)."""
+    """Full anchor-time selection on a spectrogram's frame norms (flux, smoothing, maxima)."""
     cfg = cfg or OnsetConfig()
     frame_rate = spec.frame_rate
-    phi = diff_spectral_norms(spec)
+    phi = diff_spectral_norms(spec.norms)
     coeffs = design_smoother(cfg.t_c, cfg.n, frame_rate)
     smoothed = post_filter(phi, coeffs)
     return select_times(smoothed, cfg.mean_lag, frame_rate)

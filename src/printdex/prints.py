@@ -5,8 +5,10 @@ logarithmic frequency AND logarithmic time axes, so that pitch shifting and
 time stretching become translations. Five overlapping log-frequency bands are
 cut out, amplitudes are floored/weighted/normalized/log-converted, and the
 magnitude of a 2D DFT (invariant to translation) yields 1056 coefficients per
-(anchor, band). ``analyze`` runs the whole front end (STFT, anchor selection,
-prints) for training, indexing and querying alike.
+(anchor, band). The log-frequency axis is applied inside ``audio.stft``, one
+block of frames at a time (``frequency_map``), so the linear-frequency
+spectrogram is never stored. ``analyze`` runs the whole front end (STFT,
+anchor selection, prints) for training, indexing and querying alike.
 """
 
 from __future__ import annotations
@@ -14,15 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.signal
 import scipy.sparse
 
 from printdex import audio as _audio
 from printdex import onsets as _onsets
-
-
-class WindowPastEnd(ValueError):
-    """The 3 s analysis window would run past the end of the signal."""
 
 
 @dataclass(frozen=True)
@@ -184,6 +183,11 @@ class _LogLogMapper:
         freq = _axis_weights(cfg.n_logfreq, cfg.f_min, cfg.f_max, bin_hz, n_bins)
         self.freq_map = scipy.sparse.csr_matrix(freq)
         self.time_map = _axis_weights(cfg.n_logtime, cfg.t_min, cfg.t_max, frame_period, n_seg)
+        # Only segment frames [lo, hi) carry weight (25..127 of 150 by default):
+        # the per-anchor product skips the rest.
+        cols = np.flatnonzero(self.time_map.any(axis=0))
+        self.time_span = (int(cols[0]), int(cols[-1]) + 1)
+        self.time_map_t = self.time_map[:, self.time_span[0] : self.time_span[1]].T
 
     def convert(self, segment: np.ndarray) -> np.ndarray:
         return (self.freq_map @ segment) @ self.time_map.T
@@ -198,13 +202,9 @@ def _mapper(cfg: PrintConfig, n_bins: int, bin_hz: float, frame_period: float) -
     return mapper
 
 
-def extract_window(spec, anchor_frame: int, cfg: PrintConfig | None = None) -> np.ndarray:
-    """Slice the spectrogram columns covering the window after the anchor."""
-    cfg = cfg or PrintConfig()
-    n_seg = cfg.segment_frames(spec.frame_rate)
-    if anchor_frame + n_seg > spec.n_frames:
-        raise WindowPastEnd(f"anchor {anchor_frame} + {n_seg} frames exceeds {spec.n_frames}")
-    return spec.magnitudes[:, anchor_frame : anchor_frame + n_seg]
+def frequency_map(cfg: PrintConfig) -> scipy.sparse.csr_matrix:
+    """The sparse (n_logfreq, bins) map that ``audio.stft`` applies to each frame."""
+    return _mapper(cfg, _audio.Spectrogram.n_bins, _audio.Spectrogram.bin_hz, _audio.FRAME_PERIOD).freq_map
 
 
 def loglog_convert(segment: np.ndarray, cfg: PrintConfig, bin_hz: float, frame_period: float, anchor_time: float = 0.0) -> LogLogSpectrogram:
@@ -281,25 +281,25 @@ def dft2_magnitude(f: np.ndarray, time_index: int = 0, band_index: int = 1) -> H
 def print_matrix(spec, frames, cfg: PrintConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bulk print computation for one spectrogram.
 
-    Returns (kept_frames, coeffs) where coeffs has shape
-    (n_kept, n_bands, n_coeffs). Anchors whose window passes the signal end
-    are dropped.
+    ``spec`` must come from ``audio.stft(buf, frequency_map(cfg))``, so its
+    ``logfreq`` rows are this configuration's log-frequency axis. Returns
+    (kept_frames, coeffs) where coeffs has shape (n_kept, n_bands,
+    n_coeffs). Anchors whose window passes the signal end are dropped.
     """
     cfg = cfg or PrintConfig()
     mapper = _mapper(cfg, spec.n_bins, spec.bin_hz, _audio.FRAME_PERIOD)
-    n_seg = mapper.n_seg
     frames = np.asarray(frames, dtype=np.int64)
-    kept = frames[frames + n_seg <= spec.n_frames]
+    kept = frames[frames + mapper.n_seg <= spec.n_frames]
     if len(kept) == 0:
         return kept, np.zeros((0, cfg.n_bands, cfg.n_coeffs))
-    freq_full = mapper.freq_map @ spec.magnitudes
+    lo, hi = mapper.time_span
     starts = np.array(cfg.band_starts())
     band_rows = starts[:, None] + np.arange(cfg.band_width)[None, :]
     w2d = _hamming2d((cfg.band_width, cfg.n_logtime))
     log_norm = np.log1p(cfg.log_knee)
     out = np.empty((len(kept), cfg.n_bands, cfg.n_coeffs))
     for i, ell in enumerate(kept):
-        h = freq_full[:, ell : ell + n_seg] @ mapper.time_map.T
+        h = spec.logfreq[:, ell + lo : ell + hi] @ mapper.time_map_t
         bands = h[band_rows, :]
         weighted = bands * w2d
         sigma = cfg.floor_ratio * weighted.max(axis=(1, 2), keepdims=True)
@@ -307,7 +307,7 @@ def print_matrix(spec, frames, cfg: PrintConfig | None = None) -> tuple[np.ndarr
         peak = g.max(axis=(1, 2), keepdims=True)
         np.divide(g, peak, out=g, where=peak > 0)
         f = np.log1p(cfg.log_knee * g) / log_norm
-        out[i] = np.abs(np.fft.rfft2(f, axes=(-2, -1))).reshape(cfg.n_bands, -1)
+        out[i] = np.abs(scipy.fft.rfft2(f, axes=(-2, -1))).reshape(cfg.n_bands, -1)
     return kept, out
 
 
@@ -333,18 +333,7 @@ def analyze(buf, cfg: PipelineConfig, frames=None):
     at the original anchor times). Returns (kept_frames, coeffs (n, bands,
     1056)).
     """
-    spec = _audio.stft(buf)
+    spec = _audio.stft(buf, frequency_map(cfg.prints))
     if frames is None:
         frames = _onsets.select_analysis_times(spec, cfg.onset).frames
     return print_matrix(spec, frames, cfg.prints)
-
-
-def compute_prints(spec, times, cfg: PrintConfig | None = None) -> list[HDPrint]:
-    """Prints for all surviving analysis times, ordered by (time, band)."""
-    cfg = cfg or PrintConfig()
-    kept, coeffs = print_matrix(spec, times.frames if hasattr(times, "frames") else times, cfg)
-    prints = []
-    for i, ell in enumerate(kept):
-        for b in range(cfg.n_bands):
-            prints.append(HDPrint(coeffs=coeffs[i, b], time_index=int(ell), band_index=b + 1))
-    return prints

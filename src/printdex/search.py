@@ -245,6 +245,8 @@ def _fit_line(t: np.ndarray, tau: np.ndarray, w: np.ndarray) -> tuple[float, flo
 
 def query_codes(buf, index, model, print_cfg=None, onset_cfg=None):
     """Analyze an excerpt into extended codes and their anchor times."""
+    if model.n_bands != index.n_bands:
+        raise ValueError(f"model has {model.n_bands} bands but the index has {index.n_bands}")
     default = _prints.PipelineConfig()
     cfg = replace(default, prints=print_cfg or default.prints, onset=onset_cfg or default.onset)
     buf = _audio.resample(buf, _audio.SAMPLE_RATE)

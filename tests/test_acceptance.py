@@ -26,7 +26,7 @@ from printdex.hashing import (
     make_lsh_spec,
     simulate_unchanged_codes,
 )
-from printdex.prints import PrintConfig, dft2_magnitude, loglog_convert, modify_amplitudes
+from printdex.prints import PrintConfig, dft2_magnitude, frequency_map, loglog_convert, modify_amplitudes
 from printdex.reduction import (
     BandChain,
     ReductionModel,
@@ -183,7 +183,7 @@ class TestCriterion4PrintInvariance:
         ok &= shift_err <= 1e-9
         details.append(f"dft shift {shift_err:.1e}")
         # pitch translation on synthetic tonal spectra
-        spec = stft(synth_track(1, duration_s=4.0))
+        spec = stft(synth_track(1, duration_s=4.0), frequency_map(cfg))
         period = spec.hop_samples / spec.sample_rate
         freqs = np.arange(spec.n_bins) * spec.bin_hz
         times = np.arange(cfg.segment_frames(spec.frame_rate)) * period

@@ -4,9 +4,11 @@ import scipy.io.wavfile
 import scipy.signal
 
 from printdex import audio
-from printdex.audio import FFT_SIZE, HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, AudioError, load_audio, normalize, resample, save_wav, stft
+from printdex.audio import FFT_SIZE, HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, AudioError, load_audio, normalize, resample, save_wav
+from printdex.prints import PrintConfig, frequency_map
 
 from conftest import make_sine
+from stft_oracle import magnitude_stft, spectrogram
 
 SR = 11025
 
@@ -112,10 +114,13 @@ class TestNormalize:
 
 
 class TestStft:
+    """Magnitude properties, checked on the oracle that ``stft``'s reductions equal exactly."""
+
     def test_all_zero(self):
         buf = AudioBuffer(samples=np.zeros(SR), sample_rate=SR)
-        spec = stft(buf)
-        assert np.all(spec.magnitudes == 0.0)
+        assert np.all(magnitude_stft(buf) == 0.0)
+        spec = spectrogram(buf)
+        assert np.all(spec.logfreq == 0.0) and np.all(spec.norms == 0.0)
         assert spec.n_bins == FFT_SIZE // 2 + 1
 
     def test_fft_size_power_of_two(self):
@@ -125,49 +130,44 @@ class TestStft:
         assert FFT_SIZE >= 2 * WINDOW_SAMPLES
 
     def test_bin_centered_sine_argmax(self):
-        spec0 = stft(make_sine(440, duration=1.0))
         target_bin = 300
-        freq = target_bin * spec0.bin_hz
-        spec = stft(make_sine(freq, duration=1.0))
-        interior = spec.magnitudes[:, 3:-3]
+        freq = target_bin * audio.Spectrogram.bin_hz
+        interior = magnitude_stft(make_sine(freq, duration=1.0))[:, 3:-3]
         assert np.all(np.argmax(interior, axis=0) == target_bin)
 
     def test_impulse_flat_spectrum(self):
         win = WINDOW_SAMPLES
         x = np.zeros(2 * win)
         x[win // 2] = 1.0  # center of frame 0
-        spec = stft(AudioBuffer(samples=x, sample_rate=SR))
         # impulse through a Hann window: |X[k]| = window value at the impulse
-        frame0 = spec.magnitudes[:, 0]
+        frame0 = magnitude_stft(AudioBuffer(samples=x, sample_rate=SR))[:, 0]
         assert np.allclose(frame0, frame0[0], rtol=1e-6)
 
     def test_too_short_buffer(self):
         with pytest.raises(AudioError):
-            stft(AudioBuffer(samples=np.zeros(100), sample_rate=SR))
+            spectrogram(AudioBuffer(samples=np.zeros(100), sample_rate=SR))
 
     def test_hop_shift_moves_columns(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(SR)
-        buf = AudioBuffer(samples=x, sample_rate=SR)
-        spec = stft(buf)
-        hop = spec.hop_samples
-        shifted = stft(AudioBuffer(samples=np.concatenate([np.zeros(hop), x]), sample_rate=SR))
-        n = min(spec.n_frames, shifted.n_frames - 1)
-        assert np.allclose(shifted.magnitudes[:, 1 : n + 1], spec.magnitudes[:, :n], rtol=1e-6, atol=1e-12)
+        mags = magnitude_stft(AudioBuffer(samples=x, sample_rate=SR))
+        shifted = magnitude_stft(AudioBuffer(samples=np.concatenate([np.zeros(HOP_SAMPLES), x]), sample_rate=SR))
+        n = min(mags.shape[1], shifted.shape[1] - 1)
+        assert np.allclose(shifted[:, 1 : n + 1], mags[:, :n], rtol=1e-6, atol=1e-12)
 
     def test_energy_bound_and_finiteness(self):
         rng = np.random.default_rng(1)
         buf = AudioBuffer(samples=rng.uniform(-1, 1, SR), sample_rate=SR)
-        spec = stft(buf)
-        assert np.all(np.isfinite(spec.magnitudes))
-        assert np.all(spec.magnitudes >= 0.0)
+        mags = magnitude_stft(buf)
+        assert np.all(np.isfinite(mags))
+        assert np.all(mags >= 0.0)
         win_energy = np.sum(np.hanning(WINDOW_SAMPLES) ** 2)
         bound = FFT_SIZE * win_energy * np.max(np.abs(buf.samples)) ** 2
-        assert np.all(np.sum(spec.magnitudes**2, axis=0) <= bound)
+        assert np.all(np.sum(mags**2, axis=0) <= bound)
 
     def test_other_rate_rejected(self):
         with pytest.raises(AudioError, match="stft needs audio at 11025 Hz, got 8000 Hz"):
-            stft(make_sine(440, duration=1.0, sr=8000))
+            spectrogram(make_sine(440, duration=1.0, sr=8000))
 
     def test_matches_float64_reference(self):
         rng = np.random.default_rng(2)
@@ -177,25 +177,56 @@ class TestStft:
         ref = np.abs(np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)).T
         # the FFT runs in float32: allow a few dozen roundings of the peak
         atol = 64 * np.finfo(np.float32).eps * ref.max()
-        spec = stft(buf)
-        assert spec.magnitudes.shape == ref.shape
-        np.testing.assert_allclose(spec.magnitudes, ref, rtol=0, atol=atol)
+        mags = magnitude_stft(buf)
+        assert mags.shape == ref.shape
+        np.testing.assert_allclose(mags, ref, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (1, 1), (3, 5)])
     def test_blocking_matches_one_call(self, monkeypatch, blocks, extra):
         n_frames = blocks * audio.STFT_BLOCK_FRAMES + extra
         rng = np.random.default_rng(n_frames)
         buf = AudioBuffer(samples=rng.uniform(-1, 1, WINDOW_SAMPLES + (n_frames - 1) * HOP_SAMPLES), sample_rate=SR)
-        blocked = stft(buf)
+        blocked = magnitude_stft(buf)
         monkeypatch.setattr(audio, "STFT_BLOCK_FRAMES", n_frames)
-        whole = stft(buf)
-        assert blocked.n_frames == n_frames
+        whole = magnitude_stft(buf)
+        assert blocked.shape[1] == n_frames
         # a frame's FFT may take a vectorized or a scalar path depending on its block
-        atol = 4 * np.finfo(np.float32).eps * whole.magnitudes.max()
-        np.testing.assert_allclose(blocked.magnitudes, whole.magnitudes, rtol=0, atol=atol)
+        atol = 4 * np.finfo(np.float32).eps * whole.max()
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=atol)
 
-    def test_magnitudes_c_contiguous_float64(self):
-        # print_matrix's sparse product is several times slower on a Fortran-order view
-        spec = stft(make_sine(440, duration=1.0))
-        assert spec.magnitudes.dtype == np.float64
-        assert spec.magnitudes.flags.c_contiguous
+    def test_logfreq_c_contiguous_float64(self):
+        # print_matrix multiplies column slices of these rows once per anchor
+        spec = spectrogram(make_sine(440, duration=1.0))
+        assert spec.logfreq.shape == (PrintConfig().n_logfreq, spec.n_frames)
+        assert spec.logfreq.dtype == np.float64
+        assert spec.logfreq.flags.c_contiguous
+
+
+def _frames_buffer(n_frames, seed):
+    rng = np.random.default_rng(seed)
+    return AudioBuffer(samples=rng.uniform(-1, 1, WINDOW_SAMPLES + (n_frames - 1) * HOP_SAMPLES), sample_rate=SR)
+
+
+class TestStftReductions:
+    """``stft``'s block-by-block reductions equal the oracle's full-matrix ones bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_buf",
+        [
+            lambda: _frames_buffer(1, 0),
+            lambda: _frames_buffer(63, 1),
+            lambda: _frames_buffer(64, 2),
+            lambda: _frames_buffer(65, 3),
+            lambda: make_sine(523, duration=7.0),
+            lambda: AudioBuffer(samples=np.zeros(7 * SR), sample_rate=SR),
+        ],
+        ids=["one_window", "63_frames", "64_frames", "65_frames", "7s", "silence"],
+    )
+    def test_exact_against_oracle(self, make_buf):
+        buf = make_buf()
+        freq_map = frequency_map(PrintConfig())
+        mags = magnitude_stft(buf)
+        spec = audio.stft(buf, freq_map)
+        assert spec.n_frames == mags.shape[1]
+        assert np.array_equal(spec.logfreq, freq_map @ mags)
+        assert np.array_equal(spec.norms, mags.sum(axis=0))

@@ -418,8 +418,9 @@ class TestIndexFile:
             (slice(26, 30), 441),
             (slice(8, 10), 51),
             (slice(30, 34), 751),
+            (slice(12, 14), 0),
         ],
-        ids=["n_lsh", "segment_frames", "sample_rate", "hop", "n_reliable", "segment_frames_751"],
+        ids=["n_lsh", "segment_frames", "sample_rate", "hop", "n_reliable", "segment_frames_751", "bands"],
     )
     def test_forged_geometry_rejected(self, tmp_path, field, value):
         path = tmp_path / "forged.bmix"
@@ -427,7 +428,7 @@ class TestIndexFile:
         raw = bytearray(path.read_bytes())
         raw[field] = value.to_bytes(field.stop - field.start, "little")
         path.write_bytes(raw)
-        with pytest.raises(ValueError, match=r"unsupported index geometry in .*this build needs \(51, 10, 16, 11025, 220, 752\)$"):
+        with pytest.raises(ValueError, match=r"unsupported index geometry in .*this build needs \(51, 10, 16, 5, 11025, 220, 752\)$"):
             load_index(path)
 
     @pytest.mark.parametrize("forgery", ["swapped_codes", "code_beyond_24_bits"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from printdex.audio import AudioBuffer, stft
+from printdex.audio import AudioBuffer
 from printdex.onsets import (
     design_smoother,
     diff_spectral_norms,
@@ -10,31 +10,32 @@ from printdex.onsets import (
     select_times,
 )
 
+from stft_oracle import magnitude_stft, spectrogram
+
 SR = 11025
 
 
 class TestDiffSpectralNorms:
     def test_constant_energy(self):
-        m = np.outer(np.arange(1, 5), np.ones(6))
-        assert np.allclose(diff_spectral_norms(m), 0.0)
+        norms = np.outer(np.arange(1, 5), np.ones(6)).sum(axis=0)
+        assert np.allclose(diff_spectral_norms(norms), 0.0)
 
     def test_decreasing_energy_rectified_away(self):
-        m = np.array([[5.0, 3.0]])
-        assert np.allclose(diff_spectral_norms(m), [0.0, 0.0])
+        assert np.allclose(diff_spectral_norms([5.0, 3.0]), [0.0, 0.0])
 
     def test_increasing_energy(self):
-        m = np.array([[3.0, 5.0]])
-        assert np.allclose(diff_spectral_norms(m), [0.0, 2.0])
+        assert np.allclose(diff_spectral_norms([3.0, 5.0]), [0.0, 2.0])
 
     def test_equals_abs_form_on_real_spectrogram(self):
         from corpus import synth_track
 
-        m = stft(synth_track(5, duration_s=10.0)).magnitudes
+        buf = synth_track(5, duration_s=10.0)
+        m = magnitude_stft(buf)
         norms = np.sum(np.abs(m), axis=0)
         phi = np.zeros(m.shape[1])
         diff = norms[1:] - norms[:-1]
         phi[1:] = np.abs((diff + np.abs(diff)) / 2.0)  # half-wave rectifier (x + |x|) / 2
-        assert np.array_equal(diff_spectral_norms(m), phi)
+        assert np.array_equal(diff_spectral_norms(spectrogram(buf).norms), phi)
 
 
 class TestSmoother:
@@ -129,12 +130,12 @@ def _noise_modulated_signal(duration, seed=0):
 class TestPipelineProperties:
     def test_shift_covariance(self):
         buf = _noise_modulated_signal(12.0, seed=4)
-        spec = stft(buf)
+        spec = spectrogram(buf)
         t_frames = int(round(0.25 * spec.frame_rate))
         shift_samples = t_frames * spec.hop_samples
         shifted = AudioBuffer(samples=np.concatenate([np.zeros(shift_samples), buf.samples]), sample_rate=SR)
         sel0 = select_analysis_times(spec)
-        sel1 = select_analysis_times(stft(shifted))
+        sel1 = select_analysis_times(spectrogram(shifted))
         # compare interior selections (away from both boundaries)
         lo, hi = 3 * t_frames, spec.n_frames - 3 * t_frames
         interior0 = set(f + t_frames for f in sel0.frames if lo < f < hi)
@@ -144,7 +145,7 @@ class TestPipelineProperties:
 
     def test_density_on_music_like_signal(self):
         buf = _noise_modulated_signal(60.0, seed=9)
-        sel = select_analysis_times(stft(buf))
+        sel = select_analysis_times(spectrogram(buf))
         density = len(sel) / buf.duration
         assert 2.0 <= density <= 8.0
 
@@ -153,12 +154,12 @@ class TestPipelineProperties:
         rates = []
         for seed in range(3):
             buf = _noise_modulated_signal(20.0, seed=seed)
-            spec = stft(buf)
+            spec = spectrogram(buf)
             clean = select_analysis_times(spec).seconds
             rng = np.random.default_rng(100 + seed)
             noise = rng.standard_normal(len(buf.samples))
             noise *= np.sqrt(np.mean(buf.samples**2) / np.mean(noise**2)) * 10 ** (-12 / 20)
-            noisy_sel = select_analysis_times(stft(AudioBuffer(samples=buf.samples + noise, sample_rate=SR)))
+            noisy_sel = select_analysis_times(spectrogram(AudioBuffer(samples=buf.samples + noise, sample_rate=SR)))
             matched = sum(1 for t in clean if np.min(np.abs(noisy_sel.seconds - t)) <= 0.040)
             rates.append(matched / len(clean))
         assert np.mean(rates) >= 0.70

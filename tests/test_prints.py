@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from printdex.audio import AudioBuffer, stft
+from printdex.audio import AudioBuffer, Spectrogram
 from printdex.prints import (
+    PipelineConfig,
     PrintConfig,
-    WindowPastEnd,
-    compute_prints,
+    analyze,
     dft2_magnitude,
-    extract_window,
     loglog_convert,
     modify_amplitudes,
     print_matrix,
@@ -16,35 +15,40 @@ from printdex.prints import (
 )
 
 from conftest import make_sine
+from stft_oracle import WindowPastEnd, compute_prints, extract_window, magnitude_stft, spectrogram
 
 SR = 11025
 CFG = PrintConfig()
 
 
 def _tone_spectrogram(freq, duration=4.0):
-    return stft(make_sine(freq, duration=duration))
+    return spectrogram(make_sine(freq, duration=duration), CFG)
+
+
+def _tone_magnitudes(freq, duration=4.0):
+    return magnitude_stft(make_sine(freq, duration=duration))
 
 
 class TestExtractWindow:
     def test_anchor_zero(self):
-        spec = _tone_spectrogram(440)
-        seg = extract_window(spec, 0, CFG)
-        n_seg = CFG.segment_frames(spec.frame_rate)
-        assert seg.shape == (spec.n_bins, n_seg)
-        assert np.array_equal(seg, spec.magnitudes[:, :n_seg])
+        mags = _tone_magnitudes(440)
+        seg = extract_window(mags, 0, CFG)
+        n_seg = CFG.segment_frames(Spectrogram.frame_rate)
+        assert seg.shape == (Spectrogram.n_bins, n_seg)
+        assert np.array_equal(seg, mags[:, :n_seg])
 
     def test_anchor_too_late_dropped(self):
-        spec = _tone_spectrogram(440)
+        mags = _tone_magnitudes(440)
         with pytest.raises(WindowPastEnd):
-            extract_window(spec, spec.n_frames - 10, CFG)
+            extract_window(mags, mags.shape[1] - 10, CFG)
 
     def test_close_anchors_share_columns(self):
-        spec = _tone_spectrogram(440)
-        offset = int(round(0.25 * spec.frame_rate))
+        mags = _tone_magnitudes(440)
+        offset = int(round(0.25 * Spectrogram.frame_rate))
         assert offset in (12, 13)
-        n_seg = CFG.segment_frames(spec.frame_rate)
-        a = extract_window(spec, 0, CFG)
-        b = extract_window(spec, offset, CFG)
+        n_seg = CFG.segment_frames(Spectrogram.frame_rate)
+        a = extract_window(mags, 0, CFG)
+        b = extract_window(mags, offset, CFG)
         shared = n_seg - offset
         assert 137 <= shared <= 138
         assert np.array_equal(a[:, offset:], b[:, :shared])
@@ -106,10 +110,9 @@ class TestLogLogConvert:
         ratio = (CFG.f_max / CFG.f_min) ** (1.0 / (CFG.n_logfreq - 1))
         factor = ratio**18
         spec1 = _tone_spectrogram(280.0)
-        spec2 = _tone_spectrogram(280.0 * factor)
         period = spec1.hop_samples / spec1.sample_rate
-        h1 = loglog_convert(extract_window(spec1, 5, CFG), CFG, spec1.bin_hz, period).values
-        h2 = loglog_convert(extract_window(spec2, 5, CFG), CFG, spec2.bin_hz, period).values
+        h1 = loglog_convert(extract_window(_tone_magnitudes(280.0), 5, CFG), CFG, spec1.bin_hz, period).values
+        h2 = loglog_convert(extract_window(_tone_magnitudes(280.0 * factor), 5, CFG), CFG, spec1.bin_hz, period).values
         assert abs((np.argmax(h2[:, 30]) - np.argmax(h1[:, 30])) - 18) <= 1
 
 
@@ -200,9 +203,9 @@ class TestComputePrints:
         from printdex.onsets import select_analysis_times
 
         buf = synth_track(55, duration_s=10.0)
-        spec = stft(buf)
+        spec = spectrogram(buf, CFG)
         times = select_analysis_times(spec)
-        prints = compute_prints(spec, times, CFG)
+        prints = compute_prints(spec, times.frames, CFG)
         kept, coeffs = print_matrix(spec, times.frames, CFG)
         usable = [f for f in times.frames if f + CFG.segment_frames(spec.frame_rate) <= spec.n_frames]
         assert len(kept) == len(usable)
@@ -220,27 +223,49 @@ class TestComputePrints:
 
     def test_silence_gives_zero_prints(self):
         buf = AudioBuffer(samples=np.zeros(10 * SR), sample_rate=SR)
-        spec = stft(buf)
+        spec = spectrogram(buf, CFG)
         kept, coeffs = print_matrix(spec, np.array([0, 50]), CFG)
         assert len(kept) == 2
         assert np.all(coeffs == 0.0)
 
     def test_determinism(self):
         buf = _music_like(8.0, seed=6)
-        spec = stft(buf)
+        spec = spectrogram(buf, CFG)
         k1, c1 = print_matrix(spec, np.array([0, 10, 20]), CFG)
         k2, c2 = print_matrix(spec, np.array([0, 10, 20]), CFG)
         assert np.array_equal(c1, c2)
 
     def test_bulk_matches_single_op_path(self):
+        """The blocked STFT, the trimmed time map and scipy's rfft2 change no bit."""
         buf = _music_like(6.0, seed=7)
-        spec = stft(buf)
-        kept, coeffs = print_matrix(spec, np.array([12]), CFG)
-        seg = extract_window(spec, 12, CFG)
-        h = loglog_convert(seg, CFG, spec.bin_hz, spec.hop_samples / spec.sample_rate)
-        for b, band in enumerate(split_bands(h, CFG)):
-            ref = dft2_magnitude(modify_amplitudes(band, CFG)).coeffs
-            assert np.allclose(coeffs[0, b], ref, rtol=1e-10, atol=1e-12)
+        spec = spectrogram(buf, CFG)
+        mags = magnitude_stft(buf)
+        kept, coeffs = print_matrix(spec, np.array([0, 12, 143]), CFG)
+        assert kept.tolist() == [0, 12, 143]
+        for i, ell in enumerate(kept):
+            seg = extract_window(mags, ell, CFG)
+            h = loglog_convert(seg, CFG, spec.bin_hz, spec.hop_samples / spec.sample_rate)
+            for b, band in enumerate(split_bands(h, CFG)):
+                assert np.array_equal(coeffs[i, b], dft2_magnitude(modify_amplitudes(band, CFG)).coeffs)
+
+
+class TestMemory:
+    def test_analyze_peak_below_10_mb(self):
+        """The front end never holds a (bins, frames) matrix: 24.6 MB for 30 s."""
+        import tracemalloc
+
+        from corpus import synth_track
+
+        buf = synth_track(12, duration_s=30.0)
+        cfg = PipelineConfig()
+        analyze(buf, cfg)  # build the cached maps outside the measurement
+        tracemalloc.start()
+        try:
+            analyze(buf, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"analyze peaked at {peak / 1e6:.1f} MB on 30 s"
 
 
 class TestInvarianceProperties:
@@ -276,7 +301,7 @@ class TestInvarianceProperties:
         from printdex.degrade import pitch_shift
 
         def band3_print(buf):
-            spec = stft(buf)
+            spec = spectrogram(buf, CFG)
             kept, coeffs = print_matrix(spec, np.array([10]), CFG)
             return coeffs[0, 2]
 

@@ -16,6 +16,7 @@ from printdex.hashing import (
     make_lsh_spec,
     save_index,
 )
+from printdex.reduction import ReductionModel
 from printdex.search import (
     MatchHistogram,
     cone_weights,
@@ -432,6 +433,13 @@ class TestQueryIndex:
         buf = pipeline.load_track(s.entries[0], s.cfg)
         with pytest.raises(ValueError):
             query_index(pipeline.cut_excerpt(buf, 0.0, 2.0), s.index, s.model)
+
+    def test_model_with_other_band_count_rejected(self, small_setup):
+        s = small_setup
+        four_bands = ReductionModel(bands=s.model.bands[:4], in_dim=s.model.in_dim, out_dim=s.model.out_dim)
+        buf = pipeline.load_track(s.entries[0], s.cfg)
+        with pytest.raises(ValueError, match=r"^model has 4 bands but the index has 5$"):
+            query_index(buf, s.index, four_bands)
 
     def test_degraded_query_still_found(self, small_setup):
         s = small_setup
