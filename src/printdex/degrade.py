@@ -45,6 +45,9 @@ PARAMS = {
     "external_command": (("command",), ()),
 }
 TEXT_PARAMS = ("path", "gains_db", "steps", "command")
+# Numeric parameters that must be positive: the compressor divides by its
+# ratio, and the reverb's impulse response lasts rt60_s.
+POSITIVE_PARAMS = ("ratio", "rt60_s")
 
 
 class DegradationError(RuntimeError):
@@ -64,8 +67,14 @@ class DegradationSpec:
         for name, value in self.params.items():
             if name not in required + optional:
                 raise DegradationError(f"{self.kind} has no parameter {name!r}")
-            if name not in TEXT_PARAMS and not isinstance(value, numbers.Real):
+            if name in TEXT_PARAMS:
+                continue
+            if not isinstance(value, numbers.Real):
                 raise DegradationError(f"{self.kind} parameter {name!r} must be a number, got {value!r}")
+            if not np.isfinite(value):
+                raise DegradationError(f"{self.kind} parameter {name!r} must be finite, got {value!r}")
+            if name in POSITIVE_PARAMS and value <= 0:
+                raise DegradationError(f"{self.kind} parameter {name!r} must be positive, got {value!r}")
         for name in required:
             if name not in self.params:
                 raise DegradationError(f"{self.kind} needs parameter {name!r}")
@@ -165,6 +174,8 @@ def _compress(x: np.ndarray, sr: int, ratio: float, release_ms: float) -> np.nda
 
 def _reverb(x: np.ndarray, sr: int, mix_db: float, rng: np.random.Generator, rt60: float = REVERB_RT60_S) -> np.ndarray:
     n_ir = int(rt60 * sr)
+    if n_ir < 1:
+        raise DegradationError(f"reverb_synthetic rt60_s={rt60!r} gives an impulse response with no samples at {sr} Hz")
     t = np.arange(n_ir) / sr
     ir = rng.standard_normal(n_ir) * np.exp(-6.907755 * t / rt60)
     wet = scipy.signal.fftconvolve(x, ir)[: len(x)]
@@ -217,9 +228,9 @@ def time_stretch(x: np.ndarray, sr: int, factor: float) -> np.ndarray:
     rather than amplified.
     The result is cut or zero-padded at the end to round(len(x) * factor).
     """
-    if factor <= 0:
-        raise DegradationError("stretch factor must be positive")
     target = int(round(len(x) * factor))
+    if target < 1:
+        raise DegradationError(f"time_stretch factor {factor!r} leaves no samples of a {len(x)}-sample input")
     n_fft, hop = 1024, 256
     if len(x) < n_fft + hop:
         x = np.pad(x, (0, n_fft + hop - len(x)))

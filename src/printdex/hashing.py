@@ -6,9 +6,12 @@ A reduced 40-dim print is binarized by sign into a 40-bit integer. Exact
 degradation that flips a few bits corrupts some of the 51 codes but rarely
 all. Codes from the 5 bands and 51 selections share one table through 24-bit
 extended codes (8-bit slot = band * 51 + selection, plus the 16-bit code).
-``derive_codes`` is the one derivation from reduced prints to extended codes:
-the index stores each print's 10 most reliable codes and a query looks up all
-51, both through it, so that reference and query sub-codes agree bit for bit.
+``derive_codes`` is the one derivation from reduced prints to extended codes,
+batched over bands and prints: the index stores each print's 10 most reliable
+codes and a query looks up all 51, both through it, so that reference and
+query sub-codes agree bit for bit. The one-print scalar forms and the
+Monte-Carlo check of ``expected_unchanged`` are test oracles
+(``tests/reference.py``).
 
 The table is one array of (code, track, time) postings sorted in that order,
 so the index file grows with the catalog; lookups go through 2^18 + 1 bucket
@@ -41,17 +44,6 @@ INDEX_VERSION = 2
 
 _POSTING_DTYPE = np.dtype([("code", "<u4"), ("track", "<u4"), ("time", "<u4")])
 _MASK64 = (1 << 64) - 1
-
-
-def binarize(z) -> int:
-    """40-bit code: bit k set iff component k >= 0."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (CODE_BITS,):
-        raise ValueError(f"expected {CODE_BITS} components, got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite component in reduced print")
-    bits = (z >= 0).astype(np.uint64)
-    return int((bits << np.arange(CODE_BITS, dtype=np.uint64)).sum())
 
 
 def binarize_bits(z: np.ndarray) -> np.ndarray:
@@ -102,31 +94,11 @@ def make_lsh_spec(seed: int) -> LshSpec:
     return LshSpec(seed=seed, selections=selections)
 
 
-def derive_lsh_codes(gamma: int, spec: LshSpec) -> np.ndarray:
-    """The 51 16-bit codes of one 40-bit code."""
-    bits = np.array([(gamma >> k) & 1 for k in range(CODE_BITS)], dtype=np.uint16)
-    return codes_from_bits(bits[None, :], spec)[0]
-
-
 def codes_from_bits(bits: np.ndarray, spec: LshSpec) -> np.ndarray:
     """Batch code derivation: (..., 40) bits -> (..., 51) uint16."""
     gathered = bits[..., spec.selections.astype(np.int64)].astype(np.uint16)
     weights = (1 << np.arange(LSH_BITS, dtype=np.uint16)).astype(np.uint16)
     return (gathered * weights).sum(axis=-1, dtype=np.uint32).astype(np.uint16)
-
-
-def reliability(z: np.ndarray, sigma_e: np.ndarray, spec: LshSpec) -> np.ndarray:
-    """Probability that no bit of each code flips under Gaussian perturbation.
-
-    Per component, p_k = Phi(-|z_k| / sigma_k) is the sign-flip probability;
-    a code survives when none of its 16 selected bits flip (independence
-    approximation).
-    """
-    z = np.asarray(z, dtype=np.float64)
-    sigma_e = np.asarray(sigma_e, dtype=np.float64)
-    p_flip = 0.5 * scipy.special.erfc(np.abs(z) / (sigma_e * np.sqrt(2.0)))
-    keep = np.log1p(-np.minimum(p_flip, 1.0 - 1e-300))
-    return np.exp(keep[spec.selections.astype(np.int64)].sum(axis=1))
 
 
 def reliability_batch(z: np.ndarray, sigma_e: np.ndarray, spec: LshSpec) -> np.ndarray:
@@ -178,8 +150,11 @@ def derive_codes(reduced: np.ndarray, sigma_e, spec: LshSpec, n_keep: int) -> np
 def expected_unchanged(k: int) -> float:
     """Mean number of the 51 codes surviving k corrupted bits out of 40.
 
-    Independence model: each selected bit survives with probability
-    1 - k/40, a 16-bit code with (1 - k/40)**16.
+    The independence approximation of the paper's table: each selected bit
+    survives with probability 1 - k/40, a 16-bit code with (1 - k/40)**16,
+    giving 34.0/6.02/0.86 at k = 1/5/9. With exactly k distinct bits flipped,
+    a code survives when its 16 positions avoid all k, so the exact count is
+    51 * C(40 - k, 16) / C(40, 16): 30.6/3.29/0.24 at k = 1/5/9.
     """
     if not 0 <= k <= CODE_BITS:
         raise ValueError(f"k must be in [0, {CODE_BITS}]")
@@ -189,24 +164,6 @@ def expected_unchanged(k: int) -> float:
 def collision_mean() -> float:
     """Mean collisions of one code pair for unrelated audio: L / 2^b."""
     return N_LSH / float(1 << LSH_BITS)
-
-
-def simulate_unchanged_codes(k: int, trials: int, seed: int = 0, spec: LshSpec | None = None) -> float:
-    """Monte-Carlo estimate of expected_unchanged(k).
-
-    Bits flip independently with probability k/40 (k corrupted bits on
-    average). A derived code is unchanged exactly when none of its selected
-    bits flipped, so survival is counted from the flip pattern directly;
-    equivalence with comparing derived codes is covered by the unit tests.
-    """
-    spec = spec or make_lsh_spec(0)
-    rng = np.random.default_rng(seed)
-    flips = (rng.random((trials, CODE_BITS)) < k / CODE_BITS).astype(np.float64)
-    onehot = np.zeros((CODE_BITS, N_LSH))
-    for ell in range(N_LSH):
-        onehot[spec.selections[ell].astype(np.int64), ell] = 1.0
-    flipped_per_code = flips @ onehot
-    return float((flipped_per_code == 0).sum(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +185,18 @@ def _directory(codes: np.ndarray) -> np.ndarray:
 
 
 class HashTable:
-    """Postings sorted by (code, track, time) and their bucket directory ``offsets``."""
+    """Postings sorted by (code, track, time) and their bucket directory ``offsets``.
+
+    Inserts collect until ``freeze`` sorts them; ``postings`` is None until then.
+    """
 
     def __init__(self):
         self._pending: list = []
-        self.frozen = False
         self.offsets: np.ndarray | None = None
         self.postings: np.ndarray | None = None
 
     def insert(self, codes, tracks, times) -> None:
-        if self.frozen:
+        if self.postings is not None:
             raise RuntimeError("cannot insert into a frozen table")
         codes = np.atleast_1d(np.asarray(codes))
         if codes.size and (codes.min() < 0 or codes.max() >= EXT_TABLE_SIZE):
@@ -253,20 +212,19 @@ class HashTable:
         self._pending.append(recs)
 
     def freeze(self) -> None:
-        if self.frozen:
+        if self.postings is not None:
             return
         recs = np.concatenate(self._pending) if self._pending else np.empty(0, dtype=_POSTING_DTYPE)
         self.postings = recs[np.lexsort((recs["time"], recs["track"], recs["code"]))]
         self.offsets = _directory(self.postings["code"])
         self._pending = []
-        self.frozen = True
 
     def lookup_many(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Postings for many codes at once.
 
         Returns (counts per code, concatenated postings in code order).
         """
-        if not self.frozen:
+        if self.postings is None:
             raise RuntimeError("freeze the table before lookup")
         codes = np.asarray(codes, dtype=np.int64)
         starts = self.offsets[codes >> DIR_SHIFT]
@@ -287,7 +245,8 @@ class HashTable:
 
 @dataclass
 class TrackInfo:
-    track_id: int
+    """Name and duration of one catalog track; ``CatalogIndex.tracks`` keys it by id."""
+
     name: str
     duration: float
 
@@ -314,7 +273,7 @@ class CatalogIndex:
 def save_index(path, index: CatalogIndex) -> None:
     """Write the version-2 BMIX index file: header, sorted postings, track records."""
     table = index.table
-    if not table.frozen:
+    if table.postings is None:
         raise RuntimeError("freeze the table before saving")
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
@@ -381,11 +340,12 @@ def load_index(path) -> CatalogIndex:
         for _ in range(n_tracks):
             tid, duration, name_len = struct.unpack("<IdH", _read_exact(fh, 14, path, "track record"))
             name = _read_exact(fh, name_len, path, "track name").decode("utf-8")
-            tracks[tid] = TrackInfo(track_id=tid, name=name, duration=duration)
+            if tid in tracks:
+                raise ValueError(f"corrupt index file {path!r}: track id {tid} is recorded twice")
+            tracks[tid] = TrackInfo(name=name, duration=duration)
     table = HashTable()
     table.offsets = _directory(codes)
     table.postings = postings
-    table.frozen = True
     return CatalogIndex(
         table=table,
         tracks=tracks,

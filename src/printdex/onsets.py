@@ -47,13 +47,9 @@ class OnsetConfig:
 
 @dataclass(frozen=True)
 class AnalysisTimes:
-    """Selected anchor frames (strictly increasing) and their times in seconds."""
+    """Selected anchor frames, strictly increasing; frame ``ell`` is at ``ell * audio.FRAME_PERIOD`` s."""
 
     frames: np.ndarray
-    seconds: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.frames)
 
 
 def diff_spectral_norms(norms) -> np.ndarray:
@@ -121,7 +117,7 @@ def select_times(phi: np.ndarray, mean_lag: float, frame_rate: float) -> Analysi
     keep = mask.copy()
     keep[1:] &= ~(mask[:-1] & (phi[1:] == phi[:-1]))
     frames = np.flatnonzero(keep)
-    return AnalysisTimes(frames=frames, seconds=frames / frame_rate)
+    return AnalysisTimes(frames=frames)
 
 
 def select_analysis_times(spec, cfg: OnsetConfig | None = None) -> AnalysisTimes:

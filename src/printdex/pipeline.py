@@ -233,7 +233,7 @@ def build_index(
         kept, reduced = reduced_prints_for_buffer(buf, model, cfg)
         codes, frames = index_postings(kept, reduced, model, spec, _hashing.N_RELIABLE)
         table.insert(codes, np.full(len(codes), entry.track_id), frames)
-        tracks[entry.track_id] = _hashing.TrackInfo(track_id=entry.track_id, name=entry.label or entry.path, duration=buf.duration)
+        tracks[entry.track_id] = _hashing.TrackInfo(name=entry.label or entry.path, duration=buf.duration)
         if progress:
             progress(f"indexed {i + 1}/{len(entries)} tracks ({len(kept)} prints)")
     table.freeze()
@@ -277,8 +277,11 @@ class EvalCell:
 @dataclass
 class EvalReport:
     cells: list
-    total_queries: int
     runtime_s: float = 0.0
+
+    @property
+    def total_queries(self) -> int:
+        return sum(c.n_queries for c in self.cells)
 
     def to_tsv(self) -> str:
         """Machine-readable grid; deliberately excludes runtime (determinism)."""
@@ -373,7 +376,7 @@ def evaluate(
         cells.append(EvalCell(label=label, n_queries=len(queries), step1_ok=s1, step2_ok=s2, partial=partial))
         if progress:
             progress(f"{label}: step1 {cells[-1].step1_rate:.1f}% step2 {cells[-1].step2_rate:.1f}%")
-    return EvalReport(cells=cells, total_queries=len(queries) * len(conditions), runtime_s=time.monotonic() - t0)
+    return EvalReport(cells=cells, runtime_s=time.monotonic() - t0)
 
 
 def merge_reports(reports) -> EvalReport:
@@ -386,8 +389,4 @@ def merge_reports(reports) -> EvalReport:
             cell.n_queries += add.n_queries
             cell.step1_ok += add.step1_ok
             cell.step2_ok += add.step2_ok
-    return EvalReport(
-        cells=merged,
-        total_queries=sum(r.total_queries for r in reports),
-        runtime_s=max(r.runtime_s for r in reports),
-    )
+    return EvalReport(cells=merged, runtime_s=max(r.runtime_s for r in reports))

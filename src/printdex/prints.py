@@ -7,8 +7,11 @@ cut out, amplitudes are floored/weighted/normalized/log-converted, and the
 magnitude of a 2D DFT (invariant to translation) yields 1056 coefficients per
 (anchor, band). The log-frequency axis is applied inside ``audio.stft``, one
 block of frames at a time (``frequency_map``), so the linear-frequency
-spectrogram is never stored. ``analyze`` runs the whole front end (STFT,
-anchor selection, prints) for training, indexing and querying alike.
+spectrogram is never stored. ``print_matrix`` takes every band of every
+anchor in one pass, with the geometry derived once per ``PrintConfig``;
+``analyze`` runs the whole front end (STFT, anchor selection, prints) for
+training, indexing and querying alike. The stage-by-stage single-print path
+is a test oracle (``tests/stft_oracle.py``).
 """
 
 from __future__ import annotations
@@ -64,31 +67,6 @@ class PrintConfig:
 
     def segment_frames(self, frame_rate: float) -> int:
         return int(round(self.window_s * frame_rate))
-
-
-@dataclass(frozen=True)
-class LogLogSpectrogram:
-    """94x64 nonnegative matrix on geometric frequency/time grids."""
-
-    values: np.ndarray
-    anchor_time: float
-
-
-@dataclass(frozen=True)
-class BandMatrix:
-    values: np.ndarray
-    band_index: int  # 1-based
-    kappa_min: int
-    kappa_max: int
-
-
-@dataclass(frozen=True)
-class HDPrint:
-    """1056 nonnegative 2D-DFT magnitudes for one (anchor time, band)."""
-
-    coeffs: np.ndarray
-    time_index: int
-    band_index: int  # 1-based
 
 
 def _simpson_weights(m: int, s: float) -> np.ndarray:
@@ -175,110 +153,45 @@ _MAPPER_CACHE: dict = {}
 
 
 class _LogLogMapper:
-    """Precomputed separable operators H = F @ segment @ T.T for one geometry."""
+    """Everything ``print_matrix`` derives from one ``PrintConfig``.
 
-    def __init__(self, cfg: PrintConfig, n_bins: int, bin_hz: float, frame_period: float):
-        n_seg = int(round(cfg.window_s / frame_period))
-        self.n_seg = n_seg
-        freq = _axis_weights(cfg.n_logfreq, cfg.f_min, cfg.f_max, bin_hz, n_bins)
+    ``freq_map`` takes STFT bins to the log-frequency rows (``audio.stft``
+    applies it); ``time_map_t`` takes the segment frames after an anchor to
+    the log-time columns, trimmed to the frames [lo, hi) = ``time_span`` that
+    carry weight (25..127 of 150 by default). ``band_rows`` indexes the
+    overlapping bands out of the log-log matrix, ``taper`` is the 2D Hamming
+    weighting of one band and ``log_norm`` the log(1 + a) normaliser.
+    """
+
+    def __init__(self, cfg: PrintConfig):
+        self.n_seg = cfg.segment_frames(_audio.Spectrogram.frame_rate)
+        freq = _axis_weights(cfg.n_logfreq, cfg.f_min, cfg.f_max, _audio.Spectrogram.bin_hz, _audio.Spectrogram.n_bins)
         self.freq_map = scipy.sparse.csr_matrix(freq)
-        self.time_map = _axis_weights(cfg.n_logtime, cfg.t_min, cfg.t_max, frame_period, n_seg)
-        # Only segment frames [lo, hi) carry weight (25..127 of 150 by default):
-        # the per-anchor product skips the rest.
-        cols = np.flatnonzero(self.time_map.any(axis=0))
+        time_map = _axis_weights(cfg.n_logtime, cfg.t_min, cfg.t_max, _audio.FRAME_PERIOD, self.n_seg)
+        cols = np.flatnonzero(time_map.any(axis=0))
         self.time_span = (int(cols[0]), int(cols[-1]) + 1)
-        self.time_map_t = self.time_map[:, self.time_span[0] : self.time_span[1]].T
+        self.time_map_t = time_map[:, self.time_span[0] : self.time_span[1]].T
+        self.band_rows = np.array(cfg.band_starts())[:, None] + np.arange(cfg.band_width)[None, :]
+        self.taper = np.outer(
+            scipy.signal.windows.hamming(cfg.band_width, sym=True),
+            scipy.signal.windows.hamming(cfg.n_logtime, sym=True),
+        )
+        self.log_norm = np.log1p(cfg.log_knee)
 
-    def convert(self, segment: np.ndarray) -> np.ndarray:
-        return (self.freq_map @ segment) @ self.time_map.T
 
-
-def _mapper(cfg: PrintConfig, n_bins: int, bin_hz: float, frame_period: float) -> _LogLogMapper:
-    key = (cfg, n_bins, bin_hz, frame_period)
-    mapper = _MAPPER_CACHE.get(key)
+def _mapper(cfg: PrintConfig) -> _LogLogMapper:
+    mapper = _MAPPER_CACHE.get(cfg)
     if mapper is None:
-        mapper = _LogLogMapper(cfg, n_bins, bin_hz, frame_period)
-        _MAPPER_CACHE[key] = mapper
+        mapper = _MAPPER_CACHE[cfg] = _LogLogMapper(cfg)
     return mapper
 
 
 def frequency_map(cfg: PrintConfig) -> scipy.sparse.csr_matrix:
     """The sparse (n_logfreq, bins) map that ``audio.stft`` applies to each frame."""
-    return _mapper(cfg, _audio.Spectrogram.n_bins, _audio.Spectrogram.bin_hz, _audio.FRAME_PERIOD).freq_map
+    return _mapper(cfg).freq_map
 
 
-def loglog_convert(segment: np.ndarray, cfg: PrintConfig, bin_hz: float, frame_period: float, anchor_time: float = 0.0) -> LogLogSpectrogram:
-    """Resample a linear (Hz x seconds) segment onto the geometric grid.
-
-    ``bin_hz`` is the source frequency-bin spacing, ``frame_period`` the source
-    frame spacing in seconds; segment time 0 is the anchor.
-    """
-    segment = np.asarray(segment, dtype=np.float64)
-    mapper = _mapper(cfg, segment.shape[0], bin_hz, frame_period)
-    if segment.shape[1] != mapper.n_seg:
-        raise ValueError(f"expected {mapper.n_seg} segment frames, got {segment.shape[1]}")
-    return LogLogSpectrogram(values=mapper.convert(segment), anchor_time=anchor_time)
-
-
-def split_bands(h: LogLogSpectrogram | np.ndarray, cfg: PrintConfig | None = None) -> list[BandMatrix]:
-    """Cut the overlapping log-frequency bands out of the log-log matrix."""
-    cfg = cfg or PrintConfig()
-    values = h.values if isinstance(h, LogLogSpectrogram) else np.asarray(h)
-    bands = []
-    for b, start in enumerate(cfg.band_starts(), start=1):
-        stop = start + cfg.band_width
-        bands.append(BandMatrix(values=values[start:stop, :], band_index=b, kappa_min=start, kappa_max=stop - 1))
-    return bands
-
-
-_WINDOW_CACHE: dict = {}
-
-
-def _hamming2d(shape: tuple[int, int]) -> np.ndarray:
-    w = _WINDOW_CACHE.get(shape)
-    if w is None:
-        w = np.outer(
-            scipy.signal.windows.hamming(shape[0], sym=True),
-            scipy.signal.windows.hamming(shape[1], sym=True),
-        )
-        _WINDOW_CACHE[shape] = w
-    return w
-
-
-def modify_amplitudes(h: BandMatrix | np.ndarray, cfg: PrintConfig | None = None) -> np.ndarray:
-    """Floor, 2D-weight, max-normalize and log-convert one band matrix.
-
-    The floor sigma = floor_ratio * max(h * w) inhibits low-level noise; the
-    Hamming weighting tapers the borders (reducing DFT edge effects); the
-    final log(1 + a g) / log(1 + a) maps [0, 1] to itself, linear near 0 and
-    compressive near 1. All-zero input stays all-zero.
-    """
-    cfg = cfg or PrintConfig()
-    values = h.values if isinstance(h, BandMatrix) else np.asarray(h, dtype=np.float64)
-    if np.any(values < 0):
-        raise ValueError("band magnitudes must be nonnegative")
-    w = _hamming2d(values.shape)
-    sigma = cfg.floor_ratio * float((values * w).max())
-    g = np.maximum(sigma, values) * w
-    peak = g.max()
-    if peak == 0.0:
-        return np.zeros_like(g)
-    g /= peak
-    return np.log1p(cfg.log_knee * g) / np.log1p(cfg.log_knee)
-
-
-def dft2_magnitude(f: np.ndarray, time_index: int = 0, band_index: int = 1) -> HDPrint:
-    """2D-DFT magnitude of the modified band, halved along the log-time axis.
-
-    Keeps all rows (log-frequency frequencies) and the nonnegative log-time
-    frequencies, i.e. band_width x (n_logtime/2 + 1) values, vectorized
-    row-major.
-    """
-    mags = np.abs(np.fft.rfft2(np.asarray(f, dtype=np.float64)))
-    return HDPrint(coeffs=mags.reshape(-1), time_index=time_index, band_index=band_index)
-
-
-def print_matrix(spec, frames, cfg: PrintConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def print_matrix(spec, frames, cfg: PrintConfig) -> tuple[np.ndarray, np.ndarray]:
     """Bulk print computation for one spectrogram.
 
     ``spec`` must come from ``audio.stft(buf, frequency_map(cfg))``, so its
@@ -286,27 +199,22 @@ def print_matrix(spec, frames, cfg: PrintConfig | None = None) -> tuple[np.ndarr
     (kept_frames, coeffs) where coeffs has shape (n_kept, n_bands,
     n_coeffs). Anchors whose window passes the signal end are dropped.
     """
-    cfg = cfg or PrintConfig()
-    mapper = _mapper(cfg, spec.n_bins, spec.bin_hz, _audio.FRAME_PERIOD)
+    mapper = _mapper(cfg)
     frames = np.asarray(frames, dtype=np.int64)
     kept = frames[frames + mapper.n_seg <= spec.n_frames]
     if len(kept) == 0:
         return kept, np.zeros((0, cfg.n_bands, cfg.n_coeffs))
     lo, hi = mapper.time_span
-    starts = np.array(cfg.band_starts())
-    band_rows = starts[:, None] + np.arange(cfg.band_width)[None, :]
-    w2d = _hamming2d((cfg.band_width, cfg.n_logtime))
-    log_norm = np.log1p(cfg.log_knee)
     out = np.empty((len(kept), cfg.n_bands, cfg.n_coeffs))
     for i, ell in enumerate(kept):
         h = spec.logfreq[:, ell + lo : ell + hi] @ mapper.time_map_t
-        bands = h[band_rows, :]
-        weighted = bands * w2d
+        bands = h[mapper.band_rows, :]
+        weighted = bands * mapper.taper
         sigma = cfg.floor_ratio * weighted.max(axis=(1, 2), keepdims=True)
-        g = np.maximum(sigma, bands) * w2d
+        g = np.maximum(sigma, bands) * mapper.taper
         peak = g.max(axis=(1, 2), keepdims=True)
         np.divide(g, peak, out=g, where=peak > 0)
-        f = np.log1p(cfg.log_knee * g) / log_norm
+        f = np.log1p(cfg.log_knee * g) / mapper.log_norm
         out[i] = np.abs(scipy.fft.rfft2(f, axes=(-2, -1))).reshape(cfg.n_bands, -1)
     return kept, out
 

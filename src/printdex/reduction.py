@@ -403,16 +403,6 @@ def compose_final(chain: BandChain) -> BandChain:
     return chain
 
 
-def apply_chain(chain: BandChain, x: np.ndarray) -> np.ndarray:
-    """Stage-by-stage application (reference path for the factorized map)."""
-    chain.check_stages()
-    z = chain.p_iccr @ x
-    z = chain.p_lda @ z
-    z = chain.p_ica @ z + (chain.t_ica if z.ndim == 1 else chain.t_ica[:, None])
-    z = chain.p_ompca @ z
-    return chain.p_ht @ z
-
-
 def apply_reduction(x: np.ndarray, model: ReductionModel, band: int) -> np.ndarray:
     """Reduce prints of one band (0-based) with the factorized affine map.
 
@@ -423,10 +413,7 @@ def apply_reduction(x: np.ndarray, model: ReductionModel, band: int) -> np.ndarr
     chain = model.bands[band]
     if chain.p_final is None:
         raise TrainingError("model not composed")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return chain.p_final @ x + chain.t_final
-    return x @ chain.p_final.T + chain.t_final
+    return np.asarray(x, dtype=np.float64) @ chain.p_final.T + chain.t_final
 
 
 def reduce_prints(coeffs: np.ndarray, model: ReductionModel) -> np.ndarray:

@@ -51,7 +51,6 @@ class MatchHistogram:
     match_track: np.ndarray  # one entry per raw code match
     match_t: np.ndarray  # reference time (s)
     match_tau: np.ndarray  # query time (s)
-    query_duration: float
 
     def count_for(self, track_id: int) -> int:
         hits = np.flatnonzero(self.track_ids == track_id)
@@ -121,7 +120,6 @@ def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: f
         match_track=match_track,
         match_t=match_t,
         match_tau=match_tau,
-        query_duration=query_duration,
     )
 
 
@@ -181,7 +179,7 @@ def cone_weights(t: np.ndarray, tau: np.ndarray, alpha_max: float) -> np.ndarray
     return weights
 
 
-def time_coherence(t: np.ndarray, tau: np.ndarray, weights: np.ndarray | None, sigma: float) -> tuple[float, float]:
+def time_coherence(t: np.ndarray, tau: np.ndarray, weights: np.ndarray, sigma: float) -> tuple[float, float]:
     """Best weighted alignment mass over offsets u = t - tau.
 
     Histogram with bin width sigma plus one-bin neighbor smoothing; returns
@@ -193,8 +191,6 @@ def time_coherence(t: np.ndarray, tau: np.ndarray, weights: np.ndarray | None, s
     tau = np.asarray(tau, dtype=np.float64)
     if len(t) == 0:
         return 0.0, 0.0
-    if weights is None:
-        weights = np.ones(len(t))
     u = t - tau
     bins = np.floor(u / sigma).astype(np.int64)
     bmin = bins.min()

@@ -1,0 +1,74 @@
+"""Test-side reference forms of the hashing and reduction stages.
+
+The production paths (``hashing.derive_codes``, ``reduction.reduce_prints``)
+are batched and use the composed affine map; these take one print, or one
+stage, at a time. The two survival simulations check the LSH model: under
+its independence approximation, and with exactly k flipped bits.
+"""
+
+import numpy as np
+import scipy.special
+
+from printdex.hashing import CODE_BITS, LshSpec, codes_from_bits, make_lsh_spec
+from printdex.reduction import BandChain
+
+
+def binarize(z) -> int:
+    """40-bit code: bit k set iff component k >= 0."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (CODE_BITS,):
+        raise ValueError(f"expected {CODE_BITS} components, got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("non-finite component in reduced print")
+    bits = (z >= 0).astype(np.uint64)
+    return int((bits << np.arange(CODE_BITS, dtype=np.uint64)).sum())
+
+
+def reliability(z: np.ndarray, sigma_e: np.ndarray, spec: LshSpec) -> np.ndarray:
+    """Probability that no bit of each code flips under Gaussian perturbation.
+
+    Per component, p_k = Phi(-|z_k| / sigma_k) is the sign-flip probability;
+    a code survives when none of its 16 selected bits flip (independence
+    approximation).
+    """
+    z = np.asarray(z, dtype=np.float64)
+    sigma_e = np.asarray(sigma_e, dtype=np.float64)
+    p_flip = 0.5 * scipy.special.erfc(np.abs(z) / (sigma_e * np.sqrt(2.0)))
+    keep = np.log1p(-np.minimum(p_flip, 1.0 - 1e-300))
+    return np.exp(keep[spec.selections.astype(np.int64)].sum(axis=1))
+
+
+def simulate_unchanged_codes(k: int, trials: int, seed: int = 0) -> float:
+    """Monte-Carlo estimate of expected_unchanged(k) under its independence model.
+
+    Bits flip independently with probability k/40 (k corrupted bits on
+    average); a derived code is unchanged exactly when none of its selected
+    bits flipped.
+    """
+    rng = np.random.default_rng(seed)
+    flips = rng.random((trials, CODE_BITS)) < k / CODE_BITS
+    return float((~flips[:, make_lsh_spec(0).selections.astype(np.int64)].any(axis=2)).sum(axis=1).mean())
+
+
+def unchanged_codes_exact_flips(k: int, trials: int, seed: int = 0) -> float:
+    """Mean number of the 51 codes unchanged when exactly k distinct bits of a random code flip.
+
+    Compares the codes ``codes_from_bits`` derives before and after; the
+    expectation is 51 * C(40 - k, 16) / C(40, 16).
+    """
+    spec = make_lsh_spec(0)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (trials, CODE_BITS), dtype=np.uint8)
+    flips = np.argsort(rng.random((trials, CODE_BITS)), axis=1) < k  # k distinct positions per trial
+    same = codes_from_bits(bits, spec) == codes_from_bits(bits ^ flips, spec)
+    return float(same.sum(axis=1).mean())
+
+
+def apply_chain(chain: BandChain, x: np.ndarray) -> np.ndarray:
+    """Stage-by-stage application (reference path for the factorized map)."""
+    chain.check_stages()
+    z = chain.p_iccr @ x
+    z = chain.p_lda @ z
+    z = chain.p_ica @ z + (chain.t_ica if z.ndim == 1 else chain.t_ica[:, None])
+    z = chain.p_ompca @ z
+    return chain.p_ht @ z

@@ -6,14 +6,27 @@ check magnitude properties (sine peaks, energy bounds, hop shifts, blocking)
 and the single-op print path need that matrix, so it is rebuilt here with the
 same blocked float32 FFT: ``spec.logfreq == freq_map @ magnitude_stft(buf)``
 and ``spec.norms == magnitude_stft(buf).sum(axis=0)`` hold exactly.
+
+The single-op print path computes one print at a time, one stage per call:
+``loglog_convert`` (full frequency and time maps) -> ``split_bands`` ->
+``modify_amplitudes`` -> ``dft2_magnitude``. ``prints.print_matrix`` must
+agree with it bit for bit.
 """
+
+from collections import namedtuple
 
 import numpy as np
 import scipy.fft
 import scipy.signal
+import scipy.sparse
 
 from printdex import audio
-from printdex.prints import HDPrint, PrintConfig, frequency_map, print_matrix
+from printdex.prints import PrintConfig, _axis_weights, frequency_map
+
+
+# the 94x64 matrix on geometric frequency/time grids, and the 1056 2D-DFT magnitudes of one band
+LogLogSpectrogram = namedtuple("LogLogSpectrogram", "values")
+HDPrint = namedtuple("HDPrint", "coeffs")
 
 
 def spectrogram(buf, cfg: PrintConfig | None = None) -> audio.Spectrogram:
@@ -50,12 +63,44 @@ def extract_window(mags: np.ndarray, anchor_frame: int, cfg: PrintConfig | None 
     return mags[:, anchor_frame : anchor_frame + n_seg]
 
 
-def compute_prints(spec, frames, cfg: PrintConfig | None = None) -> list[HDPrint]:
-    """``print_matrix`` unrolled into one ``HDPrint`` per (anchor, band), ordered by (time, band)."""
-    cfg = cfg or PrintConfig()
-    kept, coeffs = print_matrix(spec, frames, cfg)
-    return [
-        HDPrint(coeffs=coeffs[i, b], time_index=int(ell), band_index=b + 1)
-        for i, ell in enumerate(kept)
-        for b in range(cfg.n_bands)
-    ]
+def loglog_convert(segment: np.ndarray, cfg: PrintConfig, bin_hz: float, frame_period: float) -> LogLogSpectrogram:
+    """Resample a linear (bins x frames) segment, time 0 at the anchor, onto the geometric grid.
+
+    Applies the full time map, where ``print_matrix`` skips the frames it does not weight.
+    """
+    segment = np.asarray(segment, dtype=np.float64)
+    freq_map = scipy.sparse.csr_matrix(_axis_weights(cfg.n_logfreq, cfg.f_min, cfg.f_max, bin_hz, segment.shape[0]))
+    time_map = _axis_weights(cfg.n_logtime, cfg.t_min, cfg.t_max, frame_period, cfg.segment_frames(1.0 / frame_period))
+    return LogLogSpectrogram(values=(freq_map @ segment) @ time_map.T)
+
+
+def split_bands(h: LogLogSpectrogram, cfg: PrintConfig) -> list[np.ndarray]:
+    """The overlapping log-frequency bands of the log-log matrix, lowest first."""
+    return [h.values[start : start + cfg.band_width] for start in cfg.band_starts()]
+
+
+def modify_amplitudes(h: np.ndarray, cfg: PrintConfig) -> np.ndarray:
+    """Floor, 2D-weight, max-normalize and log-convert one band matrix.
+
+    The floor sigma = floor_ratio * max(h * w) inhibits low-level noise; the
+    Hamming weighting tapers the borders (reducing DFT edge effects); the
+    final log(1 + a g) / log(1 + a) maps [0, 1] to itself, linear near 0 and
+    compressive near 1. All-zero input stays all-zero.
+    """
+    values = np.asarray(h, dtype=np.float64)
+    if np.any(values < 0):
+        raise ValueError("band magnitudes must be nonnegative")
+    w = np.outer(*(scipy.signal.windows.hamming(n, sym=True) for n in values.shape))
+    sigma = cfg.floor_ratio * float((values * w).max())
+    g = np.maximum(sigma, values) * w
+    peak = g.max()
+    if peak == 0.0:
+        return np.zeros_like(g)
+    g /= peak
+    return np.log1p(cfg.log_knee * g) / np.log1p(cfg.log_knee)
+
+
+def dft2_magnitude(f: np.ndarray) -> HDPrint:
+    """2D-DFT magnitude of a modified band: all rows, the nonnegative log-time frequencies, row-major."""
+    mags = np.abs(np.fft.rfft2(np.asarray(f, dtype=np.float64)))
+    return HDPrint(coeffs=mags.reshape(-1))

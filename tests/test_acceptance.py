@@ -12,6 +12,8 @@ import pytest
 import scipy.signal
 
 from corpus import build_corpus, synth_track
+from reference import apply_chain, simulate_unchanged_codes
+from stft_oracle import dft2_magnitude, loglog_convert, modify_amplitudes
 
 from printdex import pipeline
 from printdex.audio import stft
@@ -24,13 +26,11 @@ from printdex.hashing import (
     collision_mean,
     expected_unchanged,
     make_lsh_spec,
-    simulate_unchanged_codes,
 )
-from printdex.prints import PrintConfig, dft2_magnitude, frequency_map, loglog_convert, modify_amplitudes
+from printdex.prints import PrintConfig, frequency_map
 from printdex.reduction import (
     BandChain,
     ReductionModel,
-    apply_chain,
     compose_final,
     fit_ica,
     fit_iccr,

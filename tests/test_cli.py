@@ -407,10 +407,15 @@ def test_sample_rate_only_where_read(argv, accepted, capsys):
             assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["white_noise", "white_noise:snr=12", "pitch_shift", "tremolo", "white_noise:snr_db=abc"])
+@pytest.mark.parametrize(
+    "spec",
+    ["white_noise", "white_noise:snr=12", "pitch_shift", "tremolo", "white_noise:snr_db=abc", "white_noise:snr_db=nan"]
+    + ["dyn_compress:ratio=0", "dyn_compress:ratio=-1", "reverb_synthetic:mix_db=3,rt60_s=0", "reverb_synthetic:mix_db=3,rt60_s=-1"],
+)
 @pytest.mark.parametrize("command", ["degrade", "train", "evaluate"])
 def test_malformed_spec_one_line_error(spec, command, tmp_path, capsys):
-    """A spec missing, misnaming or mistyping a parameter fails in one line on every command that reads specs."""
+    """A spec missing, misnaming or mistyping a parameter, or giving a non-finite or out-of-range value,
+    fails in one line on every command that reads specs."""
     wav = str(tmp_path / "t.wav")
     save_wav(wav, synth_track(1, duration_s=4.0))
     manifest = str(tmp_path / "m.tsv")
@@ -424,6 +429,17 @@ def test_malformed_spec_one_line_error(spec, command, tmp_path, capsys):
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and spec.partition(":")[0] in lines[0]
+
+
+@pytest.mark.parametrize("spec", ["reverb_synthetic:mix_db=3,rt60_s=5e-5", "time_stretch:cents=-100000"])
+def test_spec_leaving_no_samples_one_line_error(spec, tmp_path, capsys):
+    """A reverb impulse response or a stretched output without samples fails in one line and writes nothing."""
+    wav, out = str(tmp_path / "t.wav"), tmp_path / "o.wav"
+    save_wav(wav, synth_track(1, duration_s=2.0))
+    assert main(["degrade", wav, "--spec", spec, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {spec.partition(':')[0]}")
+    assert not out.exists()
 
 
 COMMON = {"-h", "--help", "--verbose"}

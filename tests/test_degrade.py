@@ -68,11 +68,30 @@ class TestParseSpec:
             ("chain:steps=white_noise", "chain steps are written joined by '+'"),
             ("graphic_eq:gains_db=1/x/3", "graphic_eq parameter 'gains_db' must be 10 numbers joined by '/', got '1/x/3'"),
             ("graphic_eq:gains_db=1/2/3", "graphic_eq parameter 'gains_db' must be 10 numbers joined by '/', got '1/2/3'"),
+            ("white_noise:snr_db=nan", "white_noise parameter 'snr_db' must be finite, got nan"),
+            ("time_stretch:cents=-inf", "time_stretch parameter 'cents' must be finite, got -inf"),
+            ("dyn_compress:ratio=0", "dyn_compress parameter 'ratio' must be positive, got 0.0"),
+            ("dyn_compress:ratio=-1", "dyn_compress parameter 'ratio' must be positive, got -1.0"),
+            ("reverb_synthetic:mix_db=3,rt60_s=0", "reverb_synthetic parameter 'rt60_s' must be positive, got 0.0"),
+            ("reverb_synthetic:mix_db=3,rt60_s=-1", "reverb_synthetic parameter 'rt60_s' must be positive, got -1.0"),
         ],
     )
     def test_params_checked_for_kind(self, text, message):
         with pytest.raises(DegradationError, match=f"^{re.escape(message)}$"):
             parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("reverb_synthetic:mix_db=3,rt60_s=5e-5", "reverb_synthetic rt60_s=5e-05 gives an impulse response with no samples at 11025 Hz"),
+            ("time_stretch:cents=-100000", "time_stretch factor 9.332636185032189e-302 leaves no samples of a 11025-sample input"),
+        ],
+    )
+    def test_empty_output_rejected_when_applied(self, text, message):
+        """A spec that parses but leaves an impulse response or an output without samples fails in one line."""
+        spec = parse_spec(text)
+        with pytest.raises(DegradationError, match=f"^{re.escape(message)}$"):
+            apply(spec, _music(duration=1.0, seed=15))
 
     def test_direct_construction_checked(self):
         with pytest.raises(DegradationError, match="^dyn_compress parameter 'ratio' must be a number, got '8'$"):

@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 
@@ -13,20 +14,19 @@ from printdex.hashing import (
     CatalogIndex,
     HashTable,
     TrackInfo,
-    binarize,
     binarize_bits,
+    codes_from_bits,
     collision_mean,
     derive_codes,
-    derive_lsh_codes,
     expected_unchanged,
     extended_code,
     load_index,
     make_lsh_spec,
-    reliability,
     reliability_batch,
     save_index,
-    simulate_unchanged_codes,
 )
+
+from reference import binarize, reliability, simulate_unchanged_codes, unchanged_codes_exact_flips
 
 
 class TestBinarize:
@@ -85,19 +85,19 @@ class TestLshSpec:
 class TestDeriveCodes:
     def test_zero_gamma(self):
         spec = make_lsh_spec(0)
-        assert np.all(derive_lsh_codes(0, spec) == 0)
+        assert np.all(codes_from_bits(np.zeros((1, CODE_BITS), dtype=np.uint8), spec) == 0)
 
     def test_all_ones_gamma(self):
         spec = make_lsh_spec(0)
-        assert np.all(derive_lsh_codes((1 << 40) - 1, spec) == 0xFFFF)
+        assert np.all(codes_from_bits(np.ones((1, CODE_BITS), dtype=np.uint8), spec) == 0xFFFF)
 
     def test_single_bit_flip_footprint(self):
         spec = make_lsh_spec(3)
         rng = np.random.default_rng(1)
-        gamma = int(rng.integers(0, 1 << 40))
-        base = derive_lsh_codes(gamma, spec)
+        bits = rng.integers(0, 2, (1, CODE_BITS), dtype=np.uint8)
+        base = codes_from_bits(bits, spec)[0]
         for bit in (0, 17, 39):
-            flipped = derive_lsh_codes(gamma ^ (1 << bit), spec)
+            flipped = codes_from_bits(bits ^ (np.arange(CODE_BITS) == bit), spec)[0]
             affected = set(np.flatnonzero(base != flipped).tolist())
             containing = set(ell for ell in range(N_LSH) if bit in spec.selections[ell])
             assert affected == containing
@@ -153,7 +153,7 @@ class TestCodeDerivation:
         for b in range(N_BANDS):
             assert np.array_equal(rel[b], reliability_batch(reduced[:, b, :], sigma_e[b], spec))
             for i in range(len(reduced)):
-                betas = derive_lsh_codes(binarize(reduced[i, b]), spec)
+                betas = codes_from_bits(binarize_bits(reduced[i, b]), spec)[0]
                 assert np.array_equal(codes[b, i], extended_code(b, np.arange(N_LSH), betas))
                 assert np.allclose(rel[b, i], reliability(reduced[i, b], sigma_e[b], spec))
 
@@ -338,12 +338,21 @@ class TestStatistics:
             mc = simulate_unchanged_codes(k, 20000, seed=k)
             assert abs(mc - expected_unchanged(k)) / expected_unchanged(k) < 0.05
 
+    @pytest.mark.parametrize("k, exact", [(1, 30.6), (5, 3.29), (9, 0.24)])
+    def test_exact_flips_follow_exact_count(self, k, exact):
+        """Exactly k flipped bits: 51 C(40-k, 16) / C(40, 16) codes survive, below the independence model."""
+        count = N_LSH * math.comb(CODE_BITS - k, LSH_BITS) / math.comb(CODE_BITS, LSH_BITS)
+        assert count == pytest.approx(exact, abs=0.005)
+        assert count < expected_unchanged(k)
+        # 0.1 is about 4 standard errors at k = 1 and a sixth of the gap to the independence model at k = 9
+        assert abs(unchanged_codes_exact_flips(k, 40000, seed=100 + k) - count) < 0.1
+
 
 def _small_index():
     t = HashTable()
     t.insert([3, 1, 2], [1, 2, 3], [5, 6, 7])
     t.freeze()
-    return CatalogIndex(table=t, tracks={1: TrackInfo(1, "x", 1.0)}, lsh_seed=0)
+    return CatalogIndex(table=t, tracks={1: TrackInfo("x", 1.0)}, lsh_seed=0)
 
 
 class TestIndexFile:
@@ -355,7 +364,7 @@ class TestIndexFile:
         t.freeze()
         index = CatalogIndex(
             table=t,
-            tracks={1: TrackInfo(1, "one", 30.0), 2: TrackInfo(2, "two", 29.5)},
+            tracks={1: TrackInfo("one", 30.0), 2: TrackInfo("two", 29.5)},
             lsh_seed=99,
         )
         path = tmp_path / "i.bmix"
@@ -443,6 +452,20 @@ class TestIndexFile:
             raw[last] = struct.pack("<I", EXT_TABLE_SIZE)
         path.write_bytes(raw)
         with pytest.raises(ValueError, match="posting codes are not sorted or not below"):
+            load_index(path)
+
+    def test_repeated_track_id_rejected(self, tmp_path):
+        """A second record for track 1 would rename it and leave track 2's postings without a record."""
+        index = _small_index()
+        index.tracks = {1: TrackInfo("one", 30.0), 2: TrackInfo("two", 29.5)}
+        path = tmp_path / "forged.bmix"
+        save_index(path, index)
+        raw = bytearray(path.read_bytes())
+        second = 46 + 12 * 3 + 14 + len("one")  # header, 3 postings, track 1's record
+        assert struct.unpack_from("<I", raw, second) == (2,)
+        raw[second : second + 4] = struct.pack("<I", 1)
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=r"^corrupt index file .*forged.bmix.*: track id 1 is recorded twice$"):
             load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):

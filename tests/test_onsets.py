@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from printdex.audio import AudioBuffer
+from printdex.audio import FRAME_PERIOD, AudioBuffer
 from printdex.onsets import (
     design_smoother,
     diff_spectral_norms,
@@ -146,7 +146,7 @@ class TestPipelineProperties:
     def test_density_on_music_like_signal(self):
         buf = _noise_modulated_signal(60.0, seed=9)
         sel = select_analysis_times(spectrogram(buf))
-        density = len(sel) / buf.duration
+        density = len(sel.frames) / buf.duration
         assert 2.0 <= density <= 8.0
 
     def test_selection_robustness_under_noise(self):
@@ -155,11 +155,11 @@ class TestPipelineProperties:
         for seed in range(3):
             buf = _noise_modulated_signal(20.0, seed=seed)
             spec = spectrogram(buf)
-            clean = select_analysis_times(spec).seconds
+            clean = select_analysis_times(spec).frames * FRAME_PERIOD
             rng = np.random.default_rng(100 + seed)
             noise = rng.standard_normal(len(buf.samples))
             noise *= np.sqrt(np.mean(buf.samples**2) / np.mean(noise**2)) * 10 ** (-12 / 20)
             noisy_sel = select_analysis_times(spectrogram(AudioBuffer(samples=buf.samples + noise, sample_rate=SR)))
-            matched = sum(1 for t in clean if np.min(np.abs(noisy_sel.seconds - t)) <= 0.040)
+            matched = sum(1 for t in clean if np.min(np.abs(noisy_sel.frames * FRAME_PERIOD - t)) <= 0.040)
             rates.append(matched / len(clean))
         assert np.mean(rates) >= 0.70

@@ -10,7 +10,6 @@ from printdex.reduction import (
     ReductionModel,
     TrainingError,
     _eigh,
-    apply_chain,
     apply_reduction,
     build_distributions,
     class_index,
@@ -26,6 +25,8 @@ from printdex.reduction import (
     scatter_matrices,
     train_band,
 )
+
+from reference import apply_chain
 
 
 def _pencil(kind, n, rng):

@@ -48,7 +48,7 @@ def _synthetic_index(track_gammas, duration_s=30.0, seed=42, n_bands=5):
                 chosen = np.sort(rng.choice(N_LSH, size=N_RELIABLE, replace=False))
                 codes = extended_code(b, chosen, betas[chosen])
                 table.insert(codes, np.full(N_RELIABLE, track_id), np.full(N_RELIABLE, frames[ti]))
-        tracks[track_id] = TrackInfo(track_id, f"t{track_id}", duration_s)
+        tracks[track_id] = TrackInfo(f"t{track_id}", duration_s)
     table.freeze()
     return CatalogIndex(table=table, tracks=tracks, lsh_seed=seed, n_bands=n_bands, spec=spec)
 
@@ -95,7 +95,7 @@ class TestCountMatches:
         # frame 75 000 and the first frame of its segment, then the frame before that segment
         table.insert([9, 9, 9], [1, 1, 1], [75000, segment_start, segment_start - 1])
         table.freeze()
-        index = CatalogIndex(table=table, tracks={1: TrackInfo(1, "long", 1500.0)}, lsh_seed=0)
+        index = CatalogIndex(table=table, tracks={1: TrackInfo("long", 1500.0)}, lsh_seed=0)
         save_index(tmp_path / "long.bmix", index)
         back = load_index(tmp_path / "long.bmix")
         assert back.table.postings.tobytes() == table.postings.tobytes()
@@ -149,7 +149,6 @@ class TestSelectCandidates:
         return MatchHistogram(
             track_ids=np.array(ids), counts=np.array(counts),
             match_track=np.array([]), match_t=np.array([]), match_tau=np.array([]),
-            query_duration=7.0,
         )
 
     def test_rule_with_padding(self):
@@ -264,7 +263,7 @@ class TestTimeCoherence:
         assert abs(delta - 5.0) <= 0.1
 
     def test_empty(self):
-        assert time_coherence(np.array([]), np.array([]), None, 0.25) == (0.0, 0.0)
+        assert time_coherence(np.array([]), np.array([]), np.array([]), 0.25) == (0.0, 0.0)
 
     def test_matches_oracle_on_random_sets(self):
         # integer-valued weights (as cone weighting produces): sums are exact
