@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 
 from printdex import degrade as _degrade
 from printdex import hashing as _hashing
@@ -143,17 +141,10 @@ def _default_grid() -> list:
     return grid
 
 
-def _eval_chunk(payload):
-    (index_path, model_path, entries, cfg, queries, conditions, seed, offset) = payload
-    index = _hashing.load_index(index_path)
-    model = load_model(model_path)
-    return _pipeline.evaluate(index, model, entries, cfg, queries, conditions, seed=seed, query_offset=offset)
-
-
 def cmd_evaluate(args) -> int:
     cfg = _pipeline.PipelineConfig()
     # the duration bound: a shorter excerpt has no print window, so every query would miss
-    for option, value, least in (("--queries", args.queries, 1), ("--jobs", args.jobs, 1), ("--duration", args.duration, cfg.prints.window_s)):
+    for option, value, least in (("--queries", args.queries, 1), ("--duration", args.duration, cfg.prints.window_s)):
         if value < least:
             raise ValueError(f"{option} must be at least {least:g}, got {value:g}")
     entries = _pipeline.read_manifest(args.manifest)
@@ -162,21 +153,11 @@ def cmd_evaluate(args) -> int:
     for label, text in grid:
         conditions.append((label, _degrade.parse_spec(text), False))
     queries = _pipeline.make_queries(entries, cfg, args.queries, args.duration, seed=args.query_seed)
-    if args.jobs > 1:
-        bounds = np.linspace(0, len(queries), args.jobs + 1).astype(int)
-        payloads = [
-            (args.index, args.model, entries, cfg, queries[bounds[i] : bounds[i + 1]], conditions, args.seed, int(bounds[i]))
-            for i in range(args.jobs)
-            if bounds[i + 1] > bounds[i]
-        ]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            report = _pipeline.merge_reports(list(pool.map(_eval_chunk, payloads)))
-    else:
-        index = _hashing.load_index(args.index)
-        model = load_model(args.model)
-        report = _pipeline.evaluate(
-            index, model, entries, cfg, queries, conditions, seed=args.seed, progress=_progress if args.verbose else None
-        )
+    index = _hashing.load_index(args.index)
+    model = load_model(args.model)
+    report = _pipeline.evaluate(
+        index, model, entries, cfg, queries, conditions, seed=args.seed, progress=_progress if args.verbose else None
+    )
     print(report.table())
     print(f"total queries: {report.total_queries}  runtime: {report.runtime_s:.1f}s")
     if args.out:
@@ -266,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-seed", type=int, default=1)
     p.add_argument("--seed", type=int, default=2, help="degradation seed")
     p.add_argument("--degrade", action="append", help="label=spec; repeat for a custom grid")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the machine-readable TSV report here")
     p.set_defaults(func=cmd_evaluate)
 

@@ -48,6 +48,10 @@ TEXT_PARAMS = ("path", "gains_db", "steps", "command")
 # Numeric parameters that must be positive: the compressor divides by its
 # ratio, and the reverb's impulse response lasts rt60_s.
 POSITIVE_PARAMS = ("ratio", "rt60_s")
+# pitch_shift's phase vocoder runs on the input resampled to 2 ** (-semitones
+# / 12) times its length, so its work and memory grow as the shift goes down;
+# two octaves keep them within 4x those of the input.
+PITCH_SHIFT_MAX_SEMITONES = 24.0
 
 
 class DegradationError(RuntimeError):
@@ -80,6 +84,9 @@ class DegradationSpec:
                 raise DegradationError(f"{self.kind} needs parameter {name!r}")
         if self.kind == "graphic_eq":
             _eq_gains(self.params)
+        if self.kind == "pitch_shift" and abs(self.params["semitones"]) > PITCH_SHIFT_MAX_SEMITONES:
+            limit, value = f"{PITCH_SHIFT_MAX_SEMITONES:g}", self.params["semitones"]
+            raise DegradationError(f"pitch_shift parameter 'semitones' must be in [-{limit}, {limit}], got {value!r}")
 
     def reseeded(self, seed: int) -> "DegradationSpec":
         return DegradationSpec(kind=self.kind, params=self.params, seed=seed)

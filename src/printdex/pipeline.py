@@ -8,6 +8,9 @@ excerpts, degrades them, and scores STEP 1 / STEP 2 top-1 recognition.
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 
@@ -69,6 +72,74 @@ def write_manifest(path, entries) -> None:
 def load_track(entry_or_path, cfg: PipelineConfig) -> AudioBuffer:
     path = entry_or_path.path if isinstance(entry_or_path, ManifestEntry) else entry_or_path
     return normalize(resample(load_audio(path), cfg.sample_rate))
+
+
+# ---------------------------------------------------------------------------
+# Work per track over the allowed CPUs
+
+
+def _openblas_functions(name: str) -> list:
+    """The C entry point ``openblas_<name>`` of every OpenBLAS this process has loaded.
+
+    numpy and scipy wheels each bundle their own OpenBLAS, whose symbols carry
+    a ``scipy_`` prefix and, for 64-bit integers, a ``64_`` suffix. The names
+    ending in ``_`` or ``_64_`` are Fortran entry points taking pointers, and
+    are never called. Without ``/proc/self/maps`` the list is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6 and ".so" in f[5]}
+    found = {}  # by address: a symbol lookup also searches the library's dependencies
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for symbol in (f"{prefix}openblas_{name}{suffix}" for prefix in ("", "scipy_") for suffix in ("", "64_")):
+            if hasattr(lib, symbol):
+                func = getattr(lib, symbol)
+                found.setdefault(ctypes.cast(func, ctypes.c_void_p).value, func)
+    return list(found.values())
+
+
+_worker_func = None  # the function a fork worker maps; set in the worker only
+
+
+def _init_worker(func) -> None:
+    global _worker_func
+    _worker_func = func
+    for set_threads in _openblas_functions("set_num_threads"):
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def _call_worker(item):
+    return _worker_func(item)
+
+
+def _parallel_map(func, items):
+    """Yield ``func(item)`` for each item, in order, over one worker per allowed CPU.
+
+    Each item is independent work, such as one catalog track or one
+    evaluation query. Workers are forked, so ``func`` may be a closure over
+    the model and config and only the items and results are pickled. Each
+    worker runs one BLAS thread: with OpenBLAS's default of one thread per
+    CPU in every worker, two workers on two CPUs ran slower than one
+    process. Python's imports make ``spawn`` workers cost seconds per call,
+    which forking avoids. With one allowed CPU, a single item, or no
+    OpenBLAS entry point to limit, ``func`` runs in this process.
+    """
+    items = list(items)
+    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_workers = min(n_cpus, len(items))
+    if n_workers > 1 and _openblas_functions("set_num_threads"):
+        with multiprocessing.get_context("fork").Pool(n_workers, _init_worker, (func,)) as pool:
+            yield from pool.imap(_call_worker, items)
+    else:
+        yield from map(func, items)
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +205,18 @@ def collect_training_data(
     samples than the class structure provides.
     """
     specs = [(label, _degrade.parse_spec(text)) for label, text in plan]
-    prints_acc, class_acc, orig_acc, pool_acc = [], [], [], []
-    for t_idx, entry in enumerate(entries):
+
+    def track_records(entry):
+        """(prints, class ids, is-original flags, pool prints) of one track and its variants."""
         buf = load_track(entry, cfg)
         kept, coeffs = analyze(buf, cfg)
         if len(kept) == 0:
-            continue
+            return None
         pool_pick = _spread_indices(len(kept), pool_times_per_track)
         class_pick = _spread_indices(len(kept), times_per_track)
         class_frames = kept[class_pick]
-        pool_acc.append(coeffs[pool_pick].astype(np.float32))
-        prints_acc.append(coeffs[class_pick].astype(np.float32))
-        class_acc.append(np.arange(len(class_pick)) + 100000 * entry.track_id)
-        orig_acc.append(np.ones(len(class_pick), dtype=bool))
+        prints = [coeffs[class_pick].astype(np.float32)]
+        ranks = [np.arange(len(class_pick))]
         for v_idx, (label, dspec) in enumerate(specs):
             var_seed = _derive_seed(seed, entry.track_id, v_idx)
             dbuf = normalize(_degrade.apply(dspec.reseeded(var_seed), buf))
@@ -155,17 +225,24 @@ def collect_training_data(
             dkept, dcoeffs = analyze(dbuf, cfg, frames=frames)
             # frames are sorted, so the anchors surviving the end-of-signal
             # check are exactly a prefix; class ranks align positionally
-            prints_acc.append(dcoeffs.astype(np.float32))
-            class_acc.append(np.arange(len(dkept)) + 100000 * entry.track_id)
-            orig_acc.append(np.zeros(len(dkept), dtype=bool))
+            prints.append(dcoeffs.astype(np.float32))
+            ranks.append(np.arange(len(dkept)))
+        is_original = np.zeros(sum(len(r) for r in ranks), dtype=bool)
+        is_original[: len(class_pick)] = True
+        return (
+            np.concatenate(prints),
+            np.concatenate(ranks) + 100000 * entry.track_id,
+            is_original,
+            coeffs[pool_pick].astype(np.float32),
+        )
+
+    records = []
+    for t_idx, rec in enumerate(_parallel_map(track_records, entries)):
+        if rec is not None:
+            records.append(rec)
         if progress:
             progress(f"training data: {t_idx + 1}/{len(entries)} tracks")
-    return TrainingData(
-        prints=np.concatenate(prints_acc),
-        class_ids=np.concatenate(class_acc),
-        is_original=np.concatenate(orig_acc),
-        pools=np.concatenate(pool_acc),
-    )
+    return TrainingData(*(np.concatenate([rec[k] for rec in records]) for k in range(4)))
 
 
 def train_from_manifest(
@@ -228,14 +305,17 @@ def build_index(
     spec = _hashing.make_lsh_spec(lsh_seed)
     table = _hashing.HashTable()
     tracks = {}
-    for i, entry in enumerate(entries):
+
+    def track_postings(entry):
         buf = load_track(entry, cfg)
         kept, reduced = reduced_prints_for_buffer(buf, model, cfg)
-        codes, frames = index_postings(kept, reduced, model, spec, _hashing.N_RELIABLE)
+        return entry, buf.duration, len(kept), *index_postings(kept, reduced, model, spec, _hashing.N_RELIABLE)
+
+    for i, (entry, duration, n_prints, codes, frames) in enumerate(_parallel_map(track_postings, entries)):
         table.insert(codes, np.full(len(codes), entry.track_id), frames)
-        tracks[entry.track_id] = _hashing.TrackInfo(name=entry.label or entry.path, duration=buf.duration)
+        tracks[entry.track_id] = _hashing.TrackInfo(name=entry.label or entry.path, duration=duration)
         if progress:
-            progress(f"indexed {i + 1}/{len(entries)} tracks ({len(kept)} prints)")
+            progress(f"indexed {i + 1}/{len(entries)} tracks ({n_prints} prints)")
     table.freeze()
     return _hashing.CatalogIndex(
         table=table,
@@ -335,17 +415,16 @@ def evaluate(
     queries,
     conditions,
     seed: int = 0,
-    query_offset: int = 0,
     progress=None,
 ) -> EvalReport:
     """Two-step success rates per degradation condition.
 
     ``conditions`` is a list of (label, DegradationSpec-or-None, partial).
     Success = top-1 track match, per step; the cut offset is recorded as
-    ground truth but only identity is scored. ``query_offset`` shifts the
-    per-query seed derivation so that split runs reproduce a single run.
-    A query that fails on its own (no usable analysis window) counts as a
-    miss.
+    ground truth but only identity is scored. A query that fails on its own
+    (no usable analysis window) counts as a miss. Each (condition, query)
+    pair derives its own degradation seed, so the report does not depend on
+    how many workers ran it.
     """
     t0 = time.monotonic()
     cache: dict = {}
@@ -356,37 +435,30 @@ def evaluate(
             cache[track_id] = load_track(entry, cfg)
         return cache[track_id]
 
-    cells = []
-    for c_idx, (label, dspec, partial) in enumerate(conditions):
-        s1 = s2 = 0
-        for q_idx, q in enumerate(queries):
-            excerpt = cut_excerpt(track_buf(q.track_id), q.offset_s, q.duration_s)
-            if dspec is not None:
-                excerpt = _degrade.apply(dspec.reseeded(_derive_seed(seed, c_idx, query_offset + q_idx)), excerpt)
-            try:
-                result = _search.query_index(excerpt, index, model, print_cfg=cfg.prints, onset_cfg=cfg.onset)
-            except ValueError:
-                continue
-            if len(result.step1_ranking) and result.step1_ranking[0] == q.track_id:
-                s1 += 1
-            if result.best is not None and result.best.track_id == q.track_id:
-                s2 += 1
-            if progress and (q_idx + 1) % 50 == 0:
-                progress(f"{label}: {q_idx + 1}/{len(queries)}")
-        cells.append(EvalCell(label=label, n_queries=len(queries), step1_ok=s1, step2_ok=s2, partial=partial))
-        if progress:
-            progress(f"{label}: step1 {cells[-1].step1_rate:.1f}% step2 {cells[-1].step2_rate:.1f}%")
+    def outcome(item):
+        """(condition, query, STEP 1 hit, STEP 2 hit) of one query under one condition."""
+        c_idx, q_idx = item
+        q, dspec = queries[q_idx], conditions[c_idx][1]
+        excerpt = cut_excerpt(track_buf(q.track_id), q.offset_s, q.duration_s)
+        if dspec is not None:
+            excerpt = _degrade.apply(dspec.reseeded(_derive_seed(seed, c_idx, q_idx)), excerpt)
+        try:
+            result = _search.query_index(excerpt, index, model, print_cfg=cfg.prints, onset_cfg=cfg.onset)
+        except ValueError:
+            return c_idx, q_idx, False, False
+        step1 = len(result.step1_ranking) > 0 and result.step1_ranking[0] == q.track_id
+        return c_idx, q_idx, step1, result.best is not None and result.best.track_id == q.track_id
+
+    cells = [
+        EvalCell(label=label, n_queries=len(queries), step1_ok=0, step2_ok=0, partial=partial) for label, _, partial in conditions
+    ]
+    items = [(c_idx, q_idx) for c_idx in range(len(conditions)) for q_idx in range(len(queries))]
+    for c_idx, q_idx, step1, step2 in _parallel_map(outcome, items):
+        cell = cells[c_idx]
+        cell.step1_ok += int(step1)
+        cell.step2_ok += int(step2)
+        if progress and (q_idx + 1) % 50 == 0:
+            progress(f"{cell.label}: {q_idx + 1}/{len(queries)}")
+        if progress and q_idx + 1 == len(queries):
+            progress(f"{cell.label}: step1 {cell.step1_rate:.1f}% step2 {cell.step2_rate:.1f}%")
     return EvalReport(cells=cells, runtime_s=time.monotonic() - t0)
-
-
-def merge_reports(reports) -> EvalReport:
-    """Combine split evaluation runs (same conditions, disjoint queries)."""
-    merged = [EvalCell(label=c.label, n_queries=0, step1_ok=0, step2_ok=0, partial=c.partial) for c in reports[0].cells]
-    for rep in reports:
-        for cell, add in zip(merged, rep.cells):
-            if cell.label != add.label:
-                raise ValueError("cannot merge reports with different conditions")
-            cell.n_queries += add.n_queries
-            cell.step1_ok += add.step1_ok
-            cell.step2_ok += add.step2_ok
-    return EvalReport(cells=merged, runtime_s=max(r.runtime_s for r in reports))

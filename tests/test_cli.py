@@ -227,22 +227,24 @@ class TestEvaluateCommand:
         assert main([*args, "--out", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_jobs_do_not_change_results(self, cli_setup, tmp_path):
+    def test_jobs_do_not_change_results(self, cli_setup, tmp_path, monkeypatch):
+        """One worker per allowed CPU: the report is the same with one CPU and with two."""
         root, manifest, entries, model, index = cli_setup
         p1, p2 = str(tmp_path / "j1.tsv"), str(tmp_path / "j2.tsv")
         args = [
             "evaluate", "--manifest", manifest, "--index", index, "--model", model,
             "--queries", "6", "--duration", "7", "--degrade", "white=white_noise:snr_db=12",
         ]
-        assert main([*args, "--jobs", "1", "--out", p1]) == 0
-        assert main([*args, "--jobs", "2", "--out", p2]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main([*args, "--out", p1]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main([*args, "--out", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--queries", "0", "--jobs", "2"], "--queries must be at least 1, got 0"),
-            (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+            (["--queries", "0"], "--queries must be at least 1, got 0"),
             (["--duration", "2.5"], "--duration must be at least 3, got 2.5"),
         ],
     )
@@ -410,7 +412,8 @@ def test_sample_rate_only_where_read(argv, accepted, capsys):
 @pytest.mark.parametrize(
     "spec",
     ["white_noise", "white_noise:snr=12", "pitch_shift", "tremolo", "white_noise:snr_db=abc", "white_noise:snr_db=nan"]
-    + ["dyn_compress:ratio=0", "dyn_compress:ratio=-1", "reverb_synthetic:mix_db=3,rt60_s=0", "reverb_synthetic:mix_db=3,rt60_s=-1"],
+    + ["dyn_compress:ratio=0", "dyn_compress:ratio=-1", "reverb_synthetic:mix_db=3,rt60_s=0", "reverb_synthetic:mix_db=3,rt60_s=-1"]
+    + ["pitch_shift:semitones=100000", "pitch_shift:semitones=-200"],
 )
 @pytest.mark.parametrize("command", ["degrade", "train", "evaluate"])
 def test_malformed_spec_one_line_error(spec, command, tmp_path, capsys):
@@ -450,7 +453,7 @@ CLI_SURFACE = {
     "query": {"-h", "--help", "audio", "--index", "--model", "--top", "--json"},
     "degrade": {"-h", "--help", "audio", "--spec", "--scenario", "--level", "--codec-cmd", "--seed", "--out"},
     "evaluate": COMMON
-    | {"--manifest", "--index", "--model", "--queries", "--duration", "--query-seed", "--seed", "--degrade", "--jobs", "--out"},
+    | {"--manifest", "--index", "--model", "--queries", "--duration", "--query-seed", "--seed", "--degrade", "--out"},
     "inspect": {"-h", "--help", "--model", "--index"},
 }
 

@@ -74,6 +74,9 @@ class TestParseSpec:
             ("dyn_compress:ratio=-1", "dyn_compress parameter 'ratio' must be positive, got -1.0"),
             ("reverb_synthetic:mix_db=3,rt60_s=0", "reverb_synthetic parameter 'rt60_s' must be positive, got 0.0"),
             ("reverb_synthetic:mix_db=3,rt60_s=-1", "reverb_synthetic parameter 'rt60_s' must be positive, got -1.0"),
+            ("pitch_shift:semitones=100000", "pitch_shift parameter 'semitones' must be in [-24, 24], got 100000.0"),
+            ("pitch_shift:semitones=-200", "pitch_shift parameter 'semitones' must be in [-24, 24], got -200.0"),
+            ("white_noise:snr_db=6+pitch_shift:semitones=24.5", "pitch_shift parameter 'semitones' must be in [-24, 24], got 24.5"),
         ],
     )
     def test_params_checked_for_kind(self, text, message):
@@ -250,6 +253,12 @@ class TestScaleTransforms:
         spectrum = np.abs(np.fft.rfft(out.samples * np.hanning(len(out.samples))))
         peak = np.argmax(spectrum) * SR / len(out.samples)
         assert abs(peak - 440 * 2 ** (1 / 12)) < 5
+
+    @pytest.mark.parametrize("semitones", [-24.0, 24.0])
+    def test_pitch_shift_range_edges_apply(self, semitones):
+        out = apply(parse_spec(f"pitch_shift:semitones={semitones}"), make_sine(440, duration=2.0))
+        spectrum = np.abs(np.fft.rfft(out.samples * np.hanning(len(out.samples))))
+        assert abs(np.argmax(spectrum) * SR / len(out.samples) - 440 * 2 ** (semitones / 12)) < 5
 
     def test_pitch_shift_inversion_restores_centroid(self):
         # band-limited harmonic fixture: content must stay below Nyquist
