@@ -10,11 +10,10 @@ possibly heavily degraded excerpts from a reference catalog:
 """
 
 from printdex.audio import AudioBuffer, Spectrogram, load_audio, normalize, resample, stft
-from printdex.onsets import AnalysisTimes, OnsetConfig, select_analysis_times
-from printdex.prints import PrintConfig
+from printdex.onsets import AnalysisTimes, select_analysis_times
 from printdex.reduction import ReductionModel, load_model, save_model, train_reduction
 from printdex.hashing import CatalogIndex, LshSpec, load_index
-from printdex.search import SearchConfig, SearchResult, query_index
+from printdex.search import SearchResult, query_index
 
 __version__ = "0.1.0"
 
@@ -26,9 +25,7 @@ __all__ = [
     "resample",
     "stft",
     "AnalysisTimes",
-    "OnsetConfig",
     "select_analysis_times",
-    "PrintConfig",
     "ReductionModel",
     "train_reduction",
     "save_model",
@@ -36,7 +33,6 @@ __all__ = [
     "LshSpec",
     "CatalogIndex",
     "load_index",
-    "SearchConfig",
     "SearchResult",
     "query_index",
 ]

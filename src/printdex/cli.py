@@ -17,6 +17,7 @@ from printdex import hashing as _hashing
 from printdex import pipeline as _pipeline
 from printdex import search as _search
 from printdex.audio import HOP_SAMPLES, SAMPLE_RATE, load_audio, normalize, save_wav
+from printdex.prints import N_BANDS, WINDOW_S
 from printdex.reduction import load_model, save_model
 
 
@@ -26,14 +27,12 @@ def _progress(msg: str) -> None:
 
 def cmd_train(args) -> int:
     entries = _pipeline.read_manifest(args.manifest)
-    cfg = _pipeline.PipelineConfig()
     plan = _pipeline.DEFAULT_TRAINING_PLAN
     if args.variant:
         plan = tuple((f"v{i}", text) for i, text in enumerate(args.variant))
     model = _pipeline.train_from_manifest(
         entries,
-        cfg,
-        plan,
+        plan=plan,
         times_per_track=args.times_per_track,
         pool_times_per_track=args.pool_times_per_track,
         seed=args.seed,
@@ -55,18 +54,16 @@ def cmd_train(args) -> int:
 
 def cmd_index(args) -> int:
     entries = _pipeline.read_manifest(args.manifest)
-    cfg = _pipeline.PipelineConfig()
     model = load_model(args.model)
     index = _pipeline.build_index(
         entries,
         model,
-        cfg,
         lsh_seed=args.lsh_seed,
         progress=_progress if args.verbose else None,
     )
     _hashing.save_index(args.out, index)
     loads = index.table.bucket_loads()
-    n_prints = index.table.n_postings // (index.n_bands * _hashing.N_RELIABLE)
+    n_prints = index.table.n_postings // (N_BANDS * _hashing.N_RELIABLE)
     print(f"index written to {args.out}")
     print(f"tracks={len(index.tracks)} prints={n_prints} postings={index.table.n_postings}")
     print(f"bucket load: max={int(loads.max(initial=0))} nonempty={len(loads)}")
@@ -142,9 +139,8 @@ def _default_grid() -> list:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _pipeline.PipelineConfig()
     # the duration bound: a shorter excerpt has no print window, so every query would miss
-    for option, value, least in (("--queries", args.queries, 1), ("--duration", args.duration, cfg.prints.window_s)):
+    for option, value, least in (("--queries", args.queries, 1), ("--duration", args.duration, WINDOW_S)):
         if value < least:
             raise ValueError(f"{option} must be at least {least:g}, got {value:g}")
     entries = _pipeline.read_manifest(args.manifest)
@@ -152,11 +148,11 @@ def cmd_evaluate(args) -> int:
     grid = [tuple(g.split("=", 1)) for g in args.degrade] if args.degrade else _default_grid()
     for label, text in grid:
         conditions.append((label, _degrade.parse_spec(text), False))
-    queries = _pipeline.make_queries(entries, cfg, args.queries, args.duration, seed=args.query_seed)
+    queries = _pipeline.make_queries(entries, args.queries, args.duration, seed=args.query_seed)
     index = _hashing.load_index(args.index)
     model = load_model(args.model)
     report = _pipeline.evaluate(
-        index, model, entries, cfg, queries, conditions, seed=args.seed, progress=_progress if args.verbose else None
+        index, model, entries, queries, conditions, seed=args.seed, progress=_progress if args.verbose else None
     )
     print(report.table())
     print(f"total queries: {report.total_queries}  runtime: {report.runtime_s:.1f}s")

@@ -52,6 +52,11 @@ POSITIVE_PARAMS = ("ratio", "rt60_s")
 # / 12) times its length, so its work and memory grow as the shift goes down;
 # two octaves keep them within 4x those of the input.
 PITCH_SHIFT_MAX_SEMITONES = 24.0
+# time_stretch's output is 2 ** (cents / 100) times its input; two octaves
+# either way keep that factor in [1/4, 4], the same 4x bound.
+TIME_STRETCH_MAX_CENTS = 200.0
+# Numeric parameters bounded in magnitude, checked when a spec is built.
+MAX_ABS_PARAMS = {"semitones": PITCH_SHIFT_MAX_SEMITONES, "cents": TIME_STRETCH_MAX_CENTS}
 
 
 class DegradationError(RuntimeError):
@@ -79,14 +84,14 @@ class DegradationSpec:
                 raise DegradationError(f"{self.kind} parameter {name!r} must be finite, got {value!r}")
             if name in POSITIVE_PARAMS and value <= 0:
                 raise DegradationError(f"{self.kind} parameter {name!r} must be positive, got {value!r}")
+            limit = MAX_ABS_PARAMS.get(name)
+            if limit is not None and abs(value) > limit:
+                raise DegradationError(f"{self.kind} parameter {name!r} must be in [-{limit:g}, {limit:g}], got {value!r}")
         for name in required:
             if name not in self.params:
                 raise DegradationError(f"{self.kind} needs parameter {name!r}")
         if self.kind == "graphic_eq":
             _eq_gains(self.params)
-        if self.kind == "pitch_shift" and abs(self.params["semitones"]) > PITCH_SHIFT_MAX_SEMITONES:
-            limit, value = f"{PITCH_SHIFT_MAX_SEMITONES:g}", self.params["semitones"]
-            raise DegradationError(f"pitch_shift parameter 'semitones' must be in [-{limit}, {limit}], got {value!r}")
 
     def reseeded(self, seed: int) -> "DegradationSpec":
         return DegradationSpec(kind=self.kind, params=self.params, seed=seed)

@@ -28,12 +28,12 @@ import numpy as np
 import scipy.special
 
 from printdex import audio as _audio
+from printdex.prints import N_BANDS
 
 CODE_BITS = 40
 N_LSH = 51
 LSH_BITS = 16
 N_RELIABLE = 10
-N_BANDS = 5
 EXT_TABLE_SIZE = 1 << 24
 DIR_SHIFT = 6  # one lookup-directory bucket per 64 consecutive codes
 # STEP 1 counts matches per 15 s reference segment: 752 frames.
@@ -253,7 +253,7 @@ class TrackInfo:
 
 @dataclass
 class CatalogIndex:
-    """Frozen hash table plus track metadata.
+    """Frozen hash table plus track metadata; ``spec`` is derived from ``lsh_seed``.
 
     The rate, hop, segment length, band count and L' are this build's
     constants; the file header repeats them and ``load_index`` checks them.
@@ -262,12 +262,10 @@ class CatalogIndex:
     table: HashTable
     tracks: dict
     lsh_seed: int
-    n_bands: int = N_BANDS
-    spec: LshSpec = field(default=None)
+    spec: LshSpec = field(init=False)
 
     def __post_init__(self):
-        if self.spec is None:
-            self.spec = make_lsh_spec(self.lsh_seed)
+        self.spec = make_lsh_spec(self.lsh_seed)
 
 
 def save_index(path, index: CatalogIndex) -> None:
@@ -284,7 +282,7 @@ def save_index(path, index: CatalogIndex) -> None:
                 N_LSH,
                 N_RELIABLE,
                 LSH_BITS,
-                index.n_bands,
+                N_BANDS,
                 index.lsh_seed & _MASK64,
                 _audio.SAMPLE_RATE,
                 _audio.HOP_SAMPLES,
@@ -346,9 +344,4 @@ def load_index(path) -> CatalogIndex:
     table = HashTable()
     table.offsets = _directory(codes)
     table.postings = postings
-    return CatalogIndex(
-        table=table,
-        tracks=tracks,
-        lsh_seed=seed,
-        n_bands=n_bands,
-    )
+    return CatalogIndex(table=table, tracks=tracks, lsh_seed=seed)

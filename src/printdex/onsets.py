@@ -19,30 +19,12 @@ import numpy as np
 import scipy.ndimage
 import scipy.signal
 
-DEFAULT_T_C = 0.050
-DEFAULT_N_FILTER = 20
-DEFAULT_MEAN_LAG = 0.25
-
-
-@dataclass(frozen=True)
-class OnsetConfig:
-    """Post-filtering of the onset function and the anchor spacing.
-
-    The onset series is smoothed by an ``n + 1``-tap windowed-sinc low-pass
-    with cut-off frequency ``1 / t_c``; an anchor is a frame equal to the
-    maximum of the smoothed series over a window of ``mean_lag`` seconds
-    centred on it.
-    """
-
-    t_c: float = DEFAULT_T_C
-    n: int = DEFAULT_N_FILTER
-    mean_lag: float = DEFAULT_MEAN_LAG
-
-    def __post_init__(self):
-        if self.n % 2 != 0:
-            raise ValueError("filter size n must be even")
-        if self.t_c <= 0 or self.mean_lag <= 0:
-            raise ValueError("t_c and mean_lag must be positive")
+# The onset series is smoothed by an N_FILTER + 1-tap windowed-sinc low-pass
+# with cut-off frequency 1 / T_C (T_C in s); an anchor is a frame equal to
+# the maximum of the smoothed series over MEAN_LAG seconds centred on it.
+T_C = 0.050
+N_FILTER = 20
+MEAN_LAG = 0.25
 
 
 @dataclass(frozen=True)
@@ -120,11 +102,9 @@ def select_times(phi: np.ndarray, mean_lag: float, frame_rate: float) -> Analysi
     return AnalysisTimes(frames=frames)
 
 
-def select_analysis_times(spec, cfg: OnsetConfig | None = None) -> AnalysisTimes:
+def select_analysis_times(spec) -> AnalysisTimes:
     """Full anchor-time selection on a spectrogram's frame norms (flux, smoothing, maxima)."""
-    cfg = cfg or OnsetConfig()
     frame_rate = spec.frame_rate
     phi = diff_spectral_norms(spec.norms)
-    coeffs = design_smoother(cfg.t_c, cfg.n, frame_rate)
-    smoothed = post_filter(phi, coeffs)
-    return select_times(smoothed, cfg.mean_lag, frame_rate)
+    smoothed = post_filter(phi, design_smoother(T_C, N_FILTER, frame_rate))
+    return select_times(smoothed, MEAN_LAG, frame_rate)

@@ -19,9 +19,9 @@ import numpy as np
 from printdex import degrade as _degrade
 from printdex import hashing as _hashing
 from printdex import search as _search
-from printdex.audio import FRAME_PERIOD, AudioBuffer, load_audio, normalize, resample
+from printdex.audio import FRAME_PERIOD, SAMPLE_RATE, AudioBuffer, load_audio, normalize, resample
 from printdex.hashing import _MASK64, _splitmix64
-from printdex.prints import PipelineConfig, analyze
+from printdex.prints import analyze
 from printdex.reduction import ReductionModel, reduce_prints, train_reduction
 
 
@@ -69,9 +69,22 @@ def write_manifest(path, entries) -> None:
             fh.write(f"{e.track_id}\t{e.path}\t{e.label}\n")
 
 
-def load_track(entry_or_path, cfg: PipelineConfig) -> AudioBuffer:
+class PipelineConfig:
+    """Empty: the rate and the STFT, onset and print geometry are module constants.
+
+    ``bench/`` still builds one, reads these attributes and passes it to the
+    unused ``cfg`` slot of ``load_track``, ``train_from_manifest`` and
+    ``build_index``.
+    """
+
+    sample_rate = SAMPLE_RATE
+    prints = onset = None
+
+
+# cfg is unused; bench/workloads.py still passes a PipelineConfig positionally
+def load_track(entry_or_path, cfg=None) -> AudioBuffer:
     path = entry_or_path.path if isinstance(entry_or_path, ManifestEntry) else entry_or_path
-    return normalize(resample(load_audio(path), cfg.sample_rate))
+    return normalize(resample(load_audio(path), SAMPLE_RATE))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +138,7 @@ def _parallel_map(func, items):
 
     Each item is independent work, such as one catalog track or one
     evaluation query. Workers are forked, so ``func`` may be a closure over
-    the model and config and only the items and results are pickled. Each
+    the model and only the items and results are pickled. Each
     worker runs one BLAS thread: with OpenBLAS's default of one thread per
     CPU in every worker, two workers on two CPUs ran slower than one
     process. Python's imports make ``spawn`` workers cost seconds per call,
@@ -188,7 +201,6 @@ class TrainingData:
 
 def collect_training_data(
     entries,
-    cfg: PipelineConfig,
     plan=DEFAULT_TRAINING_PLAN,
     *,
     times_per_track: int = 6,
@@ -208,8 +220,8 @@ def collect_training_data(
 
     def track_records(entry):
         """(prints, class ids, is-original flags, pool prints) of one track and its variants."""
-        buf = load_track(entry, cfg)
-        kept, coeffs = analyze(buf, cfg)
+        buf = load_track(entry)
+        kept, coeffs = analyze(buf)
         if len(kept) == 0:
             return None
         pool_pick = _spread_indices(len(kept), pool_times_per_track)
@@ -222,7 +234,7 @@ def collect_training_data(
             dbuf = normalize(_degrade.apply(dspec.reseeded(var_seed), buf))
             scale = dbuf.duration / buf.duration
             frames = np.round(class_frames * scale).astype(np.int64)
-            dkept, dcoeffs = analyze(dbuf, cfg, frames=frames)
+            dkept, dcoeffs = analyze(dbuf, frames=frames)
             # frames are sorted, so the anchors surviving the end-of-signal
             # check are exactly a prefix; class ranks align positionally
             prints.append(dcoeffs.astype(np.float32))
@@ -247,7 +259,7 @@ def collect_training_data(
 
 def train_from_manifest(
     entries,
-    cfg: PipelineConfig,
+    cfg=None,  # unused; bench/ still passes a PipelineConfig positionally
     plan=DEFAULT_TRAINING_PLAN,
     *,
     times_per_track: int = 6,
@@ -259,7 +271,6 @@ def train_from_manifest(
 ) -> ReductionModel:
     data = collect_training_data(
         entries,
-        cfg,
         plan,
         times_per_track=times_per_track,
         pool_times_per_track=pool_times_per_track,
@@ -281,9 +292,9 @@ def train_from_manifest(
 # Index building
 
 
-def reduced_prints_for_buffer(buf: AudioBuffer, model: ReductionModel, cfg: PipelineConfig):
+def reduced_prints_for_buffer(buf: AudioBuffer, model: ReductionModel):
     """(kept_frames, reduced (n, bands, 40)) for one buffer."""
-    kept, coeffs = analyze(buf, cfg)
+    kept, coeffs = analyze(buf)
     return kept, reduce_prints(coeffs, model)
 
 
@@ -297,33 +308,25 @@ def index_postings(kept, reduced, model, lsh_spec, n_reliable: int):
 def build_index(
     entries,
     model: ReductionModel,
-    cfg: PipelineConfig,
+    cfg=None,  # unused; bench/ still passes a PipelineConfig positionally
     *,
     lsh_seed: int = 0,
     progress=None,
 ) -> _hashing.CatalogIndex:
-    spec = _hashing.make_lsh_spec(lsh_seed)
-    table = _hashing.HashTable()
-    tracks = {}
+    index = _hashing.CatalogIndex(table=_hashing.HashTable(), tracks={}, lsh_seed=lsh_seed)
 
     def track_postings(entry):
-        buf = load_track(entry, cfg)
-        kept, reduced = reduced_prints_for_buffer(buf, model, cfg)
-        return entry, buf.duration, len(kept), *index_postings(kept, reduced, model, spec, _hashing.N_RELIABLE)
+        buf = load_track(entry)
+        kept, reduced = reduced_prints_for_buffer(buf, model)
+        return entry, buf.duration, len(kept), *index_postings(kept, reduced, model, index.spec, _hashing.N_RELIABLE)
 
     for i, (entry, duration, n_prints, codes, frames) in enumerate(_parallel_map(track_postings, entries)):
-        table.insert(codes, np.full(len(codes), entry.track_id), frames)
-        tracks[entry.track_id] = _hashing.TrackInfo(name=entry.label or entry.path, duration=duration)
+        index.table.insert(codes, np.full(len(codes), entry.track_id), frames)
+        index.tracks[entry.track_id] = _hashing.TrackInfo(name=entry.label or entry.path, duration=duration)
         if progress:
             progress(f"indexed {i + 1}/{len(entries)} tracks ({n_prints} prints)")
-    table.freeze()
-    return _hashing.CatalogIndex(
-        table=table,
-        tracks=tracks,
-        lsh_seed=lsh_seed,
-        n_bands=cfg.prints.n_bands,
-        spec=spec,
-    )
+    index.table.freeze()
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +382,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def make_queries(entries, cfg: PipelineConfig, count: int, duration_s: float, seed: int = 0) -> list:
+def make_queries(entries, count: int, duration_s: float, seed: int = 0) -> list:
     """Uniformly sampled (track, offset) cuts, offsets aligned to the hop grid.
 
     Hop alignment keeps the ground truth aligned with the reference frame
@@ -388,7 +391,7 @@ def make_queries(entries, cfg: PipelineConfig, count: int, duration_s: float, se
     """
     rng = np.random.default_rng(seed)
     queries = []
-    durations = {e.track_id: load_track(e, cfg).duration for e in entries}
+    durations = {e.track_id: load_track(e).duration for e in entries}
     usable = [e for e in entries if durations[e.track_id] >= duration_s + 0.5]
     if not usable:
         raise ValueError("no track long enough for the requested query duration")
@@ -411,7 +414,6 @@ def evaluate(
     index,
     model,
     entries,
-    cfg: PipelineConfig,
     queries,
     conditions,
     seed: int = 0,
@@ -432,7 +434,7 @@ def evaluate(
     def track_buf(track_id):
         if track_id not in cache:
             entry = next(e for e in entries if e.track_id == track_id)
-            cache[track_id] = load_track(entry, cfg)
+            cache[track_id] = load_track(entry)
         return cache[track_id]
 
     def outcome(item):
@@ -443,7 +445,7 @@ def evaluate(
         if dspec is not None:
             excerpt = _degrade.apply(dspec.reseeded(_derive_seed(seed, c_idx, q_idx)), excerpt)
         try:
-            result = _search.query_index(excerpt, index, model, print_cfg=cfg.prints, onset_cfg=cfg.onset)
+            result = _search.query_index(excerpt, index, model)
         except ValueError:
             return c_idx, q_idx, False, False
         step1 = len(result.step1_ranking) > 0 and result.step1_ranking[0] == q.track_id

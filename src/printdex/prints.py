@@ -7,16 +7,15 @@ cut out, amplitudes are floored/weighted/normalized/log-converted, and the
 magnitude of a 2D DFT (invariant to translation) yields 1056 coefficients per
 (anchor, band). The log-frequency axis is applied inside ``audio.stft``, one
 block of frames at a time (``frequency_map``), so the linear-frequency
-spectrogram is never stored. ``print_matrix`` takes every band of every
-anchor in one pass, with the geometry derived once per ``PrintConfig``;
+spectrogram is never stored. The geometry is this module's constants,
+which the learned reduction is fitted to. ``print_matrix`` takes every band
+of every anchor in one pass, with the geometry's maps derived once;
 ``analyze`` runs the whole front end (STFT, anchor selection, prints) for
 training, indexing and querying alike. The stage-by-stage single-print path
 is a test oracle (``tests/stft_oracle.py``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -27,46 +26,22 @@ from printdex import audio as _audio
 from printdex import onsets as _onsets
 
 
-@dataclass(frozen=True)
-class PrintConfig:
-    """Geometry and amplitude parameters of the print computation."""
+WINDOW_S = 3.0  # print segment after each anchor (s)
+F_MIN, F_MAX = 150.0, 5000.0  # log-frequency axis (Hz)
+T_MIN, T_MAX = 0.5, 2.5  # log-time axis (s after the anchor)
+N_LOGFREQ = 94
+N_LOGTIME = 64
+N_BANDS = 5
+BAND_WIDTH = 32  # log-frequency rows per band
+FLOOR_RATIO = 0.15  # amplitude floor, relative to the band's weighted peak
+LOG_KNEE = 10.0  # f = log(1 + LOG_KNEE * g) / log(1 + LOG_KNEE)
 
-    window_s: float = 3.0
-    f_min: float = 150.0
-    f_max: float = 5000.0
-    t_min: float = 0.5
-    t_max: float = 2.5
-    n_logfreq: int = 94
-    n_logtime: int = 64
-    n_bands: int = 5
-    band_width: int = 32
-    floor_ratio: float = 0.15
-    log_knee: float = 10.0
-
-    def __post_init__(self):
-        if self.t_min <= 0 or self.f_min <= 0:
-            raise ValueError("t_min and f_min must be positive")
-        if self.band_width > self.n_logfreq:
-            raise ValueError("band_width cannot exceed n_logfreq")
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.band_width * (self.n_logtime // 2 + 1)
-
-    def band_starts(self) -> list[int]:
-        """First log-frequency row of each band.
-
-        Bands overlap by about half their width; (n_logfreq - band_width)
-        is spread over n_bands - 1 with half-away-from-zero rounding, which
-        gives {0, 16, 31, 47, 62} for the 94/32/5 default.
-        """
-        if self.n_bands == 1:
-            return [0]
-        step = (self.n_logfreq - self.band_width) / (self.n_bands - 1)
-        return [int(np.floor(i * step + 0.5)) for i in range(self.n_bands)]
-
-    def segment_frames(self, frame_rate: float) -> int:
-        return int(round(self.window_s * frame_rate))
+N_COEFFS = BAND_WIDTH * (N_LOGTIME // 2 + 1)  # 1056 per (anchor, band)
+SEGMENT_FRAMES = int(round(WINDOW_S * _audio.Spectrogram.frame_rate))  # 150
+# First log-frequency row of each band. Bands overlap by about half their
+# width: (N_LOGFREQ - BAND_WIDTH) is spread over N_BANDS - 1 with
+# half-away-from-zero rounding, which gives (0, 16, 31, 47, 62).
+BAND_STARTS = tuple(int(np.floor(i * (N_LOGFREQ - BAND_WIDTH) / (N_BANDS - 1) + 0.5)) for i in range(N_BANDS))
 
 
 def _simpson_weights(m: int, s: float) -> np.ndarray:
@@ -149,90 +124,76 @@ def _axis_weights(n_cells: int, lo: float, hi: float, spacing: float, n_src: int
     return weights
 
 
-_MAPPER_CACHE: dict = {}
+_MAPPER_CACHE: dict = {}  # the one _LogLogMapper, built on first use; bench/ clears it to time the build
 
 
 class _LogLogMapper:
-    """Everything ``print_matrix`` derives from one ``PrintConfig``.
+    """Everything ``print_matrix`` derives from the print geometry.
 
     ``freq_map`` takes STFT bins to the log-frequency rows (``audio.stft``
     applies it); ``time_map_t`` takes the segment frames after an anchor to
     the log-time columns, trimmed to the frames [lo, hi) = ``time_span`` that
-    carry weight (25..127 of 150 by default). ``band_rows`` indexes the
-    overlapping bands out of the log-log matrix, ``taper`` is the 2D Hamming
-    weighting of one band and ``log_norm`` the log(1 + a) normaliser.
+    carry weight (25..127 of 150). ``band_rows`` indexes the overlapping
+    bands out of the log-log matrix, ``taper`` is the 2D Hamming weighting
+    of one band and ``log_norm`` the log(1 + a) normaliser.
     """
 
-    def __init__(self, cfg: PrintConfig):
-        self.n_seg = cfg.segment_frames(_audio.Spectrogram.frame_rate)
-        freq = _axis_weights(cfg.n_logfreq, cfg.f_min, cfg.f_max, _audio.Spectrogram.bin_hz, _audio.Spectrogram.n_bins)
+    def __init__(self):
+        freq = _axis_weights(N_LOGFREQ, F_MIN, F_MAX, _audio.Spectrogram.bin_hz, _audio.Spectrogram.n_bins)
         self.freq_map = scipy.sparse.csr_matrix(freq)
-        time_map = _axis_weights(cfg.n_logtime, cfg.t_min, cfg.t_max, _audio.FRAME_PERIOD, self.n_seg)
+        time_map = _axis_weights(N_LOGTIME, T_MIN, T_MAX, _audio.FRAME_PERIOD, SEGMENT_FRAMES)
         cols = np.flatnonzero(time_map.any(axis=0))
         self.time_span = (int(cols[0]), int(cols[-1]) + 1)
         self.time_map_t = time_map[:, self.time_span[0] : self.time_span[1]].T
-        self.band_rows = np.array(cfg.band_starts())[:, None] + np.arange(cfg.band_width)[None, :]
+        self.band_rows = np.array(BAND_STARTS)[:, None] + np.arange(BAND_WIDTH)[None, :]
         self.taper = np.outer(
-            scipy.signal.windows.hamming(cfg.band_width, sym=True),
-            scipy.signal.windows.hamming(cfg.n_logtime, sym=True),
+            scipy.signal.windows.hamming(BAND_WIDTH, sym=True),
+            scipy.signal.windows.hamming(N_LOGTIME, sym=True),
         )
-        self.log_norm = np.log1p(cfg.log_knee)
+        self.log_norm = np.log1p(LOG_KNEE)
 
 
-def _mapper(cfg: PrintConfig) -> _LogLogMapper:
-    mapper = _MAPPER_CACHE.get(cfg)
+def _mapper() -> _LogLogMapper:
+    mapper = _MAPPER_CACHE.get("loglog")
     if mapper is None:
-        mapper = _MAPPER_CACHE[cfg] = _LogLogMapper(cfg)
+        mapper = _MAPPER_CACHE["loglog"] = _LogLogMapper()
     return mapper
 
 
-def frequency_map(cfg: PrintConfig) -> scipy.sparse.csr_matrix:
-    """The sparse (n_logfreq, bins) map that ``audio.stft`` applies to each frame."""
-    return _mapper(cfg).freq_map
+def frequency_map() -> scipy.sparse.csr_matrix:
+    """The sparse (N_LOGFREQ, bins) map that ``audio.stft`` applies to each frame."""
+    return _mapper().freq_map
 
 
-def print_matrix(spec, frames, cfg: PrintConfig) -> tuple[np.ndarray, np.ndarray]:
+def print_matrix(spec, frames) -> tuple[np.ndarray, np.ndarray]:
     """Bulk print computation for one spectrogram.
 
-    ``spec`` must come from ``audio.stft(buf, frequency_map(cfg))``, so its
-    ``logfreq`` rows are this configuration's log-frequency axis. Returns
-    (kept_frames, coeffs) where coeffs has shape (n_kept, n_bands,
-    n_coeffs). Anchors whose window passes the signal end are dropped.
+    ``spec`` must come from ``audio.stft(buf, frequency_map())``, so its
+    ``logfreq`` rows are the print's log-frequency axis. Returns
+    (kept_frames, coeffs) where coeffs has shape (n_kept, N_BANDS,
+    N_COEFFS). Anchors whose window passes the signal end are dropped.
     """
-    mapper = _mapper(cfg)
+    mapper = _mapper()
     frames = np.asarray(frames, dtype=np.int64)
-    kept = frames[frames + mapper.n_seg <= spec.n_frames]
+    kept = frames[frames + SEGMENT_FRAMES <= spec.n_frames]
     if len(kept) == 0:
-        return kept, np.zeros((0, cfg.n_bands, cfg.n_coeffs))
+        return kept, np.zeros((0, N_BANDS, N_COEFFS))
     lo, hi = mapper.time_span
-    out = np.empty((len(kept), cfg.n_bands, cfg.n_coeffs))
+    out = np.empty((len(kept), N_BANDS, N_COEFFS))
     for i, ell in enumerate(kept):
         h = spec.logfreq[:, ell + lo : ell + hi] @ mapper.time_map_t
         bands = h[mapper.band_rows, :]
         weighted = bands * mapper.taper
-        sigma = cfg.floor_ratio * weighted.max(axis=(1, 2), keepdims=True)
+        sigma = FLOOR_RATIO * weighted.max(axis=(1, 2), keepdims=True)
         g = np.maximum(sigma, bands) * mapper.taper
         peak = g.max(axis=(1, 2), keepdims=True)
         np.divide(g, peak, out=g, where=peak > 0)
-        f = np.log1p(cfg.log_knee * g) / mapper.log_norm
-        out[i] = np.abs(scipy.fft.rfft2(f, axes=(-2, -1))).reshape(cfg.n_bands, -1)
+        f = np.log1p(LOG_KNEE * g) / mapper.log_norm
+        out[i] = np.abs(scipy.fft.rfft2(f, axes=(-2, -1))).reshape(N_BANDS, -1)
     return kept, out
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Anchor and print geometry of the front end.
-
-    The processing rate and the STFT geometry are ``audio``'s constants;
-    ``sample_rate`` repeats the rate for callers that cut or load audio.
-    """
-
-    onset: _onsets.OnsetConfig = field(default_factory=_onsets.OnsetConfig)
-    prints: PrintConfig = field(default_factory=PrintConfig)
-    sample_rate = _audio.SAMPLE_RATE
-
-
-def analyze(buf, cfg: PipelineConfig, frames=None):
+def analyze(buf, frames=None):
     """Spectrogram, anchor frames and raw prints of one buffer.
 
     The one front end of training, indexing and querying. ``buf`` must
@@ -241,7 +202,7 @@ def analyze(buf, cfg: PipelineConfig, frames=None):
     at the original anchor times). Returns (kept_frames, coeffs (n, bands,
     1056)).
     """
-    spec = _audio.stft(buf, frequency_map(cfg.prints))
+    spec = _audio.stft(buf, frequency_map())
     if frames is None:
-        frames = _onsets.select_analysis_times(spec, cfg.onset).frames
-    return print_matrix(spec, frames, cfg.prints)
+        frames = _onsets.select_analysis_times(spec).frames
+    return print_matrix(spec, frames)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-IN_DIM = 1056
 LDA_DIM = 80
 OUT_DIM = 40
 ICCR_REL_THRESHOLD = 1e-5
@@ -386,7 +385,7 @@ class BandChain:
 @dataclass
 class ReductionModel:
     bands: list
-    in_dim: int = IN_DIM
+    in_dim: int
     out_dim: int = OUT_DIM
 
     @property
@@ -552,7 +551,7 @@ def train_band(
         },
     )
     compose_final(chain)
-    reduced = apply_reduction(prints, ReductionModel(bands=[chain]), 0)
+    reduced = apply_reduction(prints, ReductionModel(bands=[chain], in_dim=prints.shape[1]), 0)
     residuals = reduced[~is_original] - reduced[original_row[record_class[~is_original]]]
     sigma = residuals.std(axis=0, ddof=1)
     chain.sigma_e = np.maximum(sigma, 1e-9 * max(float(np.abs(reduced).max()), 1.0))

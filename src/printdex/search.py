@@ -12,7 +12,7 @@ excerpt offset delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +33,18 @@ CANDIDATE_MIN = 10
 CANDIDATE_MAX = 500
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """No-match rule: reject a top score under max(no_match_abs, no_match_factor * median of the rest)."""
+# No-match rule: reject a top score under max(NO_MATCH_ABS, NO_MATCH_FACTOR *
+# median of the other candidates' scores). Desk calibration: 100 unrelated
+# 7 s queries topped out at score 9.
+NO_MATCH_ABS = 12.0
+NO_MATCH_FACTOR = 3.0
 
-    # desk calibration: 100 unrelated 7 s queries topped out at score 9
-    no_match_abs: float = 12.0
-    no_match_factor: float = 3.0
+
+class SearchConfig:
+    """Empty: the no-match rule is ``NO_MATCH_ABS`` and ``NO_MATCH_FACTOR``.
+
+    ``bench/workloads.py`` still builds one to pass to ``query_index``.
+    """
 
 
 @dataclass
@@ -239,17 +244,15 @@ def _fit_line(t: np.ndarray, tau: np.ndarray, w: np.ndarray) -> tuple[float, flo
     return alpha, delta
 
 
-def query_codes(buf, index, model, print_cfg=None, onset_cfg=None):
+def query_codes(buf, index, model):
     """Analyze an excerpt into extended codes and their anchor times."""
-    if model.n_bands != index.n_bands:
-        raise ValueError(f"model has {model.n_bands} bands but the index has {index.n_bands}")
-    default = _prints.PipelineConfig()
-    cfg = replace(default, prints=print_cfg or default.prints, onset=onset_cfg or default.onset)
+    if model.n_bands != _prints.N_BANDS:
+        raise ValueError(f"model has {model.n_bands} bands but the index has {_prints.N_BANDS}")
     buf = _audio.resample(buf, _audio.SAMPLE_RATE)
     buf = _audio.normalize(buf)
-    if buf.duration < cfg.prints.window_s:
-        raise ValueError(f"excerpt shorter than one {cfg.prints.window_s} s print window")
-    kept, coeffs = _prints.analyze(buf, cfg)
+    if buf.duration < _prints.WINDOW_S:
+        raise ValueError(f"excerpt shorter than one {_prints.WINDOW_S} s print window")
+    kept, coeffs = _prints.analyze(buf)
     if len(kept) == 0:
         raise ValueError("no usable analysis window in excerpt")
     anchor_seconds = kept * _audio.FRAME_PERIOD
@@ -259,10 +262,10 @@ def query_codes(buf, index, model, print_cfg=None, onset_cfg=None):
     return codes.reshape(-1), times.reshape(-1), len(kept), buf.duration
 
 
-def query_index(buf, index, model, cfg: SearchConfig | None = None, print_cfg=None, onset_cfg=None) -> QueryResult:
+# cfg, print_cfg and onset_cfg are unused; bench/workloads.py still passes them positionally
+def query_index(buf, index, model, cfg=None, print_cfg=None, onset_cfg=None) -> QueryResult:
     """Full two-step query of an audio excerpt against a catalog index."""
-    cfg = cfg or SearchConfig()
-    codes, times, n_prints, duration = query_codes(buf, index, model, print_cfg, onset_cfg)
+    codes, times, n_prints, duration = query_codes(buf, index, model)
     hist = count_matches(codes, times, index, duration)
     candidates = select_candidates(hist)
     results = []
@@ -287,8 +290,8 @@ def query_index(buf, index, model, cfg: SearchConfig | None = None, print_cfg=No
     results.sort(key=lambda r: (-r.coherence_score, -r.step1_count, r.track_id))
     no_match = True
     if results:
-        threshold = cfg.no_match_abs
+        threshold = NO_MATCH_ABS
         if len(results) > 1:
-            threshold = max(threshold, cfg.no_match_factor * float(np.median([r.coherence_score for r in results[1:]])))
+            threshold = max(threshold, NO_MATCH_FACTOR * float(np.median([r.coherence_score for r in results[1:]])))
         no_match = results[0].coherence_score < threshold
     return QueryResult(results=results, step1_ranking=hist.track_ids, no_match=no_match, n_prints=n_prints)

@@ -30,12 +30,9 @@ def make_sine(freq, duration=2.0, sr=11025, amp=0.5):
 def small_setup(tmp_path_factory):
     root = tmp_path_factory.mktemp("small_corpus")
     manifest, entries = build_corpus(root, 14, duration_s=20.0)
-    cfg = pipeline.PipelineConfig()
-    model = pipeline.train_from_manifest(
-        entries, cfg, times_per_track=7, pool_times_per_track=40, seed=0, enforce_min_originals=False
-    )
-    index = pipeline.build_index(entries, model, cfg, lsh_seed=7)
-    return SimpleNamespace(root=root, manifest=manifest, entries=entries, cfg=cfg, model=model, index=index)
+    model = pipeline.train_from_manifest(entries, times_per_track=7, pool_times_per_track=40, seed=0, enforce_min_originals=False)
+    index = pipeline.build_index(entries, model, lsh_seed=7)
+    return SimpleNamespace(root=root, manifest=manifest, entries=entries, model=model, index=index)
 
 
 DESK_TRACKS = 112
@@ -48,12 +45,7 @@ def desk_setup(tmp_path_factory):
     """Desk-scale rig: >= 100 tracks x 30 s, trained model, index, 200 queries."""
     root = tmp_path_factory.mktemp("desk_corpus")
     manifest, entries = build_corpus(root, DESK_TRACKS, duration_s=DESK_DURATION)
-    cfg = pipeline.PipelineConfig()
-    model = pipeline.train_from_manifest(
-        entries, cfg, times_per_track=6, pool_times_per_track=45, seed=11, enforce_min_originals=True
-    )
-    index = pipeline.build_index(entries, model, cfg, lsh_seed=3)
-    queries = pipeline.make_queries(entries, cfg, DESK_QUERIES, 7.0, seed=21)
-    return SimpleNamespace(
-        root=root, manifest=manifest, entries=entries, cfg=cfg, model=model, index=index, queries=queries
-    )
+    model = pipeline.train_from_manifest(entries, times_per_track=6, pool_times_per_track=45, seed=11, enforce_min_originals=True)
+    index = pipeline.build_index(entries, model, lsh_seed=3)
+    queries = pipeline.make_queries(entries, DESK_QUERIES, 7.0, seed=21)
+    return SimpleNamespace(root=root, manifest=manifest, entries=entries, model=model, index=index, queries=queries)

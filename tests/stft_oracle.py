@@ -21,7 +21,8 @@ import scipy.signal
 import scipy.sparse
 
 from printdex import audio
-from printdex.prints import PrintConfig, _axis_weights, frequency_map
+from printdex import prints
+from printdex.prints import _axis_weights, frequency_map
 
 
 # the 94x64 matrix on geometric frequency/time grids, and the 1056 2D-DFT magnitudes of one band
@@ -29,9 +30,9 @@ LogLogSpectrogram = namedtuple("LogLogSpectrogram", "values")
 HDPrint = namedtuple("HDPrint", "coeffs")
 
 
-def spectrogram(buf, cfg: PrintConfig | None = None) -> audio.Spectrogram:
-    """``audio.stft`` with the frequency map of ``cfg``, as ``prints.analyze`` calls it."""
-    return audio.stft(buf, frequency_map(cfg or PrintConfig()))
+def spectrogram(buf) -> audio.Spectrogram:
+    """``audio.stft`` with the prints' frequency map, as ``prints.analyze`` calls it."""
+    return audio.stft(buf, frequency_map())
 
 
 def magnitude_stft(buf) -> np.ndarray:
@@ -54,35 +55,35 @@ class WindowPastEnd(ValueError):
     """The 3 s analysis window would run past the end of the signal."""
 
 
-def extract_window(mags: np.ndarray, anchor_frame: int, cfg: PrintConfig | None = None) -> np.ndarray:
+def extract_window(mags: np.ndarray, anchor_frame: int) -> np.ndarray:
     """Magnitude columns covering the print window after the anchor."""
-    cfg = cfg or PrintConfig()
-    n_seg = cfg.segment_frames(audio.SAMPLE_RATE / audio.HOP_SAMPLES)
+    n_seg = prints.SEGMENT_FRAMES
     if anchor_frame + n_seg > mags.shape[1]:
         raise WindowPastEnd(f"anchor {anchor_frame} + {n_seg} frames exceeds {mags.shape[1]}")
     return mags[:, anchor_frame : anchor_frame + n_seg]
 
 
-def loglog_convert(segment: np.ndarray, cfg: PrintConfig, bin_hz: float, frame_period: float) -> LogLogSpectrogram:
+def loglog_convert(segment: np.ndarray, bin_hz: float, frame_period: float) -> LogLogSpectrogram:
     """Resample a linear (bins x frames) segment, time 0 at the anchor, onto the geometric grid.
 
     Applies the full time map, where ``print_matrix`` skips the frames it does not weight.
     """
     segment = np.asarray(segment, dtype=np.float64)
-    freq_map = scipy.sparse.csr_matrix(_axis_weights(cfg.n_logfreq, cfg.f_min, cfg.f_max, bin_hz, segment.shape[0]))
-    time_map = _axis_weights(cfg.n_logtime, cfg.t_min, cfg.t_max, frame_period, cfg.segment_frames(1.0 / frame_period))
+    freq_map = scipy.sparse.csr_matrix(_axis_weights(prints.N_LOGFREQ, prints.F_MIN, prints.F_MAX, bin_hz, segment.shape[0]))
+    n_seg = int(round(prints.WINDOW_S * (1.0 / frame_period)))
+    time_map = _axis_weights(prints.N_LOGTIME, prints.T_MIN, prints.T_MAX, frame_period, n_seg)
     return LogLogSpectrogram(values=(freq_map @ segment) @ time_map.T)
 
 
-def split_bands(h: LogLogSpectrogram, cfg: PrintConfig) -> list[np.ndarray]:
+def split_bands(h: LogLogSpectrogram) -> list[np.ndarray]:
     """The overlapping log-frequency bands of the log-log matrix, lowest first."""
-    return [h.values[start : start + cfg.band_width] for start in cfg.band_starts()]
+    return [h.values[start : start + prints.BAND_WIDTH] for start in prints.BAND_STARTS]
 
 
-def modify_amplitudes(h: np.ndarray, cfg: PrintConfig) -> np.ndarray:
+def modify_amplitudes(h: np.ndarray) -> np.ndarray:
     """Floor, 2D-weight, max-normalize and log-convert one band matrix.
 
-    The floor sigma = floor_ratio * max(h * w) inhibits low-level noise; the
+    The floor sigma = FLOOR_RATIO * max(h * w) inhibits low-level noise; the
     Hamming weighting tapers the borders (reducing DFT edge effects); the
     final log(1 + a g) / log(1 + a) maps [0, 1] to itself, linear near 0 and
     compressive near 1. All-zero input stays all-zero.
@@ -91,13 +92,13 @@ def modify_amplitudes(h: np.ndarray, cfg: PrintConfig) -> np.ndarray:
     if np.any(values < 0):
         raise ValueError("band magnitudes must be nonnegative")
     w = np.outer(*(scipy.signal.windows.hamming(n, sym=True) for n in values.shape))
-    sigma = cfg.floor_ratio * float((values * w).max())
+    sigma = prints.FLOOR_RATIO * float((values * w).max())
     g = np.maximum(sigma, values) * w
     peak = g.max()
     if peak == 0.0:
         return np.zeros_like(g)
     g /= peak
-    return np.log1p(cfg.log_knee * g) / np.log1p(cfg.log_knee)
+    return np.log1p(prints.LOG_KNEE * g) / np.log1p(prints.LOG_KNEE)
 
 
 def dft2_magnitude(f: np.ndarray) -> HDPrint:

@@ -27,7 +27,7 @@ from printdex.hashing import (
     expected_unchanged,
     make_lsh_spec,
 )
-from printdex.prints import PrintConfig, frequency_map
+from printdex.prints import F_MAX, F_MIN, N_BANDS, N_LOGFREQ, SEGMENT_FRAMES, frequency_map
 from printdex.reduction import (
     BandChain,
     ReductionModel,
@@ -174,7 +174,6 @@ class TestCriterion4PrintInvariance:
         ok = True
         details = []
         rng = np.random.default_rng(123)
-        cfg = PrintConfig()
         # |2D-DFT| circular shift invariance
         f = rng.uniform(0, 1, (32, 64))
         a = dft2_magnitude(f).coeffs
@@ -183,10 +182,10 @@ class TestCriterion4PrintInvariance:
         ok &= shift_err <= 1e-9
         details.append(f"dft shift {shift_err:.1e}")
         # pitch translation on synthetic tonal spectra
-        spec = stft(synth_track(1, duration_s=4.0), frequency_map(cfg))
+        spec = stft(synth_track(1, duration_s=4.0), frequency_map())
         period = spec.hop_samples / spec.sample_rate
         freqs = np.arange(spec.n_bins) * spec.bin_hz
-        times = np.arange(cfg.segment_frames(spec.frame_rate)) * period
+        times = np.arange(SEGMENT_FRAMES) * period
 
         def tonal(f0):
             g = np.zeros_like(freqs)
@@ -196,9 +195,9 @@ class TestCriterion4PrintInvariance:
                     g += harm**-0.8 * np.exp(-0.5 * ((freqs - fc) / (0.02 * fc)) ** 2)
             return np.outer(g, 0.6 + 0.4 * np.cos(2 * np.pi * 1.3 * (times - 0.5)))
 
-        ratio = (cfg.f_max / cfg.f_min) ** (1.0 / (cfg.n_logfreq - 1))
-        h1 = loglog_convert(tonal(300.0), cfg, spec.bin_hz, period).values
-        h2 = loglog_convert(tonal(300.0 * ratio**18), cfg, spec.bin_hz, period).values
+        ratio = (F_MAX / F_MIN) ** (1.0 / (N_LOGFREQ - 1))
+        h1 = loglog_convert(tonal(300.0), spec.bin_hz, period).values
+        h2 = loglog_convert(tonal(300.0 * ratio**18), spec.bin_hz, period).values
         interior = np.arange(25, 70)
         trans_err = np.linalg.norm(h2[interior] / h2.max() - h1[interior - 18] / h1.max()) / np.linalg.norm(h2[interior] / h2.max())
         ok &= trans_err < 0.05
@@ -207,13 +206,13 @@ class TestCriterion4PrintInvariance:
         bump = np.outer(np.sin(np.linspace(0, np.pi, 32)), np.cos(np.linspace(0, 2, 64))) ** 2
         noise = scipy.signal.convolve2d(rng.uniform(0, 0.2, (32, 64)), np.ones((5, 9)) / 45.0, mode="same", boundary="symm")
         band = 1.0 + 0.3 * noise + 0.05 * bump
-        y0 = dft2_magnitude(modify_amplitudes(band, cfg)).coeffs.reshape(32, 33)
+        y0 = dft2_magnitude(modify_amplitudes(band)).coeffs.reshape(32, 33)
         response = np.exp(0.05 * np.sin(np.linspace(0, 3, 32)))
-        y_filt = dft2_magnitude(modify_amplitudes(band * response[:, None], cfg)).coeffs.reshape(32, 33)
+        y_filt = dft2_magnitude(modify_amplitudes(band * response[:, None])).coeffs.reshape(32, 33)
         filt_err = np.linalg.norm(y_filt[:, 1:] - y0[:, 1:]) / np.linalg.norm(y0[:, 1:])
         ok &= filt_err < 0.10
         modulation = np.exp(0.05 * np.sin(np.linspace(0, 4, 64)))
-        y_mod = dft2_magnitude(modify_amplitudes(band * modulation[None, :], cfg)).coeffs.reshape(32, 33)
+        y_mod = dft2_magnitude(modify_amplitudes(band * modulation[None, :])).coeffs.reshape(32, 33)
         mod_err = np.linalg.norm(y_mod[1:, :] - y0[1:, :]) / np.linalg.norm(y0[1:, :])
         ok &= mod_err < 0.10
         details.append(f"filtering {filt_err:.3f} modulation {mod_err:.3f}")
@@ -298,7 +297,7 @@ class TestCriterion6DeskScaleEndToEnd:
             ("stretch_plus_30c", parse_spec("time_stretch:cents=30"), False),
             ("stretch_minus_30c", parse_spec("time_stretch:cents=-30"), False),
         ]
-        report = pipeline.evaluate(s.index, s.model, s.entries, s.cfg, s.queries, conditions, seed=5)
+        report = pipeline.evaluate(s.index, s.model, s.entries, s.queries, conditions, seed=5)
         rates = {c.label: c.step2_rate for c in report.cells}
         pitch_rate = (rates["pitch_up_half_tone"] + rates["pitch_down_half_tone"]) / 2
         stretch_rate = (rates["stretch_plus_30c"] + rates["stretch_minus_30c"]) / 2
@@ -362,14 +361,14 @@ class TestCriterion7UniformityBenefit:
             parse_spec("time_stretch:cents=30"),
         ]
         for e_idx, entry in enumerate(s.entries):
-            buf = pipeline.load_track(entry, s.cfg)
+            buf = pipeline.load_track(entry)
             variants = variant_specs if e_idx < 45 else [None]
             for v_idx, dspec in enumerate(variants):
                 vbuf = buf if dspec is None else pipeline._degrade.apply(dspec.reseeded(e_idx * 10 + v_idx), buf)
-                kept, coeffs = pipeline.analyze(vbuf, s.cfg)
+                kept, coeffs = pipeline.analyze(vbuf)
                 if len(kept) == 0:
                     continue
-                n_prints += len(kept) * s.cfg.prints.n_bands
+                n_prints += len(kept) * N_BANDS
                 for name, model in models.items():
                     codes, _ = pipeline.index_postings(kept, reduce_prints(coeffs, model), model, spec, N_RELIABLE)
                     np.add.at(counts[name], codes, 1)

@@ -5,7 +5,7 @@ import scipy.signal
 
 from printdex import audio
 from printdex.audio import FFT_SIZE, HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, AudioError, load_audio, normalize, resample, save_wav
-from printdex.prints import PrintConfig, frequency_map
+from printdex.prints import N_LOGFREQ, frequency_map
 
 from conftest import make_sine
 from stft_oracle import magnitude_stft, spectrogram
@@ -197,7 +197,7 @@ class TestStft:
     def test_logfreq_c_contiguous_float64(self):
         # print_matrix multiplies column slices of these rows once per anchor
         spec = spectrogram(make_sine(440, duration=1.0))
-        assert spec.logfreq.shape == (PrintConfig().n_logfreq, spec.n_frames)
+        assert spec.logfreq.shape == (N_LOGFREQ, spec.n_frames)
         assert spec.logfreq.dtype == np.float64
         assert spec.logfreq.flags.c_contiguous
 
@@ -224,7 +224,7 @@ class TestStftReductions:
     )
     def test_exact_against_oracle(self, make_buf):
         buf = make_buf()
-        freq_map = frequency_map(PrintConfig())
+        freq_map = frequency_map()
         mags = magnitude_stft(buf)
         spec = audio.stft(buf, freq_map)
         assert spec.n_frames == mags.shape[1]

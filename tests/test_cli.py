@@ -9,10 +9,11 @@ import pytest
 
 from corpus import build_corpus, synth_track
 
-from printdex.audio import load_audio, save_wav
+from printdex.audio import AudioBuffer, load_audio, save_wav
 from printdex.cli import build_parser, main
 from printdex.hashing import N_RELIABLE
-from printdex.pipeline import PipelineConfig, load_track, read_manifest, reduced_prints_for_buffer, write_manifest
+from printdex.pipeline import load_track, read_manifest, reduced_prints_for_buffer, write_manifest
+from printdex.prints import N_BANDS
 from printdex.reduction import load_model, save_model
 
 TRAIN_ARGS = [
@@ -271,7 +272,7 @@ class TestIndexCommand:
 
         root, manifest, entries, model, index = cli_setup
         idx = load_index(index)
-        n_prints = idx.table.n_postings / (idx.n_bands * N_RELIABLE)
+        n_prints = idx.table.n_postings / (N_BANDS * N_RELIABLE)
         # anchors in the last 3 s have no room for a print window, which on
         # these short 15 s tracks is a fifth of the duration
         expected = len(entries) * (15.0 - 3.0) * 4.0
@@ -283,8 +284,8 @@ class TestIndexCommand:
         write_manifest(three, read_manifest(manifest)[:3])
         assert main(["index", "--manifest", str(three), "--model", model, "--out", str(tmp_path / "i.bmix")]) == 0
         printed = int(re.search(r"\bprints=(\d+)", capsys.readouterr().out).group(1))
-        cfg, loaded = PipelineConfig(), load_model(model)
-        kept = [reduced_prints_for_buffer(load_track(e, cfg), loaded, cfg)[0] for e in read_manifest(three)]
+        loaded = load_model(model)
+        kept = [reduced_prints_for_buffer(load_track(e), loaded)[0] for e in read_manifest(three)]
         assert printed == sum(len(k) for k in kept) > 0
 
     def test_rebuild_is_byte_identical(self, cli_setup, tmp_path):
@@ -413,12 +414,12 @@ def test_sample_rate_only_where_read(argv, accepted, capsys):
     "spec",
     ["white_noise", "white_noise:snr=12", "pitch_shift", "tremolo", "white_noise:snr_db=abc", "white_noise:snr_db=nan"]
     + ["dyn_compress:ratio=0", "dyn_compress:ratio=-1", "reverb_synthetic:mix_db=3,rt60_s=0", "reverb_synthetic:mix_db=3,rt60_s=-1"]
-    + ["pitch_shift:semitones=100000", "pitch_shift:semitones=-200"],
+    + ["pitch_shift:semitones=100000", "pitch_shift:semitones=-200", "time_stretch:cents=1200", "time_stretch:cents=-1200"],
 )
 @pytest.mark.parametrize("command", ["degrade", "train", "evaluate"])
 def test_malformed_spec_one_line_error(spec, command, tmp_path, capsys):
     """A spec missing, misnaming or mistyping a parameter, or giving a non-finite or out-of-range value,
-    fails in one line on every command that reads specs."""
+    fails in one line on every command that reads specs, and writes nothing."""
     wav = str(tmp_path / "t.wav")
     save_wav(wav, synth_track(1, duration_s=4.0))
     manifest = str(tmp_path / "m.tsv")
@@ -432,13 +433,14 @@ def test_malformed_spec_one_line_error(spec, command, tmp_path, capsys):
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and spec.partition(":")[0] in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv", "t.wav"]
 
 
-@pytest.mark.parametrize("spec", ["reverb_synthetic:mix_db=3,rt60_s=5e-5", "time_stretch:cents=-100000"])
+@pytest.mark.parametrize("spec", ["reverb_synthetic:mix_db=3,rt60_s=5e-5", "time_stretch:cents=-200"])
 def test_spec_leaving_no_samples_one_line_error(spec, tmp_path, capsys):
     """A reverb impulse response or a stretched output without samples fails in one line and writes nothing."""
     wav, out = str(tmp_path / "t.wav"), tmp_path / "o.wav"
-    save_wav(wav, synth_track(1, duration_s=2.0))
+    save_wav(wav, AudioBuffer(samples=np.full(1, 0.5), sample_rate=11025))  # a quarter of one sample rounds to none
     assert main(["degrade", wav, "--spec", spec, "--out", str(out)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {spec.partition(':')[0]}")

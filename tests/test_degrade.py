@@ -77,6 +77,9 @@ class TestParseSpec:
             ("pitch_shift:semitones=100000", "pitch_shift parameter 'semitones' must be in [-24, 24], got 100000.0"),
             ("pitch_shift:semitones=-200", "pitch_shift parameter 'semitones' must be in [-24, 24], got -200.0"),
             ("white_noise:snr_db=6+pitch_shift:semitones=24.5", "pitch_shift parameter 'semitones' must be in [-24, 24], got 24.5"),
+            ("time_stretch:cents=1200", "time_stretch parameter 'cents' must be in [-200, 200], got 1200.0"),
+            ("time_stretch:cents=-1200", "time_stretch parameter 'cents' must be in [-200, 200], got -1200.0"),
+            ("time_stretch:cents=-100000", "time_stretch parameter 'cents' must be in [-200, 200], got -100000.0"),
         ],
     )
     def test_params_checked_for_kind(self, text, message):
@@ -87,7 +90,6 @@ class TestParseSpec:
         "text, message",
         [
             ("reverb_synthetic:mix_db=3,rt60_s=5e-5", "reverb_synthetic rt60_s=5e-05 gives an impulse response with no samples at 11025 Hz"),
-            ("time_stretch:cents=-100000", "time_stretch factor 9.332636185032189e-302 leaves no samples of a 11025-sample input"),
         ],
     )
     def test_empty_output_rejected_when_applied(self, text, message):
@@ -95,6 +97,12 @@ class TestParseSpec:
         spec = parse_spec(text)
         with pytest.raises(DegradationError, match=f"^{re.escape(message)}$"):
             apply(spec, _music(duration=1.0, seed=15))
+
+    def test_stretch_leaving_no_samples_rejected_when_applied(self):
+        """The largest shrink in range, a quarter, leaves no samples of a one-sample input."""
+        spec = parse_spec("time_stretch:cents=-200")
+        with pytest.raises(DegradationError, match=r"^time_stretch factor 0\.25 leaves no samples of a 1-sample input$"):
+            apply(spec, AudioBuffer(samples=np.ones(1), sample_rate=11025))
 
     def test_direct_construction_checked(self):
         with pytest.raises(DegradationError, match="^dyn_compress parameter 'ratio' must be a number, got '8'$"):

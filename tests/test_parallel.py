@@ -87,12 +87,11 @@ def corpus(tmp_path_factory):
 
 def _artifacts(entries, directory) -> tuple:
     """(model bytes, index bytes) of one train + index run."""
-    cfg = pipeline.PipelineConfig()
     model = pipeline.train_from_manifest(
-        entries, cfg, PLAN, times_per_track=7, pool_times_per_track=30, seed=4, lda_dim=40, enforce_min_originals=False
+        entries, plan=PLAN, times_per_track=7, pool_times_per_track=30, seed=4, lda_dim=40, enforce_min_originals=False
     )
     save_model(directory / "model.bmrm", model)
-    hashing.save_index(directory / "index.bmix", pipeline.build_index(entries, model, cfg, lsh_seed=9))
+    hashing.save_index(directory / "index.bmix", pipeline.build_index(entries, model, lsh_seed=9))
     return (directory / "model.bmrm").read_bytes(), (directory / "index.bmix").read_bytes()
 
 

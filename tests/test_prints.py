@@ -3,7 +3,7 @@ import pytest
 import scipy.signal
 
 from printdex.audio import FRAME_PERIOD, AudioBuffer, Spectrogram
-from printdex.prints import PipelineConfig, PrintConfig, analyze, print_matrix
+from printdex.prints import BAND_STARTS, F_MAX, F_MIN, FLOOR_RATIO, N_LOGFREQ, SEGMENT_FRAMES, analyze, print_matrix
 
 from conftest import make_sine
 from stft_oracle import (
@@ -19,8 +19,7 @@ from stft_oracle import (
 )
 
 SR = 11025
-CFG = PrintConfig()
-N_SEG = CFG.segment_frames(Spectrogram.frame_rate)
+N_SEG = SEGMENT_FRAMES
 BIN_HZ, PERIOD = Spectrogram.bin_hz, FRAME_PERIOD
 
 
@@ -31,21 +30,21 @@ def _tone_magnitudes(freq, duration=4.0):
 class TestExtractWindow:
     def test_anchor_zero(self):
         mags = _tone_magnitudes(440)
-        seg = extract_window(mags, 0, CFG)
+        seg = extract_window(mags, 0)
         assert seg.shape == (Spectrogram.n_bins, N_SEG)
         assert np.array_equal(seg, mags[:, :N_SEG])
 
     def test_anchor_too_late_dropped(self):
         mags = _tone_magnitudes(440)
         with pytest.raises(WindowPastEnd):
-            extract_window(mags, mags.shape[1] - 10, CFG)
+            extract_window(mags, mags.shape[1] - 10)
 
     def test_close_anchors_share_columns(self):
         mags = _tone_magnitudes(440)
         offset = int(round(0.25 * Spectrogram.frame_rate))
         assert offset in (12, 13)
-        a = extract_window(mags, 0, CFG)
-        b = extract_window(mags, offset, CFG)
+        a = extract_window(mags, 0)
+        b = extract_window(mags, offset)
         shared = N_SEG - offset
         assert 137 <= shared <= 138
         assert np.array_equal(a[:, offset:], b[:, :shared])
@@ -54,7 +53,7 @@ class TestExtractWindow:
 class TestLogLogConvert:
     def test_constant_preserved(self):
         seg = np.full((Spectrogram.n_bins, N_SEG), 2.5)
-        h = loglog_convert(seg, CFG, BIN_HZ, PERIOD)
+        h = loglog_convert(seg, BIN_HZ, PERIOD)
         assert h.values.shape == (94, 64)
         assert np.max(np.abs(h.values - 2.5)) < 1e-12
 
@@ -62,7 +61,7 @@ class TestLogLogConvert:
         seg = np.zeros((Spectrogram.n_bins, N_SEG))
         first_high_bin = int(np.ceil(5150.0 / BIN_HZ))
         seg[first_high_bin:, :] = 7.0
-        h = loglog_convert(seg, CFG, BIN_HZ, PERIOD)
+        h = loglog_convert(seg, BIN_HZ, PERIOD)
         assert np.all(h.values == 0.0)
 
     def test_pitch_scaling_is_translation(self):
@@ -86,10 +85,10 @@ class TestLogLogConvert:
             env = 0.6 + 0.4 * np.cos(2 * np.pi * 1.3 * (t - 0.5))
             return np.outer(g, env)
 
-        ratio = (CFG.f_max / CFG.f_min) ** (1.0 / (CFG.n_logfreq - 1))
+        ratio = (F_MAX / F_MIN) ** (1.0 / (N_LOGFREQ - 1))
         factor = ratio**18  # == 93/log2(f_max/f_min) bins per octave, 18 bins exactly
-        h1 = loglog_convert(tonal_segment(300.0), CFG, BIN_HZ, PERIOD).values
-        h2 = loglog_convert(tonal_segment(300.0 * factor), CFG, BIN_HZ, PERIOD).values
+        h1 = loglog_convert(tonal_segment(300.0), BIN_HZ, PERIOD).values
+        h2 = loglog_convert(tonal_segment(300.0 * factor), BIN_HZ, PERIOD).values
         assert np.argmax(h2[:, 5]) - np.argmax(h1[:, 5]) == 18
         interior = slice(25, 70)
         shifted = h1[np.arange(interior.start, interior.stop) - 18, :] / h1.max()
@@ -99,35 +98,34 @@ class TestLogLogConvert:
 
     def test_pitch_shifted_sine_peak_translates(self):
         """Real STFT peaks land on the translated rows (location invariance)."""
-        ratio = (CFG.f_max / CFG.f_min) ** (1.0 / (CFG.n_logfreq - 1))
+        ratio = (F_MAX / F_MIN) ** (1.0 / (N_LOGFREQ - 1))
         factor = ratio**18
-        h1 = loglog_convert(extract_window(_tone_magnitudes(280.0), 5, CFG), CFG, BIN_HZ, PERIOD).values
-        h2 = loglog_convert(extract_window(_tone_magnitudes(280.0 * factor), 5, CFG), CFG, BIN_HZ, PERIOD).values
+        h1 = loglog_convert(extract_window(_tone_magnitudes(280.0), 5), BIN_HZ, PERIOD).values
+        h2 = loglog_convert(extract_window(_tone_magnitudes(280.0 * factor), 5), BIN_HZ, PERIOD).values
         assert abs((np.argmax(h2[:, 30]) - np.argmax(h1[:, 30])) - 18) <= 1
 
 
 class TestSplitBands:
     def test_band_rows(self):
         h = np.arange(94 * 64, dtype=float).reshape(94, 64)
-        bands = split_bands(LogLogSpectrogram(h), CFG)
+        bands = split_bands(LogLogSpectrogram(h))
         assert len(bands) == 5
         assert np.array_equal(bands[0], h[0:32])
         assert np.array_equal(bands[4], h[62:94])  # the last band ends at row 93
 
     def test_overlap(self):
-        starts = CFG.band_starts()
-        assert starts == [0, 16, 31, 47, 62]
-        for a, b in zip(starts, starts[1:]):
+        assert BAND_STARTS == (0, 16, 31, 47, 62)
+        for a, b in zip(BAND_STARTS, BAND_STARTS[1:]):
             assert a + 32 - b >= 15
 
 
 class TestModifyAmplitudes:
     def test_all_zero_guard(self):
-        out = modify_amplitudes(np.zeros((32, 64)), CFG)
+        out = modify_amplitudes(np.zeros((32, 64)))
         assert np.all(out == 0.0)
 
     def test_constant_band_normalized(self):
-        out = modify_amplitudes(np.full((32, 64), 3.0), CFG)
+        out = modify_amplitudes(np.full((32, 64), 3.0))
         assert out.max() == pytest.approx(1.0)
         assert np.all((out >= 0.0) & (out <= 1.0))
 
@@ -140,7 +138,7 @@ class TestModifyAmplitudes:
         g = np.maximum(sigma, h) * w
         g = g / g.max()
         expected = np.log(1 + 10 * g) / np.log(11.0)
-        got = modify_amplitudes(h, CFG)
+        got = modify_amplitudes(h)
         assert np.allclose(got, expected)
         assert got.max() == pytest.approx(1.0)
 
@@ -148,13 +146,13 @@ class TestModifyAmplitudes:
         rng = np.random.default_rng(3)
         h = rng.uniform(0, 2, (32, 64))
         w = np.outer(scipy.signal.windows.hamming(32), scipy.signal.windows.hamming(64))
-        sigma = CFG.floor_ratio * (h * w).max()
+        sigma = FLOOR_RATIO * (h * w).max()
         floored = np.maximum(sigma, h)
         assert floored.min() >= sigma
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            modify_amplitudes(-np.ones((4, 4)), CFG)
+            modify_amplitudes(-np.ones((4, 4)))
 
 
 class TestDft2:
@@ -192,9 +190,9 @@ class TestComputePrints:
         from printdex.onsets import select_analysis_times
 
         buf = synth_track(55, duration_s=10.0)
-        spec = spectrogram(buf, CFG)
+        spec = spectrogram(buf)
         times = select_analysis_times(spec)
-        kept, coeffs = print_matrix(spec, times.frames, CFG)
+        kept, coeffs = print_matrix(spec, times.frames)
         usable = [f for f in times.frames if f + N_SEG <= spec.n_frames]
         assert len(kept) == len(usable)
         assert coeffs.shape == (len(kept), 5, 1056)
@@ -202,30 +200,30 @@ class TestComputePrints:
 
     def test_silence_gives_zero_prints(self):
         buf = AudioBuffer(samples=np.zeros(10 * SR), sample_rate=SR)
-        spec = spectrogram(buf, CFG)
-        kept, coeffs = print_matrix(spec, np.array([0, 50]), CFG)
+        spec = spectrogram(buf)
+        kept, coeffs = print_matrix(spec, np.array([0, 50]))
         assert len(kept) == 2
         assert np.all(coeffs == 0.0)
 
     def test_determinism(self):
         buf = _music_like(8.0, seed=6)
-        spec = spectrogram(buf, CFG)
-        k1, c1 = print_matrix(spec, np.array([0, 10, 20]), CFG)
-        k2, c2 = print_matrix(spec, np.array([0, 10, 20]), CFG)
+        spec = spectrogram(buf)
+        k1, c1 = print_matrix(spec, np.array([0, 10, 20]))
+        k2, c2 = print_matrix(spec, np.array([0, 10, 20]))
         assert np.array_equal(c1, c2)
 
     def test_bulk_matches_single_op_path(self):
         """The blocked STFT, the trimmed time map and scipy's rfft2 change no bit."""
         buf = _music_like(6.0, seed=7)
-        spec = spectrogram(buf, CFG)
+        spec = spectrogram(buf)
         mags = magnitude_stft(buf)
-        kept, coeffs = print_matrix(spec, np.array([0, 12, 143]), CFG)
+        kept, coeffs = print_matrix(spec, np.array([0, 12, 143]))
         assert kept.tolist() == [0, 12, 143]
         for i, ell in enumerate(kept):
-            seg = extract_window(mags, ell, CFG)
-            h = loglog_convert(seg, CFG, BIN_HZ, PERIOD)
-            for b, band in enumerate(split_bands(h, CFG)):
-                assert np.array_equal(coeffs[i, b], dft2_magnitude(modify_amplitudes(band, CFG)).coeffs)
+            seg = extract_window(mags, ell)
+            h = loglog_convert(seg, BIN_HZ, PERIOD)
+            for b, band in enumerate(split_bands(h)):
+                assert np.array_equal(coeffs[i, b], dft2_magnitude(modify_amplitudes(band)).coeffs)
 
 
 class TestMemory:
@@ -236,11 +234,10 @@ class TestMemory:
         from corpus import synth_track
 
         buf = synth_track(12, duration_s=30.0)
-        cfg = PipelineConfig()
-        analyze(buf, cfg)  # build the cached maps outside the measurement
+        analyze(buf)  # build the cached maps outside the measurement
         tracemalloc.start()
         try:
-            analyze(buf, cfg)
+            analyze(buf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,16 +257,16 @@ class TestInvarianceProperties:
     def test_filtering_contained_in_first_column(self):
         h = self._smooth_band(seed=8)
         response = np.exp(0.05 * np.sin(np.linspace(0, 3, 32)))  # time-constant filter
-        y0 = dft2_magnitude(modify_amplitudes(h, CFG)).coeffs.reshape(32, 33)
-        y1 = dft2_magnitude(modify_amplitudes(h * response[:, None], CFG)).coeffs.reshape(32, 33)
+        y0 = dft2_magnitude(modify_amplitudes(h)).coeffs.reshape(32, 33)
+        y1 = dft2_magnitude(modify_amplitudes(h * response[:, None])).coeffs.reshape(32, 33)
         rest = np.linalg.norm(y1[:, 1:] - y0[:, 1:]) / np.linalg.norm(y0[:, 1:])
         assert rest < 0.10
 
     def test_modulation_contained_in_first_row(self):
         h = self._smooth_band(seed=9)
         modulation = np.exp(0.05 * np.sin(np.linspace(0, 4, 64)))  # slow amplitude modulation
-        y0 = dft2_magnitude(modify_amplitudes(h, CFG)).coeffs.reshape(32, 33)
-        y1 = dft2_magnitude(modify_amplitudes(h * modulation[None, :], CFG)).coeffs.reshape(32, 33)
+        y0 = dft2_magnitude(modify_amplitudes(h)).coeffs.reshape(32, 33)
+        y1 = dft2_magnitude(modify_amplitudes(h * modulation[None, :])).coeffs.reshape(32, 33)
         rest = np.linalg.norm(y1[1:, :] - y0[1:, :]) / np.linalg.norm(y0[1:, :])
         assert rest < 0.10
 
@@ -280,8 +277,8 @@ class TestInvarianceProperties:
         from printdex.degrade import pitch_shift
 
         def band3_print(buf):
-            spec = spectrogram(buf, CFG)
-            kept, coeffs = print_matrix(spec, np.array([10]), CFG)
+            spec = spectrogram(buf)
+            kept, coeffs = print_matrix(spec, np.array([10]))
             return coeffs[0, 2]
 
         original = synth_track(777, duration_s=5.0)

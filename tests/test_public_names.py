@@ -1,9 +1,13 @@
-"""src/printdex holds only production code.
+"""src/printdex holds only production code, and no config layer.
 
 Every public module-level function or class of ``src/printdex`` must be
 referenced from ``src/``, ``bench/`` or ``tests/corpus.py`` (which bench
 preparation imports). A name only tests call belongs in a test-side module
 such as ``tests/stft_oracle.py`` or ``tests/reference.py``.
+
+The print, onset and no-match parameters are module constants, so no
+function takes a config; the only config parameters left are the unused
+slots that ``bench/`` still fills positionally.
 """
 
 import ast
@@ -16,6 +20,15 @@ ALLOWED = {
     "collision_mean",
     # writes the catalog manifests that tests/corpus.py builds for bench preparation
     "write_manifest",
+}
+CONFIG_PARAMS = {"cfg", "print_cfg", "onset_cfg"}
+BENCH_SLOTS = {
+    ("load_track", "cfg"),
+    ("train_from_manifest", "cfg"),
+    ("build_index", "cfg"),
+    ("query_index", "cfg"),
+    ("query_index", "print_cfg"),
+    ("query_index", "onset_cfg"),
 }
 
 
@@ -48,3 +61,15 @@ def test_public_names_have_production_references():
 
 def test_allowlist_names_exist():
     assert ALLOWED <= _public_definitions()
+
+
+def test_no_config_parameters():
+    found = set()
+    for path in (ROOT / "src" / "printdex").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p is not None}
+                found |= {(getattr(node, "name", "<lambda>"), name) for name in names & CONFIG_PARAMS}
+    extra = sorted(found - BENCH_SLOTS)
+    assert not extra, f"(function, parameter) pairs taking a config in src/printdex: {extra}"

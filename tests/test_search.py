@@ -16,6 +16,7 @@ from printdex.hashing import (
     make_lsh_spec,
     save_index,
 )
+from printdex.prints import N_BANDS
 from printdex.reduction import ReductionModel
 from printdex.search import (
     MatchHistogram,
@@ -50,7 +51,7 @@ def _synthetic_index(track_gammas, duration_s=30.0, seed=42, n_bands=5):
                 table.insert(codes, np.full(N_RELIABLE, track_id), np.full(N_RELIABLE, frames[ti]))
         tracks[track_id] = TrackInfo(f"t{track_id}", duration_s)
     table.freeze()
-    return CatalogIndex(table=table, tracks=tracks, lsh_seed=seed, n_bands=n_bands, spec=spec)
+    return CatalogIndex(table=table, tracks=tracks, lsh_seed=seed)
 
 
 def _query_codes_for(gammas, spec, times):
@@ -362,7 +363,7 @@ class TestRefineAlignment:
 class TestQueryIndex:
     def test_clean_self_query(self, small_setup):
         s = small_setup
-        buf = pipeline.load_track(s.entries[5], s.cfg)
+        buf = pipeline.load_track(s.entries[5])
         excerpt = pipeline.cut_excerpt(buf, 4.0, 7.0)
         res = query_index(excerpt, s.index, s.model)
         assert res.step1_ranking[0] == s.entries[5].track_id
@@ -374,7 +375,7 @@ class TestQueryIndex:
     def test_step2_top_equals_step1_on_clean_self_queries(self, small_setup):
         s = small_setup
         for i in (0, 3, 7, 11):
-            buf = pipeline.load_track(s.entries[i], s.cfg)
+            buf = pipeline.load_track(s.entries[i])
             excerpt = pipeline.cut_excerpt(buf, 6.0, 7.0)
             res = query_index(excerpt, s.index, s.model)
             assert res.step1_ranking[0] == s.entries[i].track_id
@@ -394,7 +395,7 @@ class TestQueryIndex:
 
     def test_offset_recovered_mid_track(self, small_setup):
         s = small_setup
-        buf = pipeline.load_track(s.entries[2], s.cfg)
+        buf = pipeline.load_track(s.entries[2])
         excerpt = pipeline.cut_excerpt(buf, 10.0, 7.0)
         res = query_index(excerpt, s.index, s.model)
         assert res.best.track_id == s.entries[2].track_id
@@ -404,7 +405,7 @@ class TestQueryIndex:
         import corpus
 
         s = small_setup
-        clean = [pipeline.cut_excerpt(pipeline.load_track(s.entries[i], s.cfg), start, 7.0) for i, start in ((1, 2.0), (4, 9.0))]
+        clean = [pipeline.cut_excerpt(pipeline.load_track(s.entries[i]), start, 7.0) for i, start in ((1, 2.0), (4, 9.0))]
         excerpts = clean + [
             apply_degradation(parse_spec("time_stretch:cents=30", seed=2), clean[0]),
             apply_degradation(parse_spec("white_noise:snr_db=6", seed=3), clean[1]),
@@ -429,20 +430,20 @@ class TestQueryIndex:
 
     def test_short_excerpt_rejected(self, small_setup):
         s = small_setup
-        buf = pipeline.load_track(s.entries[0], s.cfg)
+        buf = pipeline.load_track(s.entries[0])
         with pytest.raises(ValueError):
             query_index(pipeline.cut_excerpt(buf, 0.0, 2.0), s.index, s.model)
 
     def test_model_with_other_band_count_rejected(self, small_setup):
         s = small_setup
         four_bands = ReductionModel(bands=s.model.bands[:4], in_dim=s.model.in_dim, out_dim=s.model.out_dim)
-        buf = pipeline.load_track(s.entries[0], s.cfg)
+        buf = pipeline.load_track(s.entries[0])
         with pytest.raises(ValueError, match=r"^model has 4 bands but the index has 5$"):
             query_index(buf, s.index, four_bands)
 
     def test_degraded_query_still_found(self, small_setup):
         s = small_setup
-        buf = pipeline.load_track(s.entries[9], s.cfg)
+        buf = pipeline.load_track(s.entries[9])
         excerpt = pipeline.cut_excerpt(buf, 3.0, 7.0)
         noisy = apply_degradation(parse_spec("white_noise:snr_db=6", seed=1), excerpt)
         res = query_index(noisy, s.index, s.model)
@@ -451,10 +452,10 @@ class TestQueryIndex:
     def test_index_postings_among_query_codes_at_same_anchor(self, small_setup):
         s = small_setup
         entry = s.entries[3]
-        codes, times, n_prints, _ = query_codes(pipeline.load_track(entry, s.cfg), s.index, s.model)
+        codes, times, n_prints, _ = query_codes(pipeline.load_track(entry), s.index, s.model)
         counts, postings = s.index.table.lookup_many(codes)
         frames = np.repeat(np.rint(times / FRAME_PERIOD).astype(np.int64), counts)
         same_anchor = (postings["track"] == entry.track_id) & (postings["time"] == frames)
-        per_print = s.index.n_bands * N_RELIABLE
+        per_print = N_BANDS * N_RELIABLE
         assert np.count_nonzero(s.index.table.postings["track"] == entry.track_id) == n_prints * per_print
         assert np.count_nonzero(same_anchor) == n_prints * per_print
