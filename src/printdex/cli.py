@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-
 
 from printdex import degrade as _degrade
 from printdex import hashing as _hashing
 from printdex import pipeline as _pipeline
 from printdex import search as _search
 from printdex.audio import HOP_SAMPLES, SAMPLE_RATE, load_audio, normalize, save_wav
-from printdex.prints import N_BANDS, WINDOW_S
+from printdex.prints import WINDOW_S
 from printdex.reduction import load_model, save_model
 
 
@@ -63,11 +63,18 @@ def cmd_index(args) -> int:
     )
     _hashing.save_index(args.out, index)
     loads = index.table.bucket_loads()
-    n_prints = index.table.n_postings // (N_BANDS * _hashing.N_RELIABLE)
     print(f"index written to {args.out}")
-    print(f"tracks={len(index.tracks)} prints={n_prints} postings={index.table.n_postings}")
+    print(f"tracks={len(index.tracks)} prints={len(index.table.prints)} postings={index.table.n_postings}")
     print(f"bucket load: max={int(loads.max(initial=0))} nonempty={len(loads)}")
+    print(_bytes_per_audio_hour(args.out, index))
     return 0
+
+
+def _bytes_per_audio_hour(path, index) -> str:
+    size = os.path.getsize(path)
+    hours = sum(info.duration for info in index.tracks.values()) / 3600.0
+    per_hour = f"{size / hours / 1e6:.2f} MB per audio hour" if hours > 0 else "no audio"
+    return f"file: {size} bytes, {per_hour}"
 
 
 def _format_result(rank: int, r: _search.SearchResult, index) -> str:
@@ -83,6 +90,8 @@ def cmd_query(args) -> int:
         raise ValueError(f"--top must be at least 1, got {args.top}")
     index = _hashing.load_index(args.index)
     model = load_model(args.model)
+    _pipeline.check_model(index, model)
+    _pipeline.one_blas_thread()
     buf = load_audio(args.audio)
     result = _search.query_index(buf, index, model)
     if args.json:
@@ -174,10 +183,12 @@ def cmd_inspect(args) -> int:
         index = _hashing.load_index(args.index)
         loads = index.table.bucket_loads()
         print(
-            f"index: tracks={len(index.tracks)} postings={index.table.n_postings} "
+            f"index: tracks={len(index.tracks)} prints={len(index.table.prints)} postings={index.table.n_postings} "
             f"L={_hashing.N_LSH} L'={_hashing.N_RELIABLE} b={_hashing.LSH_BITS} seed={index.lsh_seed} "
             f"segment_frames={_hashing.SEGMENT_FRAMES} sample_rate={SAMPLE_RATE} hop={HOP_SAMPLES}"
         )
+        print(f"model sha256={index.model_sha256}")
+        print(_bytes_per_audio_hour(args.index, index))
         if index.table.n_postings:
             print(f"bucket load: max={int(loads.max())} mean_nonempty={loads.mean():.2f}")
         for tid in sorted(index.tracks):

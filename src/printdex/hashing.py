@@ -13,9 +13,12 @@ query sub-codes agree bit for bit. The one-print scalar forms and the
 Monte-Carlo check of ``expected_unchanged`` are test oracles
 (``tests/reference.py``).
 
-The table is one array of (code, track, time) postings sorted in that order,
-so the index file grows with the catalog; lookups go through 2^18 + 1 bucket
-starts over ``code >> 6``, derived from the sorted codes and never stored.
+The table holds one row per indexed print, (track, frame), sorted in that
+order, and one 5-byte posting per stored code: the code's low 6 bits and the
+print's row, sorted by (code, print), which is (code, track, frame) order. The
+directory of 2^18 + 1 bucket starts over ``code >> 6`` supplies the rest of
+each code, so a print's track and frame are stored once instead of in each of
+its 50 postings and the index file grows by 258 bytes per print.
 """
 
 from __future__ import annotations
@@ -40,9 +43,19 @@ DIR_SHIFT = 6  # one lookup-directory bucket per 64 consecutive codes
 SEGMENT_FRAMES = int(round(15.0 * _audio.SAMPLE_RATE / _audio.HOP_SAMPLES))
 
 INDEX_MAGIC = b"BMIX"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
+# Print ids and directory entries are u32, so a table holds at most this many
+# postings (and so prints).
+MAX_POSTINGS = (1 << 32) - 1
 
-_POSTING_DTYPE = np.dtype([("code", "<u4"), ("track", "<u4"), ("time", "<u4")])
+_N_BUCKETS = EXT_TABLE_SIZE >> DIR_SHIFT
+_LOW_MASK = (1 << DIR_SHIFT) - 1
+_INSERT_DTYPE = np.dtype([("code", "<u4"), ("track", "<u4"), ("time", "<u4")])
+_PRINT_DTYPE = np.dtype([("track", "<u4"), ("time", "<u4")])
+_POSTING_DTYPE = np.dtype([("low", "u1"), ("print", "<u4")])  # packed: 5 bytes
+# after the magic and the u16 version: L, L', b, bands, LSH seed, sample rate,
+# hop, segment frames, posting, print and track counts, model SHA-256
+_HEADER = struct.Struct("<HHHHQIIIQQI32s")
 _MASK64 = (1 << 64) - 1
 
 
@@ -180,20 +193,24 @@ def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _directory(codes: np.ndarray) -> np.ndarray:
-    """Start of each ``code >> DIR_SHIFT`` bucket in sorted ``codes``, then the end."""
-    return np.cumsum(np.bincount((codes >> DIR_SHIFT).astype(np.int64) + 1, minlength=(EXT_TABLE_SIZE >> DIR_SHIFT) + 1))
+    """u32 start of each ``code >> DIR_SHIFT`` bucket in sorted ``codes``, then the end."""
+    return np.cumsum(np.bincount((codes >> DIR_SHIFT).astype(np.int64) + 1, minlength=_N_BUCKETS + 1)).astype(np.uint32)
 
 
 class HashTable:
-    """Postings sorted by (code, track, time) and their bucket directory ``offsets``.
+    """Prints sorted by (track, time), postings sorted by (code, print), and the directory ``offsets``.
 
-    Inserts collect until ``freeze`` sorts them; ``postings`` is None until then.
+    ``prints`` holds one (track, time) row per distinct inserted pair.
+    ``postings`` holds each insert's code's low ``DIR_SHIFT`` bits and its
+    print's row; ``offsets`` (u32) starts each ``code >> DIR_SHIFT`` bucket.
+    Inserts collect until ``freeze`` sorts them; the arrays are None until then.
     """
 
     def __init__(self):
         self._pending: list = []
         self.offsets: np.ndarray | None = None
         self.postings: np.ndarray | None = None
+        self.prints: np.ndarray | None = None
 
     def insert(self, codes, tracks, times) -> None:
         if self.postings is not None:
@@ -201,11 +218,11 @@ class HashTable:
         codes = np.atleast_1d(np.asarray(codes))
         if codes.size and (codes.min() < 0 or codes.max() >= EXT_TABLE_SIZE):
             raise ValueError(f"extended code outside [0, {EXT_TABLE_SIZE})")
-        recs = np.empty(len(codes), dtype=_POSTING_DTYPE)
+        recs = np.empty(len(codes), dtype=_INSERT_DTYPE)
         recs["code"] = codes
         for name, values in (("track", tracks), ("time", times)):
             values = np.asarray(values)
-            limit = np.iinfo(_POSTING_DTYPE[name]).max
+            limit = np.iinfo(_INSERT_DTYPE[name]).max
             if values.size and (values.min() < 0 or values.max() > limit):
                 raise ValueError(f"posting {name} outside the field's range [0, {limit}]")
             recs[name] = values
@@ -214,33 +231,70 @@ class HashTable:
     def freeze(self) -> None:
         if self.postings is not None:
             return
-        recs = np.concatenate(self._pending) if self._pending else np.empty(0, dtype=_POSTING_DTYPE)
-        self.postings = recs[np.lexsort((recs["time"], recs["track"], recs["code"]))]
-        self.offsets = _directory(self.postings["code"])
+        recs = np.concatenate(self._pending) if self._pending else np.empty(0, dtype=_INSERT_DTYPE)
+        if len(recs) > MAX_POSTINGS:
+            raise ValueError(f"cannot index {len(recs)} postings: print ids and directory entries are u32, so at most {MAX_POSTINGS}")
         self._pending = []
+        # Prints are the distinct (track, time) keys in sorted order, and a
+        # record's print id is its key's rank; in-place steps bound the peak memory.
+        keys = recs["track"].astype(np.uint64)
+        keys <<= 32
+        keys |= recs["time"]
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        new_print = np.empty(len(keys), dtype=bool)
+        new_print[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new_print[1:])
+        keys = keys[new_print]
+        self.prints = np.empty(len(keys), dtype=_PRINT_DTYPE)
+        self.prints["track"] = keys >> 32
+        self.prints["time"] = keys & 0xFFFFFFFF
+        # print ids follow (track, time), so (code, print) order is (code, track, time) order
+        ordered = recs["code"][by_key].astype(np.uint64)
+        del recs, keys, by_key
+        ordered <<= 32
+        print_ids = np.cumsum(new_print, dtype=np.uint64)
+        print_ids -= 1
+        ordered |= print_ids
+        del print_ids, new_print
+        ordered.sort()
+        self.postings = np.empty(len(ordered), dtype=_POSTING_DTYPE)
+        self.postings["print"] = ordered & 0xFFFFFFFF
+        ordered >>= 32
+        self.postings["low"] = ordered & _LOW_MASK
+        self.offsets = _directory(ordered)
 
     def lookup_many(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Postings for many codes at once.
 
-        Returns (counts per code, concatenated postings in code order).
+        Returns (counts per code, the matched prints' (track, time) records
+        concatenated in code order, each code's sorted by track and time).
         """
         if self.postings is None:
             raise RuntimeError("freeze the table before lookup")
         codes = np.asarray(codes, dtype=np.int64)
-        starts = self.offsets[codes >> DIR_SHIFT]
-        sizes = self.offsets[(codes >> DIR_SHIFT) + 1] - starts
+        buckets = codes >> DIR_SHIFT
+        starts = self.offsets[buckets].astype(np.int64)
+        sizes = self.offsets[buckets + 1].astype(np.int64) - starts
         rows = _gather_ranges(starts, sizes)
-        keep = self.postings["code"][rows] == np.repeat(codes, sizes)
+        keep = self.postings["low"][rows] == np.repeat(codes & _LOW_MASK, sizes)
         counts = np.bincount(np.repeat(np.arange(len(codes)), sizes)[keep], minlength=len(codes))
-        return counts, self.postings[rows[keep]]
+        return counts, self.prints[self.postings["print"][rows[keep]]]
 
     @property
     def n_postings(self) -> int:
         return 0 if self.postings is None else len(self.postings)
 
     def bucket_loads(self) -> np.ndarray:
-        """Postings per distinct extended code."""
-        return np.diff(np.flatnonzero(np.diff(self.postings["code"], prepend=-1, append=-1)))
+        """Postings per distinct extended code.
+
+        A code's postings end where its bucket or its low bits change.
+        """
+        low = self.postings["low"]
+        first = np.zeros(len(low) + 1, dtype=bool)
+        first[self.offsets] = True  # offsets[-1] is len(low), which closes the last code
+        first[1:-1] |= low[1:] != low[:-1]
+        return np.diff(np.flatnonzero(first))
 
 
 @dataclass
@@ -255,13 +309,16 @@ class TrackInfo:
 class CatalogIndex:
     """Frozen hash table plus track metadata; ``spec`` is derived from ``lsh_seed``.
 
-    The rate, hop, segment length, band count and L' are this build's
-    constants; the file header repeats them and ``load_index`` checks them.
+    ``model_sha256`` is the hex SHA-256 of the model file (as
+    ``reduction.model_sha256`` computes it) whose prints the table holds. The
+    rate, hop, segment length, band count and L' are this build's constants;
+    the file header repeats them and ``load_index`` checks them.
     """
 
     table: HashTable
     tracks: dict
     lsh_seed: int
+    model_sha256: str
     spec: LshSpec = field(init=False)
 
     def __post_init__(self):
@@ -269,16 +326,15 @@ class CatalogIndex:
 
 
 def save_index(path, index: CatalogIndex) -> None:
-    """Write the version-2 BMIX index file: header, sorted postings, track records."""
+    """Write the version-3 BMIX index file: header, directory, postings, prints, track records."""
     table = index.table
     if table.postings is None:
         raise RuntimeError("freeze the table before saving")
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
+        fh.write(struct.pack("<H", INDEX_VERSION))
         fh.write(
-            struct.pack(
-                "<HHHHHQIIIQI",
-                INDEX_VERSION,
+            _HEADER.pack(
                 N_LSH,
                 N_RELIABLE,
                 LSH_BITS,
@@ -288,10 +344,13 @@ def save_index(path, index: CatalogIndex) -> None:
                 _audio.HOP_SAMPLES,
                 SEGMENT_FRAMES,
                 table.n_postings,
+                len(table.prints),
                 len(index.tracks),
+                bytes.fromhex(index.model_sha256),
             )
         )
-        np.ascontiguousarray(table.postings, dtype=_POSTING_DTYPE).tofile(fh)
+        for array, dtype in ((table.offsets, "<u4"), (table.postings, _POSTING_DTYPE), (table.prints, _PRINT_DTYPE)):
+            np.ascontiguousarray(array, dtype=dtype).tofile(fh)
         for tid in sorted(index.tracks):
             info = index.tracks[tid]
             name = info.name.encode("utf-8")
@@ -306,15 +365,23 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return data
 
 
+def _read_array(fh, dtype, n: int, path, what: str) -> np.ndarray:
+    return np.frombuffer(_read_exact(fh, np.dtype(dtype).itemsize * n, path, what), dtype=dtype)
+
+
 def load_index(path) -> CatalogIndex:
-    """Read a version-2 BMIX file whose header geometry is this build's."""
+    """Read a version-3 BMIX file whose header geometry is this build's, checking its sections."""
     with open(path, "rb") as fh:
         if fh.read(4) != INDEX_MAGIC:
             raise ValueError(f"{path!r} is not an index file")
-        header = struct.unpack("<HHHHHQIIIQI", _read_exact(fh, 42, path, "header"))
-        (version, n_lsh, n_reliable, lsh_bits, n_bands, seed, sample_rate, hop, segment_frames, n_postings, n_tracks) = header
+        (version,) = struct.unpack("<H", _read_exact(fh, 2, path, "header"))
         if version != INDEX_VERSION:
-            raise ValueError(f"unsupported index version {version} in {path!r}: this build reads version {INDEX_VERSION}")
+            raise ValueError(
+                f"unsupported index version {version} in {path!r}: this build reads version {INDEX_VERSION}; "
+                "rebuild the index with `printdex index`"
+            )
+        header = _HEADER.unpack(_read_exact(fh, _HEADER.size, path, "header"))
+        (n_lsh, n_reliable, lsh_bits, n_bands, seed, sample_rate, hop, segment_frames, n_postings, n_prints, n_tracks, digest) = header
         geometry = (n_lsh, n_reliable, lsh_bits, n_bands, sample_rate, hop, segment_frames)
         expected = (N_LSH, N_RELIABLE, LSH_BITS, N_BANDS, _audio.SAMPLE_RATE, _audio.HOP_SAMPLES, SEGMENT_FRAMES)
         if geometry != expected:
@@ -323,25 +390,49 @@ def load_index(path) -> CatalogIndex:
                 f"this build needs {expected}"
             )
         # A forged count must fail here, not as a MemoryError in the read it sizes.
-        needed = 4 + 42 + _POSTING_DTYPE.itemsize * n_postings + 14 * n_tracks
+        needed = (
+            6 + _HEADER.size + 4 * (_N_BUCKETS + 1) + _POSTING_DTYPE.itemsize * n_postings + _PRINT_DTYPE.itemsize * n_prints + 14 * n_tracks
+        )
         size = os.fstat(fh.fileno()).st_size
         if needed > size:
             raise ValueError(
-                f"truncated index file {path!r}: header claims {n_postings} postings and {n_tracks} tracks, "
+                f"truncated index file {path!r}: header claims {n_postings} postings, {n_prints} prints and {n_tracks} tracks, "
                 f"needing at least {needed} bytes, file has {size}"
             )
-        postings = np.frombuffer(_read_exact(fh, _POSTING_DTYPE.itemsize * n_postings, path, "postings"), dtype=_POSTING_DTYPE)
-        codes = postings["code"]
-        if n_postings and (np.any(codes[1:] < codes[:-1]) or codes[-1] >= EXT_TABLE_SIZE):
-            raise ValueError(f"corrupt index file {path!r}: posting codes are not sorted or not below {EXT_TABLE_SIZE}")
+        offsets = _read_array(fh, "<u4", _N_BUCKETS + 1, path, "directory")
+        postings = _read_array(fh, _POSTING_DTYPE, n_postings, path, "postings")
+        prints = _read_array(fh, _PRINT_DTYPE, n_prints, path, "prints")
+        corrupt = f"corrupt index file {path!r}:"
+        if offsets[0] != 0 or offsets[-1] != n_postings or np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError(f"{corrupt} the directory does not rise from 0 to the posting count {n_postings}")
+        if n_postings:
+            ids = np.ascontiguousarray(postings["print"])
+            keys = np.left_shift(postings["low"], 32, dtype=np.uint64)
+            keys |= ids
+            if keys.max() >> 32 > _LOW_MASK:
+                raise ValueError(f"{corrupt} a posting's low code bits exceed {_LOW_MASK}")
+            # falls[i]: posting i sorts below posting i - 1, which only a bucket's first posting may
+            falls = np.empty(n_postings + 1, dtype=bool)
+            falls[0] = falls[n_postings] = False
+            np.less(keys[1:], keys[:-1], out=falls[1:n_postings])
+            falls[offsets] = False
+            if falls.any():
+                raise ValueError(f"{corrupt} postings are not sorted by (code, print)")
+            if ids.max() >= n_prints:
+                raise ValueError(f"{corrupt} a posting names print {ids.max()} of {n_prints}")
+        keys = (prints["track"].astype(np.uint64) << 32) | prints["time"]
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError(f"{corrupt} prints are not strictly increasing by (track, time)")
         tracks = {}
         for _ in range(n_tracks):
             tid, duration, name_len = struct.unpack("<IdH", _read_exact(fh, 14, path, "track record"))
             name = _read_exact(fh, name_len, path, "track name").decode("utf-8")
             if tid in tracks:
-                raise ValueError(f"corrupt index file {path!r}: track id {tid} is recorded twice")
+                raise ValueError(f"{corrupt} track id {tid} is recorded twice")
             tracks[tid] = TrackInfo(name=name, duration=duration)
+    unrecorded = set(np.unique(prints["track"]).tolist()) - tracks.keys()
+    if unrecorded:
+        raise ValueError(f"{corrupt} track {min(unrecorded)} has prints but no track record")
     table = HashTable()
-    table.offsets = _directory(codes)
-    table.postings = postings
-    return CatalogIndex(table=table, tracks=tracks, lsh_seed=seed)
+    table.offsets, table.postings, table.prints = offsets, postings, prints
+    return CatalogIndex(table=table, tracks=tracks, lsh_seed=seed, model_sha256=digest.hex())

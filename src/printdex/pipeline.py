@@ -22,11 +22,11 @@ from printdex import search as _search
 from printdex.audio import FRAME_PERIOD, SAMPLE_RATE, AudioBuffer, load_audio, normalize, resample
 from printdex.hashing import _MASK64, _splitmix64
 from printdex.prints import analyze
-from printdex.reduction import ReductionModel, reduce_prints, train_reduction
+from printdex.reduction import ReductionModel, model_sha256, reduce_prints, train_reduction
 
 
-# A track id is stored in the index's u32 posting field.
-TRACK_ID_MAX = np.iinfo(_hashing._POSTING_DTYPE["track"]).max
+# A track id is stored in the index's u32 print-table field.
+TRACK_ID_MAX = np.iinfo(_hashing._PRINT_DTYPE["track"]).max
 
 
 @dataclass(frozen=True)
@@ -121,12 +121,22 @@ def _openblas_functions(name: str) -> list:
 _worker_func = None  # the function a fork worker maps; set in the worker only
 
 
-def _init_worker(func) -> None:
-    global _worker_func
-    _worker_func = func
+def one_blas_thread() -> None:
+    """Set every OpenBLAS this process has loaded to one thread.
+
+    A forked worker and a query each run one thread: with OpenBLAS's default
+    of one per CPU, the extra threads spin, and a 7 s query took about twice
+    its wall time in CPU.
+    """
     for set_threads in _openblas_functions("set_num_threads"):
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)
+
+
+def _init_worker(func) -> None:
+    global _worker_func
+    _worker_func = func
+    one_blas_thread()
 
 
 def _call_worker(item):
@@ -313,7 +323,7 @@ def build_index(
     lsh_seed: int = 0,
     progress=None,
 ) -> _hashing.CatalogIndex:
-    index = _hashing.CatalogIndex(table=_hashing.HashTable(), tracks={}, lsh_seed=lsh_seed)
+    index = _hashing.CatalogIndex(table=_hashing.HashTable(), tracks={}, lsh_seed=lsh_seed, model_sha256=model_sha256(model))
 
     def track_postings(entry):
         buf = load_track(entry)
@@ -327,6 +337,16 @@ def build_index(
             progress(f"indexed {i + 1}/{len(entries)} tracks ({n_prints} prints)")
     index.table.freeze()
     return index
+
+
+def check_model(index: _hashing.CatalogIndex, model: ReductionModel) -> None:
+    """Raise ValueError unless ``model`` is the model ``index`` was built with."""
+    digest = model_sha256(model)
+    if digest != index.model_sha256:
+        raise ValueError(
+            f"model {digest[:12]} is not the model {index.model_sha256[:12]} the index was built with; "
+            "use that model or rebuild the index"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +446,9 @@ def evaluate(
     ground truth but only identity is scored. A query that fails on its own
     (no usable analysis window) counts as a miss. Each (condition, query)
     pair derives its own degradation seed, so the report does not depend on
-    how many workers ran it.
+    how many workers ran it. A model other than the index's is rejected.
     """
+    check_model(index, model)
     t0 = time.monotonic()
     cache: dict = {}
 

@@ -20,6 +20,7 @@ metadata.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -426,10 +427,6 @@ def reduce_prints(coeffs: np.ndarray, model: ReductionModel) -> np.ndarray:
 # --- serialization ---------------------------------------------------------
 
 
-def _write_matrix(fh, m: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-
-
 def _read_exact(fh, n: int, path, what: str) -> bytes:
     """Read exactly n bytes; a length past the end of the file raises ValueError
     before anything is read or allocated."""
@@ -444,8 +441,8 @@ def _read_matrix(fh, shape, path, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
 
 
-def save_model(path, model: ReductionModel) -> None:
-    """Write the version-2 BMRM model file (little-endian, float32 arrays).
+def _model_bytes(model: ReductionModel) -> bytes:
+    """The version-2 BMRM model file (little-endian, float32 arrays).
 
     Header: magic, version u16, n_bands u16, out_dim u16, in_dim u32. Per
     band: j0 u32, p_final (out_dim x in_dim), t_final (out_dim), sigma_e
@@ -457,18 +454,31 @@ def save_model(path, model: ReductionModel) -> None:
             raise TrainingError(f"band {b}: compose the model before saving")
         if chain.sigma_e is None or np.shape(chain.sigma_e) != (model.out_dim,):
             raise ValueError(f"band {b}: sigma_e must hold {model.out_dim} values, got {np.shape(chain.sigma_e)}")
+    parts = [MODEL_MAGIC, struct.pack("<HHHI", MODEL_VERSION, model.n_bands, model.out_dim, model.in_dim)]
+    for chain in model.bands:
+        parts.append(struct.pack("<I", chain.j0))
+        parts.extend(np.ascontiguousarray(m, dtype="<f4").tobytes() for m in (chain.p_final, chain.t_final, chain.sigma_e))
+        parts.append(struct.pack("<I", len(chain.metadata)))
+        for key in sorted(chain.metadata):
+            blob = f"{key}={chain.metadata[key]}".encode("utf-8")
+            parts += [struct.pack("<I", len(blob)), blob]
+    return b"".join(parts)
+
+
+def save_model(path, model: ReductionModel) -> None:
+    """Write ``model`` as a BMRM file (see ``_model_bytes``)."""
+    data = _model_bytes(model)
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<HHHI", MODEL_VERSION, model.n_bands, model.out_dim, model.in_dim))
-        for chain in model.bands:
-            fh.write(struct.pack("<I", chain.j0))
-            for m in (chain.p_final, chain.t_final, chain.sigma_e):
-                _write_matrix(fh, m)
-            fh.write(struct.pack("<I", len(chain.metadata)))
-            for key in sorted(chain.metadata):
-                blob = f"{key}={chain.metadata[key]}".encode("utf-8")
-                fh.write(struct.pack("<I", len(blob)))
-                fh.write(blob)
+        fh.write(data)
+
+
+def model_sha256(model: ReductionModel) -> str:
+    """Hex SHA-256 of the file ``save_model`` writes for ``model``.
+
+    A loaded model writes back the bytes it was read from, so this equals
+    the model file's digest; an index records it to pair with its model.
+    """
+    return hashlib.sha256(_model_bytes(model)).hexdigest()
 
 
 def load_model(path) -> ReductionModel:

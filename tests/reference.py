@@ -4,12 +4,14 @@ The production paths (``hashing.derive_codes``, ``reduction.reduce_prints``)
 are batched and use the composed affine map; these take one print, or one
 stage, at a time. The two survival simulations check the LSH model: under
 its independence approximation, and with exactly k flipped bits.
+``table_triples`` decodes a frozen hash table into the (code, track, time)
+triples it stores, for brute-force lookups.
 """
 
 import numpy as np
 import scipy.special
 
-from printdex.hashing import CODE_BITS, LshSpec, codes_from_bits, make_lsh_spec
+from printdex.hashing import CODE_BITS, DIR_SHIFT, LshSpec, codes_from_bits, make_lsh_spec
 from printdex.reduction import BandChain
 
 
@@ -72,3 +74,18 @@ def apply_chain(chain: BandChain, x: np.ndarray) -> np.ndarray:
     z = chain.p_ica @ z + (chain.t_ica if z.ndim == 1 else chain.t_ica[:, None])
     z = chain.p_ompca @ z
     return chain.p_ht @ z
+
+
+def table_triples(table) -> np.ndarray:
+    """(n_postings, 3) int64 rows (code, track, time) of a frozen table, in stored order.
+
+    Bucket b of the directory holds ``offsets[b]:offsets[b + 1]``; a code is
+    its bucket shifted left by DIR_SHIFT plus the posting's low bits.
+    """
+    rows = []
+    for bucket in np.flatnonzero(np.diff(table.offsets.astype(np.int64))):
+        for i in range(int(table.offsets[bucket]), int(table.offsets[bucket + 1])):
+            low, print_id = table.postings[i]
+            track, time = table.prints[print_id]
+            rows.append(((int(bucket) << DIR_SHIFT) | int(low), int(track), int(time)))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)

@@ -1,4 +1,6 @@
 import argparse
+import ctypes
+import hashlib
 import json
 import os
 import re
@@ -9,12 +11,14 @@ import pytest
 
 from corpus import build_corpus, synth_track
 
+from printdex import pipeline
 from printdex.audio import AudioBuffer, load_audio, save_wav
 from printdex.cli import build_parser, main
-from printdex.hashing import N_RELIABLE
+from printdex.hashing import N_RELIABLE, load_index
 from printdex.pipeline import load_track, read_manifest, reduced_prints_for_buffer, write_manifest
 from printdex.prints import N_BANDS
 from printdex.reduction import load_model, save_model
+from printdex.search import query_index
 
 TRAIN_ARGS = [
     "--times-per-track",
@@ -29,6 +33,31 @@ TRAIN_ARGS = [
     "--variant",
     "time_stretch:cents=20",
 ]
+
+
+def _sha12(path) -> str:
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()[:12]
+
+
+def _blas_threads() -> list:
+    getters = pipeline._openblas_functions("get_num_threads")
+    for get in getters:
+        get.argtypes, get.restype = [], ctypes.c_int
+    return [get() for get in getters]
+
+
+def _set_blas_threads(n: int) -> None:
+    for set_threads in pipeline._openblas_functions("set_num_threads"):
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(n)
+
+
+@pytest.fixture(autouse=True)
+def _restore_blas_threads():
+    """`printdex query` runs one OpenBLAS thread in this process; later tests get the count back."""
+    before = max(_blas_threads(), default=1)
+    yield
+    _set_blas_threads(before)
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +193,37 @@ class TestQueryCommand:
         excerpt_path = str(tmp_path / "q.wav")
         save_wav(excerpt_path, synth_track(entries[0].track_id, duration_s=7.0))
         assert main(["query", excerpt_path, "--index", index, "--model", other]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: reduced prints must have 40 components, got {width}\n"
+        assert capsys.readouterr().err == f"error: model {_sha12(other)} is not the model {_sha12(model)} the index was built with; use that model or rebuild the index\n"
+        with pytest.raises(ValueError, match=f"^reduced prints must have 40 components, got {width}$"):
+            query_index(load_audio(excerpt_path), load_index(index), loaded)
+
+    @pytest.mark.parametrize("command", ["query", "evaluate"])
+    def test_other_model_than_the_index_one_line_error(self, cli_setup, tmp_path, capsys, command):
+        root, manifest, entries, model, index = cli_setup
+        loaded = load_model(model)
+        loaded.bands[0].metadata["retrained"] = "yes"
+        other = str(tmp_path / "other.bmrm")
+        save_model(other, loaded)
+        excerpt_path = str(tmp_path / "q.wav")
+        save_wav(excerpt_path, synth_track(entries[0].track_id, duration_s=7.0))
+        argv = {
+            "query": ["query", excerpt_path, "--index", index, "--model", other],
+            "evaluate": ["evaluate", "--manifest", manifest, "--index", index, "--model", other, "--queries", "2", "--out", str(tmp_path / "r.tsv")],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: model {_sha12(other)} is not the model {_sha12(model)} the index was built with; use that model or rebuild the index\n"
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_query_runs_one_blas_thread(self, cli_setup, tmp_path, capsys):
+        root, manifest, entries, model, index = cli_setup
+        _set_blas_threads(2)
+        assert _blas_threads() and set(_blas_threads()) == {2}
+        excerpt_path = str(tmp_path / "q.wav")
+        save_wav(excerpt_path, synth_track(entries[0].track_id, duration_s=7.0))
+        assert main(["query", excerpt_path, "--index", index, "--model", model]) == 0
+        assert set(_blas_threads()) == {1}
 
 
 class TestDegradeCommand:
@@ -268,8 +326,6 @@ class TestEvaluateCommand:
 
 class TestIndexCommand:
     def test_print_count_matches_duration_oracle(self, cli_setup):
-        from printdex.hashing import load_index
-
         root, manifest, entries, model, index = cli_setup
         idx = load_index(index)
         n_prints = idx.table.n_postings / (N_BANDS * N_RELIABLE)
@@ -283,7 +339,11 @@ class TestIndexCommand:
         three = tmp_path / "three.tsv"
         write_manifest(three, read_manifest(manifest)[:3])
         assert main(["index", "--manifest", str(three), "--model", model, "--out", str(tmp_path / "i.bmix")]) == 0
-        printed = int(re.search(r"\bprints=(\d+)", capsys.readouterr().out).group(1))
+        out = capsys.readouterr().out
+        printed = int(re.search(r"\bprints=(\d+)", out).group(1))
+        size = (tmp_path / "i.bmix").stat().st_size
+        hours = sum(load_track(e).duration for e in read_manifest(three)) / 3600.0
+        assert f"file: {size} bytes, {size / hours / 1e6:.2f} MB per audio hour" in out.splitlines()
         loaded = load_model(model)
         kept = [reduced_prints_for_buffer(load_track(e), loaded)[0] for e in read_manifest(three)]
         assert printed == sum(len(k) for k in kept) > 0
@@ -317,6 +377,10 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "bands=5" in out
         assert "L=51" in out and "L'=10" in out
+        loaded = load_index(index)
+        assert f"prints={len(loaded.table.prints)} postings={loaded.table.n_postings}" in out
+        assert f"model sha256={hashlib.sha256(open(model, 'rb').read()).hexdigest()}" in out.splitlines()
+        assert re.search(rf"^file: {os.path.getsize(index)} bytes, [0-9.]+ MB per audio hour$", out, re.M)
 
     def test_inspect_nothing_errors(self, capsys):
         assert main(["inspect"]) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import struct
@@ -5,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from printdex import hashing
 from printdex.hashing import (
     CODE_BITS,
     EXT_TABLE_SIZE,
@@ -26,7 +28,7 @@ from printdex.hashing import (
     save_index,
 )
 
-from reference import binarize, reliability, simulate_unchanged_codes, unchanged_codes_exact_flips
+from reference import binarize, reliability, simulate_unchanged_codes, table_triples, unchanged_codes_exact_flips
 
 
 class TestBinarize:
@@ -211,8 +213,14 @@ class TestExtendedCode:
 
 
 def _oracle(table, code):
-    """Brute-force lookup: every posting whose code equals ``code``."""
-    return table.postings[table.postings["code"] == code]
+    """Brute-force lookup: the (track, time) of every stored (code, track, time) triple with this code."""
+    triples = table_triples(table)
+    return triples[triples[:, 0] == code][:, 1:]
+
+
+def _records(postings) -> np.ndarray:
+    """(n, 2) int64 (track, time) rows of lookup_many's records."""
+    return np.stack([postings["track"], postings["time"]], axis=1).astype(np.int64).reshape(-1, 2)
 
 
 class TestHashTable:
@@ -222,7 +230,8 @@ class TestHashTable:
         t.freeze()
         counts, postings = t.lookup_many([12345])
         assert counts.tolist() == [1]
-        assert postings["code"][0] == 12345 and postings["track"][0] == 7 and postings["time"][0] == 42
+        assert postings["track"][0] == 7 and postings["time"][0] == 42
+        assert table_triples(t).tolist() == [[12345, 7, 42]]
 
     def test_absent_code_empty(self):
         t = HashTable()
@@ -266,12 +275,35 @@ class TestHashTable:
         with pytest.raises(ValueError):
             t.insert([5], np.array(tracks), np.array(times))
 
-    def test_field_limits_stored_exactly(self):
+    def test_field_limits_stored_exactly(self, tmp_path):
         t = HashTable()
-        t.insert([5], [(1 << 32) - 1], [(1 << 32) - 1])
+        top = (1 << 32) - 1
+        t.insert([5, 5, 6], [top, top, 0], [top, 0, top])
         t.freeze()
-        postings = _oracle(t, 5)
-        assert postings["track"][0] == (1 << 32) - 1 and postings["time"][0] == (1 << 32) - 1
+        expected = [[5, top, 0], [5, top, top], [6, 0, top]]
+        assert table_triples(t).tolist() == expected
+        path = tmp_path / "limits.bmix"
+        save_index(path, CatalogIndex(table=t, tracks={0: TrackInfo("a", 1.0), top: TrackInfo("b", 1.0)}, lsh_seed=0, model_sha256=DIGEST))
+        assert table_triples(load_index(path).table).tolist() == expected
+
+    def test_frozen_triples_are_sorted_inserts(self):
+        rng = np.random.default_rng(4)
+        codes = np.concatenate((rng.integers(0, 200, 400), rng.integers(0, EXT_TABLE_SIZE, 400)))
+        tracks, times = rng.integers(0, 9, 800), rng.integers(0, 60, 800)
+        t = HashTable()
+        t.insert(codes[:300], tracks[:300], times[:300])
+        t.insert(codes[300:], tracks[300:], times[300:])
+        t.freeze()
+        inserted = np.stack([codes, tracks, times], axis=1)
+        assert np.array_equal(table_triples(t), inserted[np.lexsort((times, tracks, codes))])
+        assert len(t.prints) == len(np.unique(tracks * 1000 + times))
+
+    def test_too_many_postings_rejected(self, monkeypatch):
+        monkeypatch.setattr(hashing, "MAX_POSTINGS", 3)
+        t = HashTable()
+        t.insert([1, 2, 3, 4], [0, 0, 0, 0], [0, 1, 2, 3])
+        with pytest.raises(ValueError, match=r"^cannot index 4 postings: .* at most 3$"):
+            t.freeze()
 
     @pytest.mark.parametrize("codes", [[], [7], [0], [EXT_TABLE_SIZE - 1], [0, EXT_TABLE_SIZE - 1, 3, 3, 0], "random"])
     def test_offsets_match_searchsorted_oracle(self, codes):
@@ -282,7 +314,7 @@ class TestHashTable:
         t.insert(codes, np.arange(len(codes)), np.zeros(len(codes)))
         t.freeze()
         oracle = np.searchsorted(np.sort(codes) >> 6, np.arange(2**18 + 1))
-        assert np.array_equal(t.offsets, oracle)
+        assert t.offsets.dtype == np.uint32 and np.array_equal(t.offsets, oracle)
 
     @pytest.mark.parametrize("code", [-1, EXT_TABLE_SIZE])
     def test_out_of_range_code_rejected(self, code):
@@ -302,15 +334,16 @@ class TestHashTable:
         rng = np.random.default_rng(6)
         t = HashTable()
         codes = rng.integers(0, 300, 500)  # about 100 codes per directory bucket
-        t.insert(codes, np.arange(500), np.arange(500))
+        t.insert(codes, rng.integers(0, 4, 500), np.arange(500) % 70)
         t.freeze()
         queries = np.concatenate((rng.integers(0, 320, 50), [EXT_TABLE_SIZE - 1, 0, 0]))
         counts, postings = t.lookup_many(queries)
+        records = _records(postings)
         at = 0
         for q, c in zip(queries, counts):
             single = _oracle(t, q)
             assert len(single) == c
-            assert np.array_equal(postings[at : at + c], single)
+            assert np.array_equal(records[at : at + c], single)
             at += c
         assert at == len(postings)
 
@@ -348,11 +381,29 @@ class TestStatistics:
         assert abs(unchanged_codes_exact_flips(k, 40000, seed=100 + k) - count) < 0.1
 
 
-def _small_index():
+DIGEST = hashlib.sha256(b"a model file").hexdigest()
+HEADER_BYTES = 86
+POSTINGS_AT = HEADER_BYTES + 4 * (2**18 + 1)  # after the header and the directory
+
+
+def _small_index(tracks=None):
+    """Codes 3, 1, 2 of prints (1, 5), (2, 6), (3, 7): postings (low, print) (1, 1), (2, 2), (3, 0), all in bucket 0."""
     t = HashTable()
     t.insert([3, 1, 2], [1, 2, 3], [5, 6, 7])
     t.freeze()
-    return CatalogIndex(table=t, tracks={1: TrackInfo("x", 1.0)}, lsh_seed=0)
+    if tracks is None:
+        tracks = {1: TrackInfo("x", 1.0), 2: TrackInfo("y", 1.0), 3: TrackInfo("z", 1.0)}
+    return CatalogIndex(table=t, tracks=tracks, lsh_seed=0, model_sha256=DIGEST)
+
+
+def _forge(tmp_path, edit, index=None) -> str:
+    """Save ``index`` (default: the small one), apply ``edit`` to its bytes, and return the path."""
+    path = tmp_path / "forged.bmix"
+    save_index(path, index or _small_index())
+    raw = bytearray(path.read_bytes())
+    edit(raw)
+    path.write_bytes(raw)
+    return path
 
 
 class TestIndexFile:
@@ -362,25 +413,27 @@ class TestIndexFile:
         codes = rng.integers(0, 1 << 24, 2000)
         t.insert(codes, rng.integers(1, 50, 2000), rng.integers(0, 1500, 2000))
         t.freeze()
-        index = CatalogIndex(
-            table=t,
-            tracks={1: TrackInfo("one", 30.0), 2: TrackInfo("two", 29.5)},
-            lsh_seed=99,
-        )
+        tracks = {tid: TrackInfo(f"t{tid}", 30.0) for tid in range(1, 50)}
+        tracks[2] = TrackInfo("two", 29.5)
+        index = CatalogIndex(table=t, tracks=tracks, lsh_seed=99, model_sha256=DIGEST)
         path = tmp_path / "i.bmix"
         save_index(path, index)
         back = load_index(path)
         assert np.array_equal(back.table.offsets, t.offsets)
-        assert np.array_equal(back.table.postings, t.postings)
+        assert back.table.postings.tobytes() == t.postings.tobytes()
+        assert back.table.prints.tobytes() == t.prints.tobytes()
+        assert np.array_equal(table_triples(back.table), table_triples(t))
         assert back.tracks[2].name == "two"
         assert back.tracks[2].duration == 29.5
         assert back.lsh_seed == 99
+        assert back.model_sha256 == DIGEST
         assert np.array_equal(back.spec.selections, make_lsh_spec(99).selections)
 
     def test_file_sized_by_postings(self, tmp_path):
+        """Header, directory, 5 bytes per posting, 8 per print, then the track records."""
         path = tmp_path / "i.bmix"
         save_index(path, _small_index())
-        assert path.stat().st_size == 46 + 12 * 3 + (14 + len("x"))
+        assert path.stat().st_size == HEADER_BYTES + 4 * (2**18 + 1) + 5 * 3 + 8 * 3 + 3 * (14 + 1)
 
     def test_save_deterministic(self, tmp_path):
         index = _small_index()
@@ -400,22 +453,34 @@ class TestIndexFile:
 
     @pytest.mark.parametrize("n_postings, n_tracks", [(1 << 40, 1), (1 << 61, 1), (3, (1 << 32) - 1)])
     def test_header_counts_beyond_file_rejected(self, tmp_path, n_postings, n_tracks):
-        path = tmp_path / "forged.bmix"
-        save_index(path, _small_index())
-        raw = bytearray(path.read_bytes())
-        raw[34:46] = struct.pack("<QI", n_postings, n_tracks)  # the header's last two fields
-        path.write_bytes(raw)
-        with pytest.raises(ValueError, match=f"truncated index file .* claims {n_postings} postings and {n_tracks} tracks"):
+        def edit(raw):
+            raw[34:42] = struct.pack("<Q", n_postings)
+            raw[50:54] = struct.pack("<I", n_tracks)
+
+        path = _forge(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"truncated index file .* claims {n_postings} postings, 3 prints and {n_tracks} tracks"):
             load_index(path)
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("n_prints", [1 << 40, 1 << 61])
+    def test_header_print_count_beyond_file_rejected(self, tmp_path, n_prints):
+        path = _forge(tmp_path, lambda raw: raw.__setitem__(slice(42, 50), struct.pack("<Q", n_prints)))
+        with pytest.raises(ValueError, match=f"^truncated index file .* claims 3 postings, {n_prints} prints and 3 tracks"):
+            load_index(path)
+
+    @pytest.mark.parametrize("version", [1, 4])
     def test_other_version_rejected(self, tmp_path, version):
-        path = tmp_path / "old.bmix"
-        save_index(path, _small_index())
-        raw = bytearray(path.read_bytes())
-        raw[4:6] = struct.pack("<H", version)
-        path.write_bytes(raw)
-        with pytest.raises(ValueError, match=f"unsupported index version {version} in .*old.bmix.*reads version 2"):
+        path = _forge(tmp_path, lambda raw: raw.__setitem__(slice(4, 6), struct.pack("<H", version)))
+        with pytest.raises(
+            ValueError, match=rf"^unsupported index version {version} in .*forged.bmix.*reads version 3; rebuild the index with `printdex index`$"
+        ):
+            load_index(path)
+
+    def test_version_2_file_rejected(self, tmp_path):
+        """A whole version-2 file (46-byte header, 12-byte postings) fails on its version, not as truncated."""
+        path = tmp_path / "v2.bmix"
+        header = struct.pack("<HHHHHQIIIQI", 2, 51, 10, 16, 5, 0, 11025, 220, 752, 1, 1)
+        path.write_bytes(b"BMIX" + header + struct.pack("<III", 7, 1, 5) + struct.pack("<IdH", 1, 1.0, 1) + b"x")
+        with pytest.raises(ValueError, match=r"^unsupported index version 2 .*rebuild the index with `printdex index`$"):
             load_index(path)
 
     @pytest.mark.parametrize(
@@ -432,41 +497,68 @@ class TestIndexFile:
         ids=["n_lsh", "segment_frames", "sample_rate", "hop", "n_reliable", "segment_frames_751", "bands"],
     )
     def test_forged_geometry_rejected(self, tmp_path, field, value):
-        path = tmp_path / "forged.bmix"
-        save_index(path, _small_index())
-        raw = bytearray(path.read_bytes())
-        raw[field] = value.to_bytes(field.stop - field.start, "little")
-        path.write_bytes(raw)
+        path = _forge(tmp_path, lambda raw: raw.__setitem__(field, value.to_bytes(field.stop - field.start, "little")))
         with pytest.raises(ValueError, match=r"unsupported index geometry in .*this build needs \(51, 10, 16, 5, 11025, 220, 752\)$"):
             load_index(path)
 
-    @pytest.mark.parametrize("forgery", ["swapped_codes", "code_beyond_24_bits"])
-    def test_forged_posting_codes_rejected(self, tmp_path, forgery):
-        path = tmp_path / "forged.bmix"
-        save_index(path, _small_index())
-        raw = bytearray(path.read_bytes())
-        first, second, last = slice(46, 50), slice(58, 62), slice(70, 74)  # codes of postings 0, 1 and 2
-        if forgery == "swapped_codes":
-            raw[first], raw[second] = raw[second], raw[first]
-        else:
-            raw[last] = struct.pack("<I", EXT_TABLE_SIZE)
-        path.write_bytes(raw)
-        with pytest.raises(ValueError, match="posting codes are not sorted or not below"):
+    @pytest.mark.parametrize(
+        "forgery, message",
+        [
+            ("swapped_codes", r"postings are not sorted by \(code, print\)"),
+            ("code_beyond_24_bits", "a posting's low code bits exceed 63"),
+            ("swapped_prints", r"postings are not sorted by \(code, print\)"),
+            ("print_id_out_of_range", "a posting names print 3 of 3"),
+        ],
+        ids=["swapped_codes", "code_beyond_24_bits", "swapped_prints", "print_id_out_of_range"],
+    )
+    def test_forged_posting_codes_rejected(self, tmp_path, forgery, message):
+        first, second, last = (slice(POSTINGS_AT + 5 * i, POSTINGS_AT + 5 * i + 5) for i in range(3))
+
+        def edit(raw):
+            if forgery == "swapped_codes":
+                raw[first], raw[second] = raw[second], raw[first]
+            elif forgery == "code_beyond_24_bits":
+                raw[last.start] = 64  # a low part with a bit of the next bucket
+            elif forgery == "swapped_prints":  # same low bits, prints 2 then 1
+                raw[first] = bytes([1]) + struct.pack("<I", 2)
+                raw[second] = bytes([1]) + struct.pack("<I", 1)
+            else:
+                raw[first.start + 1 : first.stop] = struct.pack("<I", 3)
+
+        with pytest.raises(ValueError, match=rf"^corrupt index file .*forged.bmix.*: {message}$"):
+            load_index(_forge(tmp_path, edit))
+
+    @pytest.mark.parametrize("entry, value", [(0, 1), (2**18, 2), (2, 1)], ids=["start_not_0", "end_not_postings", "decreasing"])
+    def test_forged_directory_rejected(self, tmp_path, entry, value):
+        at = HEADER_BYTES + 4 * entry
+        path = _forge(tmp_path, lambda raw: raw.__setitem__(slice(at, at + 4), struct.pack("<I", value)))
+        with pytest.raises(ValueError, match=r"^corrupt index file .*: the directory does not rise from 0 to the posting count 3$"):
+            load_index(path)
+
+    @pytest.mark.parametrize("row", [b"\x01\x00\x00\x00\x05\x00\x00\x00", b"\x01\x00\x00\x00\x04\x00\x00\x00"], ids=["repeated", "decreasing"])
+    def test_forged_print_table_rejected(self, tmp_path, row):
+        """Print 1, (2, 6), becomes (1, 5), a copy of print 0, or (1, 4), below it."""
+        at = POSTINGS_AT + 5 * 3 + 8
+        path = _forge(tmp_path, lambda raw: raw.__setitem__(slice(at, at + 8), row))
+        with pytest.raises(ValueError, match=r"^corrupt index file .*: prints are not strictly increasing by \(track, time\)$"):
+            load_index(path)
+
+    def test_print_without_track_record_rejected(self, tmp_path):
+        path = tmp_path / "i.bmix"
+        save_index(path, _small_index({1: TrackInfo("x", 1.0), 2: TrackInfo("y", 1.0), 4: TrackInfo("w", 1.0)}))
+        with pytest.raises(ValueError, match=r"^corrupt index file .*: track 3 has prints but no track record$"):
             load_index(path)
 
     def test_repeated_track_id_rejected(self, tmp_path):
-        """A second record for track 1 would rename it and leave track 2's postings without a record."""
-        index = _small_index()
-        index.tracks = {1: TrackInfo("one", 30.0), 2: TrackInfo("two", 29.5)}
-        path = tmp_path / "forged.bmix"
-        save_index(path, index)
-        raw = bytearray(path.read_bytes())
-        second = 46 + 12 * 3 + 14 + len("one")  # header, 3 postings, track 1's record
-        assert struct.unpack_from("<I", raw, second) == (2,)
-        raw[second : second + 4] = struct.pack("<I", 1)
-        path.write_bytes(raw)
+        """A second record for track 1 would rename it and leave track 2's prints without a record."""
+        second = POSTINGS_AT + 5 * 3 + 8 * 3 + 14 + len("x")  # track 1's record comes first
+
+        def edit(raw):
+            assert struct.unpack_from("<I", raw, second) == (2,)
+            raw[second : second + 4] = struct.pack("<I", 1)
+
         with pytest.raises(ValueError, match=r"^corrupt index file .*forged.bmix.*: track id 1 is recorded twice$"):
-            load_index(path)
+            load_index(_forge(tmp_path, edit))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bmix"
