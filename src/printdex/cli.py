@@ -157,9 +157,10 @@ def cmd_evaluate(args) -> int:
     grid = [tuple(g.split("=", 1)) for g in args.degrade] if args.degrade else _default_grid()
     for label, text in grid:
         conditions.append((label, _degrade.parse_spec(text), False))
-    queries = _pipeline.make_queries(entries, args.queries, args.duration, seed=args.query_seed)
     index = _hashing.load_index(args.index)
     model = load_model(args.model)
+    _pipeline.check_model(index, model)  # before make_queries decodes every track
+    queries = _pipeline.make_queries(entries, args.queries, args.duration, seed=args.query_seed)
     report = _pipeline.evaluate(
         index, model, entries, queries, conditions, seed=args.seed, progress=_progress if args.verbose else None
     )

@@ -229,7 +229,7 @@ def _istft_frames(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) ->
     return out
 
 
-def time_stretch(x: np.ndarray, sr: int, factor: float) -> np.ndarray:
+def time_stretch(x: np.ndarray, factor: float) -> np.ndarray:
     """Phase-vocoder stretch: output duration = input duration * factor.
 
     Analysis frames (Hann 1024, hop 256) start at sample 0 with no centering
@@ -267,12 +267,12 @@ def time_stretch(x: np.ndarray, sr: int, factor: float) -> np.ndarray:
     return np.pad(out, (0, target - len(out)))
 
 
-def pitch_shift(x: np.ndarray, sr: int, semitones: float) -> np.ndarray:
+def pitch_shift(x: np.ndarray, semitones: float) -> np.ndarray:
     """Resample (shifting pitch and duration) then stretch the duration back."""
     factor = 2.0 ** (semitones / 12.0)
     frac = Fraction(factor).limit_denominator(499)
     resampled = scipy.signal.resample_poly(x, frac.denominator, frac.numerator)
-    out = time_stretch(resampled, sr, factor)
+    out = time_stretch(resampled, factor)
     if len(out) >= len(x):
         return out[: len(x)]
     return np.pad(out, (0, len(x) - len(out)))
@@ -328,9 +328,9 @@ def apply(spec: DegradationSpec, buf: AudioBuffer) -> AudioBuffer:
     elif kind == "reverb_synthetic":
         out = _reverb(x, sr, float(p["mix_db"]), rng, float(p.get("rt60_s", REVERB_RT60_S)))
     elif kind == "pitch_shift":
-        out = pitch_shift(x, sr, float(p["semitones"]))
+        out = pitch_shift(x, float(p["semitones"]))
     elif kind == "time_stretch":
-        out = time_stretch(x, sr, 2.0 ** (float(p["cents"]) / 100.0))
+        out = time_stretch(x, 2.0 ** (float(p["cents"]) / 100.0))
     elif kind == "external_command":
         out = _external_command(x, sr, str(p["command"]))
     elif kind == "chain":

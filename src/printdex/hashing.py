@@ -15,7 +15,9 @@ Monte-Carlo check of ``expected_unchanged`` are test oracles
 
 The table holds one row per indexed print, (track, frame), sorted in that
 order, and one 5-byte posting per stored code: the code's low 6 bits and the
-print's row, sorted by (code, print), which is (code, track, frame) order. The
+print's row, sorted by (code, print), which is (code, track, frame) order.
+Print ids are assigned at insert: each track's prints are inserted once, in
+(track, frame) order, so a print's id is the running row count. The
 directory of 2^18 + 1 bucket starts over ``code >> 6`` supplies the rest of
 each code, so a print's track and frame are stored once instead of in each of
 its 50 postings and the index file grows by 258 bytes per print.
@@ -23,6 +25,7 @@ its 50 postings and the index file grows by 258 bytes per print.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -50,7 +53,6 @@ MAX_POSTINGS = (1 << 32) - 1
 
 _N_BUCKETS = EXT_TABLE_SIZE >> DIR_SHIFT
 _LOW_MASK = (1 << DIR_SHIFT) - 1
-_INSERT_DTYPE = np.dtype([("code", "<u4"), ("track", "<u4"), ("time", "<u4")])
 _PRINT_DTYPE = np.dtype([("track", "<u4"), ("time", "<u4")])
 _POSTING_DTYPE = np.dtype([("low", "u1"), ("print", "<u4")])  # packed: 5 bytes
 # after the magic and the u16 version: L, L', b, bands, LSH seed, sample rate,
@@ -87,12 +89,13 @@ class LshSpec:
             raise ValueError("selections must be 51 x 16")
 
 
+@functools.lru_cache(maxsize=None)
 def make_lsh_spec(seed: int) -> LshSpec:
     """Derive the bit selections from a 64-bit seed.
 
     One splitmix64 stream seeded with ``seed`` drives a partial Fisher-Yates
     shuffle of [0..39] per selection; the first 16 entries are kept. Same
-    seed, same spec, forever.
+    seed, same spec, forever: the spec is cached per seed and read-only.
     """
     state = seed & _MASK64
     selections = np.empty((N_LSH, LSH_BITS), dtype=np.int8)
@@ -200,69 +203,63 @@ def _directory(codes: np.ndarray) -> np.ndarray:
 class HashTable:
     """Prints sorted by (track, time), postings sorted by (code, print), and the directory ``offsets``.
 
-    ``prints`` holds one (track, time) row per distinct inserted pair.
-    ``postings`` holds each insert's code's low ``DIR_SHIFT`` bits and its
-    print's row; ``offsets`` (u32) starts each ``code >> DIR_SHIFT`` bucket.
-    Inserts collect until ``freeze`` sorts them; the arrays are None until then.
+    ``insert`` appends one run of a track's prints and assigns each its print
+    id, its row in ``prints``, so the (track, time) keys must rise strictly
+    across all inserts. ``postings`` holds each code's low ``DIR_SHIFT`` bits
+    and its print's id; ``offsets`` (u32) starts each ``code >> DIR_SHIFT``
+    bucket. ``freeze`` sorts the postings; the arrays are None until then.
     """
 
     def __init__(self):
-        self._pending: list = []
-        self.offsets: np.ndarray | None = None
-        self.postings: np.ndarray | None = None
-        self.prints: np.ndarray | None = None
+        self._prints = [np.empty(0, dtype=_PRINT_DTYPE)]
+        self._keys = [np.empty(0, dtype=np.uint64)]  # code << 32 | print id
+        self._n_prints = self._n_postings = 0
+        self._last = (-1, -1)  # (track, time) of the last inserted print
+        self.offsets = self.postings = self.prints = None
 
-    def insert(self, codes, tracks, times) -> None:
+    def insert(self, track: int, frames, codes) -> None:
+        """Append ``track``'s prints at strictly increasing ``frames``, with one row of ``codes`` per print."""
         if self.postings is not None:
             raise RuntimeError("cannot insert into a frozen table")
-        codes = np.atleast_1d(np.asarray(codes))
+        frames, codes = np.atleast_1d(np.asarray(frames)), np.asarray(codes)
+        limit = np.iinfo(_PRINT_DTYPE["track"]).max
+        if not 0 <= track <= limit or (frames.size and (frames.min() < 0 or frames.max() > limit)):
+            raise ValueError(f"track {track} or one of its frames is outside the field's range [0, {limit}]")
+        if codes.ndim != 2 or len(codes) != len(frames) or codes.size < len(frames):
+            raise ValueError(f"codes of track {track} must be one row of at least one code per frame, got {codes.shape} for {len(frames)} frames")
         if codes.size and (codes.min() < 0 or codes.max() >= EXT_TABLE_SIZE):
             raise ValueError(f"extended code outside [0, {EXT_TABLE_SIZE})")
-        recs = np.empty(len(codes), dtype=_INSERT_DTYPE)
-        recs["code"] = codes
-        for name, values in (("track", tracks), ("time", times)):
-            values = np.asarray(values)
-            limit = np.iinfo(_INSERT_DTYPE[name]).max
-            if values.size and (values.min() < 0 or values.max() > limit):
-                raise ValueError(f"posting {name} outside the field's range [0, {limit}]")
-            recs[name] = values
-        self._pending.append(recs)
+        if np.any(frames[1:] <= frames[:-1]):
+            raise ValueError(f"frames of track {track} do not rise strictly")
+        if len(frames) and (track, frames[0]) <= self._last:
+            raise ValueError(f"print ({track}, {frames[0]}) follows print {self._last}: insert each (track, frame) once, in increasing order")
+        n_postings = self._n_postings + codes.size
+        if n_postings > MAX_POSTINGS:
+            raise ValueError(f"cannot index {n_postings} postings: print ids and directory entries are u32, so at most {MAX_POSTINGS}")
+        prints = np.empty(len(frames), dtype=_PRINT_DTYPE)
+        prints["track"], prints["time"] = track, frames
+        keys = codes.astype(np.uint64)
+        keys <<= 32
+        keys |= np.arange(self._n_prints, self._n_prints + len(frames), dtype=np.uint64)[:, None]
+        self._prints.append(prints)
+        self._keys.append(keys.reshape(-1))
+        self._n_prints, self._n_postings = self._n_prints + len(frames), n_postings
+        if len(frames):
+            self._last = (int(track), int(frames[-1]))
 
     def freeze(self) -> None:
         if self.postings is not None:
             return
-        recs = np.concatenate(self._pending) if self._pending else np.empty(0, dtype=_INSERT_DTYPE)
-        if len(recs) > MAX_POSTINGS:
-            raise ValueError(f"cannot index {len(recs)} postings: print ids and directory entries are u32, so at most {MAX_POSTINGS}")
-        self._pending = []
-        # Prints are the distinct (track, time) keys in sorted order, and a
-        # record's print id is its key's rank; in-place steps bound the peak memory.
-        keys = recs["track"].astype(np.uint64)
-        keys <<= 32
-        keys |= recs["time"]
-        by_key = np.argsort(keys)
-        keys = keys[by_key]
-        new_print = np.empty(len(keys), dtype=bool)
-        new_print[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=new_print[1:])
-        keys = keys[new_print]
-        self.prints = np.empty(len(keys), dtype=_PRINT_DTYPE)
-        self.prints["track"] = keys >> 32
-        self.prints["time"] = keys & 0xFFFFFFFF
+        self.prints = np.concatenate(self._prints)
         # print ids follow (track, time), so (code, print) order is (code, track, time) order
-        ordered = recs["code"][by_key].astype(np.uint64)
-        del recs, keys, by_key
-        ordered <<= 32
-        print_ids = np.cumsum(new_print, dtype=np.uint64)
-        print_ids -= 1
-        ordered |= print_ids
-        del print_ids, new_print
-        ordered.sort()
-        self.postings = np.empty(len(ordered), dtype=_POSTING_DTYPE)
-        self.postings["print"] = ordered & 0xFFFFFFFF
-        ordered >>= 32
-        self.postings["low"] = ordered & _LOW_MASK
-        self.offsets = _directory(ordered)
+        keys = np.concatenate(self._keys)
+        self._prints = self._keys = None
+        keys.sort()
+        self.postings = np.empty(len(keys), dtype=_POSTING_DTYPE)
+        self.postings["print"] = keys & 0xFFFFFFFF
+        keys >>= 32
+        self.postings["low"] = keys & _LOW_MASK
+        self.offsets = _directory(keys)
 
     def lookup_many(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Postings for many codes at once.

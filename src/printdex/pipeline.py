@@ -308,11 +308,10 @@ def reduced_prints_for_buffer(buf: AudioBuffer, model: ReductionModel):
     return kept, reduce_prints(coeffs, model)
 
 
-def index_postings(kept, reduced, model, lsh_spec, n_reliable: int):
-    """Extended codes and posting frames of one track's reduced prints."""
+def index_postings(reduced, model, lsh_spec):
+    """Print-major extended codes (n, bands * N_RELIABLE) of one track's reduced prints."""
     sigma_e = [chain.sigma_e for chain in model.bands]
-    codes = _hashing.derive_codes(reduced, sigma_e, lsh_spec, n_reliable)
-    return codes.reshape(-1), np.broadcast_to(kept[:, None], codes.shape).reshape(-1)
+    return np.hstack(_hashing.derive_codes(reduced, sigma_e, lsh_spec, _hashing.N_RELIABLE))
 
 
 def build_index(
@@ -323,18 +322,20 @@ def build_index(
     lsh_seed: int = 0,
     progress=None,
 ) -> _hashing.CatalogIndex:
+    """Index ``entries`` in track id order, the order the table's print ids follow."""
     index = _hashing.CatalogIndex(table=_hashing.HashTable(), tracks={}, lsh_seed=lsh_seed, model_sha256=model_sha256(model))
+    entries = sorted(entries, key=lambda e: e.track_id)
 
-    def track_postings(entry):
+    def track_prints(entry):
         buf = load_track(entry)
         kept, reduced = reduced_prints_for_buffer(buf, model)
-        return entry, buf.duration, len(kept), *index_postings(kept, reduced, model, index.spec, _hashing.N_RELIABLE)
+        return entry, buf.duration, kept, index_postings(reduced, model, index.spec)
 
-    for i, (entry, duration, n_prints, codes, frames) in enumerate(_parallel_map(track_postings, entries)):
-        index.table.insert(codes, np.full(len(codes), entry.track_id), frames)
+    for i, (entry, duration, kept, codes) in enumerate(_parallel_map(track_prints, entries)):
+        index.table.insert(entry.track_id, kept, codes)
         index.tracks[entry.track_id] = _hashing.TrackInfo(name=entry.label or entry.path, duration=duration)
         if progress:
-            progress(f"indexed {i + 1}/{len(entries)} tracks ({n_prints} prints)")
+            progress(f"indexed {i + 1}/{len(entries)} tracks ({len(kept)} prints)")
     index.table.freeze()
     return index
 

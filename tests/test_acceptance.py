@@ -370,7 +370,7 @@ class TestCriterion7UniformityBenefit:
                     continue
                 n_prints += len(kept) * N_BANDS
                 for name, model in models.items():
-                    codes, _ = pipeline.index_postings(kept, reduce_prints(coeffs, model), model, spec, N_RELIABLE)
+                    codes = pipeline.index_postings(reduce_prints(coeffs, model), model, spec)
                     np.add.at(counts[name], codes, 1)
         ratios = {name: c.max() / (c.sum() / EXT_TABLE_SIZE) for name, c in counts.items()}
         ok = n_prints >= 100_000 and ratios["full"] < ratios["ablated"]

@@ -198,8 +198,13 @@ class TestQueryCommand:
             query_index(load_audio(excerpt_path), load_index(index), loaded)
 
     @pytest.mark.parametrize("command", ["query", "evaluate"])
-    def test_other_model_than_the_index_one_line_error(self, cli_setup, tmp_path, capsys, command):
+    def test_other_model_than_the_index_one_line_error(self, cli_setup, tmp_path, capsys, monkeypatch, command):
         root, manifest, entries, model, index = cli_setup
+
+        def no_queries(*args, **kwargs):
+            raise AssertionError("queries were cut before the model was checked")
+
+        monkeypatch.setattr(pipeline, "make_queries", no_queries)
         loaded = load_model(model)
         loaded.bands[0].metadata["retrained"] = "yes"
         other = str(tmp_path / "other.bmrm")

@@ -71,6 +71,11 @@ class TestLshSpec:
         assert np.array_equal(a.selections, b.selections)
         assert not np.array_equal(a.selections, make_lsh_spec(1235).selections)
 
+    def test_cached_per_seed(self):
+        spec = make_lsh_spec(1234)
+        assert make_lsh_spec(1234) is spec and make_lsh_spec(1235) is not spec
+        assert not spec.selections.flags.writeable
+
     def test_distinct_positions(self):
         spec = make_lsh_spec(0)
         for row in spec.selections:
@@ -226,7 +231,7 @@ def _records(postings) -> np.ndarray:
 class TestHashTable:
     def test_insert_lookup_singleton(self):
         t = HashTable()
-        t.insert([12345], [7], [42])
+        t.insert(7, [42], [[12345]])
         t.freeze()
         counts, postings = t.lookup_many([12345])
         assert counts.tolist() == [1]
@@ -235,7 +240,7 @@ class TestHashTable:
 
     def test_absent_code_empty(self):
         t = HashTable()
-        t.insert([1], [1], [0])
+        t.insert(1, [0], [[1]])
         t.freeze()
         counts, postings = t.lookup_many([2])  # same directory bucket as code 1
         assert counts.tolist() == [0] and len(postings) == 0
@@ -243,8 +248,8 @@ class TestHashTable:
     def test_conservation(self):
         rng = np.random.default_rng(5)
         t = HashTable()
-        codes = rng.integers(0, 1 << 24, 1000)
-        t.insert(codes, np.arange(1000), np.arange(1000))
+        codes = rng.integers(0, 1 << 24, (100, 10))
+        t.insert(0, np.arange(100), codes)
         t.freeze()
         assert t.n_postings == 1000
         assert t.bucket_loads().sum() == 1000
@@ -252,7 +257,7 @@ class TestHashTable:
     def test_bucket_loads_per_distinct_code(self):
         codes = np.random.default_rng(9).integers(0, 300, 800)
         t = HashTable()
-        t.insert(codes, np.zeros(800), np.arange(800))
+        t.insert(0, np.arange(800), codes[:, None])
         t.freeze()
         assert np.array_equal(t.bucket_loads(), np.unique(codes, return_counts=True)[1])
         empty = HashTable()
@@ -263,22 +268,23 @@ class TestHashTable:
         t = HashTable()
         t.freeze()
         with pytest.raises(RuntimeError):
-            t.insert([1], [1], [0])
+            t.insert(1, [0], [[1]])
 
     @pytest.mark.parametrize(
-        "tracks, times",
-        [([1 << 32], [0]), ([-1], [0]), ([1], [-1]), ([1], [1 << 32])],
+        "track, times",
+        [(1 << 32, [0]), (-1, [0]), (1, [-1]), (1, [1 << 32])],
         ids=["track_over_u32", "track_negative", "time_negative", "time_over_u32"],
     )
-    def test_out_of_range_posting_rejected(self, tracks, times):
+    def test_out_of_range_posting_rejected(self, track, times):
         t = HashTable()
-        with pytest.raises(ValueError):
-            t.insert([5], np.array(tracks), np.array(times))
+        with pytest.raises(ValueError, match=r"^track -?\d+ or one of its frames is outside the field's range \[0, 4294967295\]$"):
+            t.insert(track, np.array(times), [[5]])
 
     def test_field_limits_stored_exactly(self, tmp_path):
         t = HashTable()
         top = (1 << 32) - 1
-        t.insert([5, 5, 6], [top, top, 0], [top, 0, top])
+        t.insert(0, [top], [[6]])
+        t.insert(top, [0, top], [[5], [5]])
         t.freeze()
         expected = [[5, top, 0], [5, top, top], [6, 0, top]]
         assert table_triples(t).tolist() == expected
@@ -287,23 +293,60 @@ class TestHashTable:
         assert table_triples(load_index(path).table).tolist() == expected
 
     def test_frozen_triples_are_sorted_inserts(self):
+        """Print ids are the insert order; postings come out sorted by (code, track, time)."""
         rng = np.random.default_rng(4)
-        codes = np.concatenate((rng.integers(0, 200, 400), rng.integers(0, EXT_TABLE_SIZE, 400)))
-        tracks, times = rng.integers(0, 9, 800), rng.integers(0, 60, 800)
         t = HashTable()
-        t.insert(codes[:300], tracks[:300], times[:300])
-        t.insert(codes[300:], tracks[300:], times[300:])
+        inserted, prints = [], []
+        for track in (0, 3, 4, 8):
+            frames = np.sort(rng.choice(60, size=12, replace=False))
+            codes = np.concatenate((rng.integers(0, 200, (12, 4)), rng.integers(0, EXT_TABLE_SIZE, (12, 3))), axis=1)
+            t.insert(track, frames[:5], codes[:5])  # one track's run may come in several inserts
+            t.insert(track, frames[5:], codes[5:])
+            prints += [(track, f) for f in frames]
+            inserted += [(c, track, f) for f, row in zip(frames, codes) for c in row]
         t.freeze()
-        inserted = np.stack([codes, tracks, times], axis=1)
-        assert np.array_equal(table_triples(t), inserted[np.lexsort((times, tracks, codes))])
-        assert len(t.prints) == len(np.unique(tracks * 1000 + times))
+        assert t.prints.tolist() == prints
+        inserted = np.array(inserted)
+        assert np.array_equal(table_triples(t), inserted[np.lexsort(inserted.T[::-1])])
 
     def test_too_many_postings_rejected(self, monkeypatch):
         monkeypatch.setattr(hashing, "MAX_POSTINGS", 3)
         t = HashTable()
-        t.insert([1, 2, 3, 4], [0, 0, 0, 0], [0, 1, 2, 3])
+        t.insert(0, [0, 1, 2], [[1], [2], [3]])
         with pytest.raises(ValueError, match=r"^cannot index 4 postings: .* at most 3$"):
-            t.freeze()
+            t.insert(1, [0], [[4]])
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ((2, [0]), (1, [5]), r"print \(1, 5\) follows print \(2, 0\): insert each \(track, frame\) once, in increasing order"),
+            ((2, [0, 4]), (2, [4]), r"print \(2, 4\) follows print \(2, 4\): insert each \(track, frame\) once, in increasing order"),
+            ((2, [0]), (3, [7, 7]), "frames of track 3 do not rise strictly"),
+            ((2, [0]), (3, [7, 6]), "frames of track 3 do not rise strictly"),
+        ],
+        ids=["track_out_of_order", "repeated_print", "repeated_frame", "falling_frames"],
+    )
+    def test_misordered_insert_rejected(self, first, second, message):
+        t = HashTable()
+        t.insert(first[0], first[1], np.ones((len(first[1]), 2), dtype=np.int64))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            t.insert(second[0], second[1], np.ones((len(second[1]), 2), dtype=np.int64))
+        t.freeze()  # the rejected run left nothing behind
+        assert t.prints.tolist() == [(first[0], f) for f in first[1]]
+        assert t.n_postings == 2 * len(first[1])
+
+    @pytest.mark.parametrize("codes", [np.ones(2, dtype=np.int64), np.ones((3, 2), dtype=np.int64), np.ones((2, 0), dtype=np.int64)])
+    def test_codes_not_one_row_per_frame_rejected(self, codes):
+        with pytest.raises(ValueError, match=r"^codes of track 1 must be one row of at least one code per frame, got \(\d+,( \d+)?\) for 2 frames$"):
+            HashTable().insert(1, [3, 4], codes)
+
+    def test_track_without_prints(self):
+        """An empty run stores nothing and sets no order for the next."""
+        t = HashTable()
+        t.insert(9, [], np.empty((0, 10), dtype=np.int64))
+        t.insert(4, [2], [[7]])
+        t.freeze()
+        assert table_triples(t).tolist() == [[7, 4, 2]]
 
     @pytest.mark.parametrize("codes", [[], [7], [0], [EXT_TABLE_SIZE - 1], [0, EXT_TABLE_SIZE - 1, 3, 3, 0], "random"])
     def test_offsets_match_searchsorted_oracle(self, codes):
@@ -311,7 +354,7 @@ class TestHashTable:
             codes = np.random.default_rng(8).integers(0, EXT_TABLE_SIZE, 2000)
         codes = np.asarray(codes, dtype=np.int64)
         t = HashTable()
-        t.insert(codes, np.arange(len(codes)), np.zeros(len(codes)))
+        t.insert(0, np.arange(len(codes)), codes[:, None])
         t.freeze()
         oracle = np.searchsorted(np.sort(codes) >> 6, np.arange(2**18 + 1))
         assert t.offsets.dtype == np.uint32 and np.array_equal(t.offsets, oracle)
@@ -320,11 +363,15 @@ class TestHashTable:
     def test_out_of_range_code_rejected(self, code):
         t = HashTable()
         with pytest.raises(ValueError, match="extended code"):
-            t.insert([code], [1], [0])
+            t.insert(1, [0], [[code]])
 
     def test_postings_sorted_within_bucket(self):
         t = HashTable()
-        t.insert([5, 5, 5, 5], [30, 10, 20, 10], [3, 2, 1, 1])
+        # codes in insert order 9, 5, 5, 4, 5, 5, 8: the sort brings code 5's four postings together
+        t.insert(10, [1, 2], [[9, 5], [5, 4]])
+        t.insert(20, [1], [[5]])
+        t.insert(30, [3], [[5]])
+        t.insert(40, [0], [[8]])
         t.freeze()
         _, postings = t.lookup_many([5])
         assert postings["track"].tolist() == [10, 10, 20, 30]
@@ -333,8 +380,9 @@ class TestHashTable:
     def test_lookup_many_matches_loop(self):
         rng = np.random.default_rng(6)
         t = HashTable()
-        codes = rng.integers(0, 300, 500)  # about 100 codes per directory bucket
-        t.insert(codes, rng.integers(0, 4, 500), np.arange(500) % 70)
+        codes = rng.integers(0, 300, (4, 25, 5))  # about 100 codes per directory bucket
+        for track in range(4):
+            t.insert(track, np.sort(rng.choice(70, size=25, replace=False)), codes[track])
         t.freeze()
         queries = np.concatenate((rng.integers(0, 320, 50), [EXT_TABLE_SIZE - 1, 0, 0]))
         counts, postings = t.lookup_many(queries)
@@ -389,7 +437,8 @@ POSTINGS_AT = HEADER_BYTES + 4 * (2**18 + 1)  # after the header and the directo
 def _small_index(tracks=None):
     """Codes 3, 1, 2 of prints (1, 5), (2, 6), (3, 7): postings (low, print) (1, 1), (2, 2), (3, 0), all in bucket 0."""
     t = HashTable()
-    t.insert([3, 1, 2], [1, 2, 3], [5, 6, 7])
+    for track, frame, code in ((1, 5, 3), (2, 6, 1), (3, 7, 2)):
+        t.insert(track, [frame], [[code]])
     t.freeze()
     if tracks is None:
         tracks = {1: TrackInfo("x", 1.0), 2: TrackInfo("y", 1.0), 3: TrackInfo("z", 1.0)}
@@ -410,8 +459,9 @@ class TestIndexFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
         t = HashTable()
-        codes = rng.integers(0, 1 << 24, 2000)
-        t.insert(codes, rng.integers(1, 50, 2000), rng.integers(0, 1500, 2000))
+        for track in range(1, 50):
+            frames = np.sort(rng.choice(1500, size=rng.integers(0, 8), replace=False))
+            t.insert(track, frames, rng.integers(0, 1 << 24, (len(frames), 10)))
         t.freeze()
         tracks = {tid: TrackInfo(f"t{tid}", 30.0) for tid in range(1, 50)}
         tracks[2] = TrackInfo("two", 29.5)

@@ -11,9 +11,10 @@ import os
 
 import pytest
 
-from corpus import build_corpus
+from corpus import build_corpus, synth_track
 
 from printdex import hashing, pipeline
+from printdex.audio import save_wav
 from printdex.reduction import save_model
 
 PLAN = (("white12", "white_noise:snr_db=12"), ("stretchp", "time_stretch:cents=30"))
@@ -85,6 +86,13 @@ def corpus(tmp_path_factory):
     return entries
 
 
+@pytest.fixture(scope="module")
+def model(corpus):
+    return pipeline.train_from_manifest(
+        corpus, plan=PLAN, times_per_track=7, pool_times_per_track=30, seed=4, lda_dim=40, enforce_min_originals=False
+    )
+
+
 def _artifacts(entries, directory) -> tuple:
     """(model bytes, index bytes) of one train + index run."""
     model = pipeline.train_from_manifest(
@@ -102,3 +110,20 @@ def test_train_and_index_files_do_not_depend_on_workers(corpus, tmp_path, monkey
     one = _artifacts(corpus, tmp_path / "one")
     _allow_cpus(monkeypatch, 2)
     assert _artifacts(corpus, tmp_path / "two") == one
+
+
+def test_index_file_does_not_depend_on_manifest_order(corpus, model, tmp_path):
+    """Tracks are inserted in track id order, in forked workers or, with one allowed CPU, in this process."""
+    shuffled = [corpus[i] for i in (3, 0, 5, 1, 4, 2)]
+    for name, entries in (("sorted", corpus), ("shuffled", shuffled)):
+        hashing.save_index(tmp_path / f"{name}.bmix", pipeline.build_index(entries, model, lsh_seed=9))
+    assert (tmp_path / "shuffled.bmix").read_bytes() == (tmp_path / "sorted.bmix").read_bytes()
+
+
+def test_track_without_prints_gets_a_record(corpus, model, tmp_path):
+    """A 2 s track is shorter than one print window."""
+    save_wav(tmp_path / "short.wav", synth_track(77, duration_s=2.0))
+    short = pipeline.ManifestEntry(track_id=7, path=str(tmp_path / "short.wav"), label="short")
+    index = pipeline.build_index([corpus[0], short, corpus[1]], model)
+    assert sorted(index.tracks) == [1, 2, 7] and index.tracks[7].name == "short"
+    assert set(index.table.prints["track"].tolist()) == {1, 2}

@@ -282,7 +282,7 @@ class TestInvarianceProperties:
             return coeffs[0, 2]
 
         original = synth_track(777, duration_s=5.0)
-        shifted_buf = AudioBuffer(samples=pitch_shift(original.samples, SR, 1.0), sample_rate=SR)
+        shifted_buf = AudioBuffer(samples=pitch_shift(original.samples, 1.0), sample_rate=SR)
         target = band3_print(original)
         shifted = band3_print(shifted_buf)
 

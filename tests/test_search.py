@@ -45,13 +45,14 @@ def _synthetic_index(track_gammas, duration_s=30.0, seed=42, n_bands=5):
     for track_id, gammas in track_gammas.items():
         n_times = gammas.shape[0]
         frames = np.round(np.linspace(0.1, duration_s - 0.1, n_times) / FRAME_PERIOD).astype(np.int64)
+        codes = np.empty((n_times, n_bands, N_RELIABLE), dtype=np.uint32)
         for ti in range(n_times):
             for b in range(n_bands):
                 bits = ((gammas[ti, b] >> np.arange(40, dtype=np.uint64)) & 1).astype(np.uint8)
                 betas = codes_from_bits(bits[None, :], spec)[0]
                 chosen = np.sort(rng.choice(N_LSH, size=N_RELIABLE, replace=False))
-                codes = extended_code(b, chosen, betas[chosen])
-                table.insert(codes, np.full(N_RELIABLE, track_id), np.full(N_RELIABLE, frames[ti]))
+                codes[ti, b] = extended_code(b, chosen, betas[chosen])
+        table.insert(track_id, frames, codes.reshape(n_times, -1))
         tracks[track_id] = TrackInfo(f"t{track_id}", duration_s)
     table.freeze()
     return CatalogIndex(table=table, tracks=tracks, lsh_seed=seed, model_sha256=NO_MODEL)
@@ -96,8 +97,8 @@ class TestCountMatches:
         segment_frames = int(round(15.0 / FRAME_PERIOD))
         segment_start = 75000 // segment_frames * segment_frames
         table = HashTable()
-        # frame 75 000 and the first frame of its segment, then the frame before that segment
-        table.insert([9, 9, 9], [1, 1, 1], [75000, segment_start, segment_start - 1])
+        # the frame before the segment of frame 75 000, that segment's first frame, and frame 75 000
+        table.insert(1, [segment_start - 1, segment_start, 75000], [[9], [9], [9]])
         table.freeze()
         index = CatalogIndex(table=table, tracks={1: TrackInfo("long", 1500.0)}, lsh_seed=0, model_sha256=NO_MODEL)
         save_index(tmp_path / "long.bmix", index)
