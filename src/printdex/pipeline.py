@@ -201,7 +201,10 @@ def _spread_indices(n: int, k: int) -> np.ndarray:
 
 @dataclass
 class TrainingData:
-    """Class records plus the larger original-print pools, all bands at once."""
+    """Class records plus the larger original-print pools, all bands at once.
+
+    The prints keep the float32 that ``prints.analyze`` returns; no cast copies them.
+    """
 
     prints: np.ndarray  # (n, bands, 1056) float32
     class_ids: np.ndarray  # (n,)
@@ -237,7 +240,7 @@ def collect_training_data(
         pool_pick = _spread_indices(len(kept), pool_times_per_track)
         class_pick = _spread_indices(len(kept), times_per_track)
         class_frames = kept[class_pick]
-        prints = [coeffs[class_pick].astype(np.float32)]
+        prints = [coeffs[class_pick]]
         ranks = [np.arange(len(class_pick))]
         for v_idx, (label, dspec) in enumerate(specs):
             var_seed = _derive_seed(seed, entry.track_id, v_idx)
@@ -247,7 +250,7 @@ def collect_training_data(
             dkept, dcoeffs = analyze(dbuf, frames=frames)
             # frames are sorted, so the anchors surviving the end-of-signal
             # check are exactly a prefix; class ranks align positionally
-            prints.append(dcoeffs.astype(np.float32))
+            prints.append(dcoeffs)
             ranks.append(np.arange(len(dkept)))
         is_original = np.zeros(sum(len(r) for r in ranks), dtype=bool)
         is_original[: len(class_pick)] = True
@@ -255,7 +258,7 @@ def collect_training_data(
             np.concatenate(prints),
             np.concatenate(ranks) + 100000 * entry.track_id,
             is_original,
-            coeffs[pool_pick].astype(np.float32),
+            coeffs[pool_pick],
         )
 
     records = []

@@ -9,9 +9,10 @@ magnitude of a 2D DFT (invariant to translation) yields 1056 coefficients per
 block of frames at a time (``frequency_map``), so the linear-frequency
 spectrogram is never stored. The geometry is this module's constants,
 which the learned reduction is fitted to. ``print_matrix`` takes every band
-of every anchor in one pass, with the geometry's maps derived once;
-``analyze`` runs the whole front end (STFT, anchor selection, prints) for
-training, indexing and querying alike. The stage-by-stage single-print path
+of every anchor in one pass, with the geometry's maps derived once, and
+runs in single precision from the log-frequency rows to the 2D-DFT
+magnitudes; ``analyze`` runs the whole front end (STFT, anchor selection,
+prints) for training, indexing and querying alike. The stage-by-stage single-print path
 is a test oracle (``tests/stft_oracle.py``).
 """
 
@@ -135,22 +136,23 @@ class _LogLogMapper:
     the log-time columns, trimmed to the frames [lo, hi) = ``time_span`` that
     carry weight (25..127 of 150). ``band_rows`` indexes the overlapping
     bands out of the log-log matrix, ``taper`` is the 2D Hamming weighting
-    of one band and ``log_norm`` the log(1 + a) normaliser.
+    of one band and ``log_norm`` the log(1 + a) normaliser. The weights are
+    derived in float64 and stored in float32, the precision of the prints.
     """
 
     def __init__(self):
         freq = _axis_weights(N_LOGFREQ, F_MIN, F_MAX, _audio.Spectrogram.bin_hz, _audio.Spectrogram.n_bins)
-        self.freq_map = scipy.sparse.csr_matrix(freq)
+        self.freq_map = scipy.sparse.csr_matrix(freq.astype(np.float32))
         time_map = _axis_weights(N_LOGTIME, T_MIN, T_MAX, _audio.FRAME_PERIOD, SEGMENT_FRAMES)
         cols = np.flatnonzero(time_map.any(axis=0))
         self.time_span = (int(cols[0]), int(cols[-1]) + 1)
-        self.time_map_t = time_map[:, self.time_span[0] : self.time_span[1]].T
+        self.time_map_t = time_map[:, self.time_span[0] : self.time_span[1]].T.astype(np.float32)
         self.band_rows = np.array(BAND_STARTS)[:, None] + np.arange(BAND_WIDTH)[None, :]
         self.taper = np.outer(
             scipy.signal.windows.hamming(BAND_WIDTH, sym=True),
             scipy.signal.windows.hamming(N_LOGTIME, sym=True),
-        )
-        self.log_norm = np.log1p(LOG_KNEE)
+        ).astype(np.float32)
+        self.log_norm = np.float32(np.log1p(LOG_KNEE))
 
 
 def _mapper() -> _LogLogMapper:
@@ -161,7 +163,7 @@ def _mapper() -> _LogLogMapper:
 
 
 def frequency_map() -> scipy.sparse.csr_matrix:
-    """The sparse (N_LOGFREQ, bins) map that ``audio.stft`` applies to each frame."""
+    """The sparse float32 (N_LOGFREQ, bins) map that ``audio.stft`` applies to each frame."""
     return _mapper().freq_map
 
 
@@ -170,16 +172,18 @@ def print_matrix(spec, frames) -> tuple[np.ndarray, np.ndarray]:
 
     ``spec`` must come from ``audio.stft(buf, frequency_map())``, so its
     ``logfreq`` rows are the print's log-frequency axis. Returns
-    (kept_frames, coeffs) where coeffs has shape (n_kept, N_BANDS,
+    (kept_frames, coeffs) where coeffs is float32 of shape (n_kept, N_BANDS,
     N_COEFFS). Anchors whose window passes the signal end are dropped.
+    Every stage (time map, taper, floor, normalisation, log and ``rfft2``)
+    runs in float32; the learned reduction takes the prints to float64.
     """
     mapper = _mapper()
     frames = np.asarray(frames, dtype=np.int64)
     kept = frames[frames + SEGMENT_FRAMES <= spec.n_frames]
     if len(kept) == 0:
-        return kept, np.zeros((0, N_BANDS, N_COEFFS))
+        return kept, np.zeros((0, N_BANDS, N_COEFFS), dtype=np.float32)
     lo, hi = mapper.time_span
-    out = np.empty((len(kept), N_BANDS, N_COEFFS))
+    out = np.empty((len(kept), N_BANDS, N_COEFFS), dtype=np.float32)
     for i, ell in enumerate(kept):
         h = spec.logfreq[:, ell + lo : ell + hi] @ mapper.time_map_t
         bands = h[mapper.band_rows, :]
@@ -199,8 +203,8 @@ def analyze(buf, frames=None):
     The one front end of training, indexing and querying. ``buf`` must
     already be at ``audio.SAMPLE_RATE``. When ``frames`` is given the anchors
     are reused instead of re-selected (training transforms degraded variants
-    at the original anchor times). Returns (kept_frames, coeffs (n, bands,
-    1056)).
+    at the original anchor times). Returns (kept_frames, float32 coeffs (n,
+    bands, 1056)).
     """
     spec = _audio.stft(buf, frequency_map())
     if frames is None:

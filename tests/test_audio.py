@@ -8,7 +8,7 @@ from printdex.audio import FFT_SIZE, HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, A
 from printdex.prints import N_LOGFREQ, frequency_map
 
 from conftest import make_sine
-from stft_oracle import magnitude_stft, spectrogram
+from stft_oracle import frame_norms, magnitude_stft, spectrogram
 
 SR = 11025
 
@@ -43,6 +43,19 @@ class TestLoadAudio:
         scipy.io.wavfile.write(path, SR, x)
         buf = load_audio(path)
         assert np.allclose(buf.samples, x, atol=1e-7)
+
+    @pytest.mark.parametrize("dtype, scale", [(np.int16, 32768.0), (np.int32, 2147483648.0)])
+    def test_integer_scaling_one_pass_bit_exact(self, tmp_path, dtype, scale):
+        # a power-of-two scale is exact: the cast-and-multiply equals a cast and a division
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(5)
+        data = rng.integers(info.min, info.max, size=(999, 2), endpoint=True, dtype=dtype)
+        data[:3, 0] = [info.min, info.max, 0]
+        path = tmp_path / "pcm.wav"
+        scipy.io.wavfile.write(path, 44100, data)
+        buf = load_audio(path)
+        assert buf.samples.dtype == np.float64
+        assert np.array_equal(buf.samples, (data.astype(np.float64) / scale).mean(axis=1))
 
     def test_uint8(self, tmp_path):
         path = tmp_path / "u8.wav"
@@ -97,6 +110,27 @@ class TestResample:
     def test_invalid_target(self):
         with pytest.raises(AudioError):
             resample(make_sine(440), 0)
+
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("length", ["1", "q-1", "q", "q+1", "window", "7s"])
+    def test_integer_decimation_matches_resample_poly(self, q, length):
+        n = {"1": 1, "q-1": q - 1, "q": q, "q+1": q + 1, "window": WINDOW_SAMPLES, "7s": 7 * SR * q}[length]
+        rng = np.random.default_rng(n)
+        buf = AudioBuffer(samples=rng.uniform(-1, 1, n), sample_rate=SR * q)
+        ref = scipy.signal.resample_poly(buf.samples, 1, q)
+        out = resample(buf, SR)
+        assert out.sample_rate == SR
+        assert out.samples.shape == ref.shape == (-(-n // q),)
+        # the matrix products sum the taps in another order than resample_poly
+        assert np.max(np.abs(out.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("rate, target", [(48000, SR), (SR, 44100), (22050, 44100), (SR * 20, SR)])
+    def test_other_ratios_are_resample_poly(self, rate, target):
+        # 48 kHz, upsampling and down-ratios above MAX_DECIMATION keep scipy's polyphase path, bit for bit
+        rng = np.random.default_rng(rate)
+        buf = AudioBuffer(samples=rng.uniform(-1, 1, rate // 3), sample_rate=rate)
+        g = np.gcd(rate, target)
+        assert np.array_equal(resample(buf, target).samples, scipy.signal.resample_poly(buf.samples, target // g, rate // g))
 
 
 class TestNormalize:
@@ -194,12 +228,13 @@ class TestStft:
         atol = 4 * np.finfo(np.float32).eps * whole.max()
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=atol)
 
-    def test_logfreq_c_contiguous_float64(self):
-        # print_matrix multiplies column slices of these rows once per anchor
+    def test_logfreq_c_contiguous_float32(self):
+        # print_matrix multiplies column slices of these rows once per anchor, in single precision
         spec = spectrogram(make_sine(440, duration=1.0))
         assert spec.logfreq.shape == (N_LOGFREQ, spec.n_frames)
-        assert spec.logfreq.dtype == np.float64
+        assert spec.logfreq.dtype == np.float32
         assert spec.logfreq.flags.c_contiguous
+        assert spec.norms.dtype == np.float64
 
 
 def _frames_buffer(n_frames, seed):
@@ -208,7 +243,10 @@ def _frames_buffer(n_frames, seed):
 
 
 class TestStftReductions:
-    """``stft``'s block-by-block reductions equal the oracle's full-matrix ones bit for bit."""
+    """``stft``'s block-by-block reductions equal the oracle's full-matrix ones bit for bit.
+
+    The magnitudes and log-frequency rows are float32; the 1-norms are summed in float64.
+    """
 
     @pytest.mark.parametrize(
         "make_buf",
@@ -229,4 +267,4 @@ class TestStftReductions:
         spec = audio.stft(buf, freq_map)
         assert spec.n_frames == mags.shape[1]
         assert np.array_equal(spec.logfreq, freq_map @ mags)
-        assert np.array_equal(spec.norms, mags.sum(axis=0))
+        assert np.array_equal(spec.norms, frame_norms(mags))

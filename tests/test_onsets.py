@@ -10,7 +10,7 @@ from printdex.onsets import (
     select_times,
 )
 
-from stft_oracle import magnitude_stft, spectrogram
+from stft_oracle import frame_norms, magnitude_stft, spectrogram
 
 SR = 11025
 
@@ -31,7 +31,7 @@ class TestDiffSpectralNorms:
 
         buf = synth_track(5, duration_s=10.0)
         m = magnitude_stft(buf)
-        norms = np.sum(np.abs(m), axis=0)
+        norms = frame_norms(np.abs(m))
         phi = np.zeros(m.shape[1])
         diff = norms[1:] - norms[:-1]
         phi[1:] = np.abs((diff + np.abs(diff)) / 2.0)  # half-wave rectifier (x + |x|) / 2

@@ -3,6 +3,7 @@ import pytest
 import scipy.signal
 
 from printdex.audio import FRAME_PERIOD, AudioBuffer, Spectrogram
+from printdex.onsets import select_analysis_times
 from printdex.prints import BAND_STARTS, F_MAX, F_MIN, FLOOR_RATIO, N_LOGFREQ, SEGMENT_FRAMES, analyze, print_matrix
 
 from conftest import make_sine
@@ -187,8 +188,6 @@ class TestComputePrints:
     def test_count_oracle(self):
         from corpus import synth_track
 
-        from printdex.onsets import select_analysis_times
-
         buf = synth_track(55, duration_s=10.0)
         spec = spectrogram(buf)
         times = select_analysis_times(spec)
@@ -213,7 +212,7 @@ class TestComputePrints:
         assert np.array_equal(c1, c2)
 
     def test_bulk_matches_single_op_path(self):
-        """The blocked STFT, the trimmed time map and scipy's rfft2 change no bit."""
+        """The blocked STFT, the trimmed time map and the batched rfft2 change no bit of the float32 prints."""
         buf = _music_like(6.0, seed=7)
         spec = spectrogram(buf)
         mags = magnitude_stft(buf)
@@ -224,6 +223,48 @@ class TestComputePrints:
             h = loglog_convert(seg, BIN_HZ, PERIOD)
             for b, band in enumerate(split_bands(h)):
                 assert np.array_equal(coeffs[i, b], dft2_magnitude(modify_amplitudes(band)).coeffs)
+
+
+class TestSinglePrecision:
+    """The float32 front end against a float64 stage-by-stage reference.
+
+    The reference takes the same float32 FFT magnitudes to float64 and runs
+    every later stage (frame norms, log-frequency and log-time maps, floor,
+    log, 2D DFT) in double precision.
+    """
+
+    @staticmethod
+    def _reference(buf):
+        mags = magnitude_stft(buf).astype(np.float64)
+        spec = Spectrogram(logfreq=None, norms=mags.sum(axis=0))
+        frames = np.array([f for f in select_analysis_times(spec).frames if f + N_SEG <= mags.shape[1]], dtype=np.int64)
+        coeffs = np.zeros((len(frames), len(BAND_STARTS), 1056))
+        for i, ell in enumerate(frames):
+            h = loglog_convert(extract_window(mags, ell), BIN_HZ, PERIOD)
+            for b, band in enumerate(split_bands(h)):
+                coeffs[i, b] = dft2_magnitude(modify_amplitudes(band)).coeffs
+        return frames, coeffs
+
+    def test_same_anchors_and_codes_as_float64(self, small_setup):
+        from corpus import synth_track
+
+        from printdex.pipeline import index_postings
+        from printdex.reduction import reduce_prints
+
+        model, spec = small_setup.model, small_setup.index.spec
+        worst = 0.0
+        for seed in (4001, 4002, 4003):
+            buf = synth_track(seed, duration_s=12.0)
+            kept, coeffs = analyze(buf)
+            ref_kept, ref = self._reference(buf)
+            assert coeffs.dtype == np.float32
+            assert np.array_equal(kept, ref_kept)
+            err = np.linalg.norm(coeffs - ref, axis=2) / np.linalg.norm(ref, axis=2)
+            worst = max(worst, float(err.max()))
+            codes = index_postings(reduce_prints(coeffs, model), model, spec)
+            assert np.array_equal(codes, index_postings(reduce_prints(ref, model), model, spec))
+        # a few float32 roundings (measured: under 1.4 eps), not a different computation
+        assert worst < 8 * np.finfo(np.float32).eps, worst
 
 
 class TestMemory:
