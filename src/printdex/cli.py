@@ -17,6 +17,7 @@ from printdex import hashing as _hashing
 from printdex import pipeline as _pipeline
 from printdex import search as _search
 from printdex.audio import HOP_SAMPLES, SAMPLE_RATE, load_audio, normalize, save_wav
+from printdex.parallel import one_blas_thread
 from printdex.prints import WINDOW_S
 from printdex.reduction import load_model, save_model
 
@@ -91,7 +92,7 @@ def cmd_query(args) -> int:
     index = _hashing.load_index(args.index)
     model = load_model(args.model)
     _pipeline.check_model(index, model)
-    _pipeline.one_blas_thread()
+    one_blas_thread()
     buf = load_audio(args.audio)
     result = _search.query_index(buf, index, model)
     if args.json:

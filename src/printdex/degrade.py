@@ -5,6 +5,15 @@ always produces bit-identical output. Codec steps (MP3, GSM) are not
 implemented; the external_command hook pipes raw PCM through a user-supplied
 encoder when one is available, and scenarios skip the step with a warning
 otherwise.
+
+``time_stretch``, and ``pitch_shift`` through it, is a phase vocoder that
+takes no trigonometric function of a phase: the spectrum is kept
+frames-major, (frames, bins), so the inverse FFT reads contiguous rows, and
+each output frame's phasor is the previous one times the unit-phasor ratio
+``u[k + 1] * conj(u[k])`` of the two analysis frames it reads. That product is
+the exponential of the textbook principal-value phase advance (Laroche &
+Dolson, IEEE TSAP 1999), so no phase is taken as an angle or accumulated
+as a float.
 """
 
 from __future__ import annotations
@@ -57,6 +66,17 @@ PITCH_SHIFT_MAX_SEMITONES = 24.0
 TIME_STRETCH_MAX_CENTS = 200.0
 # Numeric parameters bounded in magnitude, checked when a spec is built.
 MAX_ABS_PARAMS = {"semitones": PITCH_SHIFT_MAX_SEMITONES, "cents": TIME_STRETCH_MAX_CENTS}
+
+# time_stretch's phase vocoder: a periodic Hann window of VOCODER_N_FFT
+# samples every VOCODER_HOP samples; _istft_frames needs n_fft to be a
+# multiple of the hop.
+VOCODER_N_FFT = 1024
+VOCODER_HOP = 256
+VOCODER_WINDOW = scipy.signal.windows.hann(VOCODER_N_FFT, sym=False)
+VOCODER_WINDOW.setflags(write=False)
+# the squared window as (n_fft / hop, hop) blocks, the overlap-add's normaliser
+_VOCODER_WINDOW_SQ = (VOCODER_WINDOW**2).reshape(-1, VOCODER_HOP)
+_VOCODER_WINDOW_SQ.setflags(write=False)
 
 
 class DegradationError(RuntimeError):
@@ -199,29 +219,29 @@ def _reverb(x: np.ndarray, sr: int, mix_db: float, rng: np.random.Generator, rt6
     return x + wet
 
 
-def _stft_frames(x: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    n_frames = 1 + (len(x) - n_fft) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[::hop][:n_frames]
-    return np.fft.rfft(frames * window, axis=1).T
+def _stft_frames(x: np.ndarray) -> np.ndarray:
+    """The (frames, bins) spectrum of ``VOCODER_WINDOW`` frames every ``VOCODER_HOP`` samples from sample 0."""
+    n_frames = 1 + (len(x) - VOCODER_N_FFT) // VOCODER_HOP
+    frames = np.lib.stride_tricks.sliding_window_view(x, VOCODER_N_FFT)[::VOCODER_HOP][:n_frames]
+    return np.fft.rfft(frames * VOCODER_WINDOW, axis=1)
 
 
-def _istft_frames(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) -> np.ndarray:
-    """Overlap-add the inverse frames, divided by the summed squared window.
+def _istft_frames(spec: np.ndarray) -> np.ndarray:
+    """Overlap-add the inverse of a (frames, bins) spectrum, divided by the summed squared window.
 
-    ``n_fft`` must be a multiple of ``hop``. The output is viewed as blocks
-    of ``hop`` samples; chunk k of frame m lands in block m + k. Adding the
-    chunks from the last k to the first sums each sample's frames in
-    ascending order.
+    The output is viewed as blocks of ``VOCODER_HOP`` samples; chunk k of
+    frame m lands in block m + k. Adding the chunks from the last k to the
+    first sums each sample's frames in ascending order.
     """
-    frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window
-    n_frames = spec.shape[1]
-    overlap = n_fft // hop
-    out = np.zeros((n_frames + overlap - 1, hop))
+    frames = np.fft.irfft(spec, n=VOCODER_N_FFT, axis=1)
+    frames *= VOCODER_WINDOW
+    n_frames = len(spec)
+    overlap = VOCODER_N_FFT // VOCODER_HOP
+    out = np.zeros((n_frames + overlap - 1, VOCODER_HOP))
     norm = np.zeros_like(out)
-    win_sq = (window**2).reshape(overlap, hop)
     for k in reversed(range(overlap)):
-        out[k : k + n_frames] += frames[:, k * hop : (k + 1) * hop]
-        norm[k : k + n_frames] += win_sq[k]
+        out[k : k + n_frames] += frames[:, k * VOCODER_HOP : (k + 1) * VOCODER_HOP]
+        norm[k : k + n_frames] += _VOCODER_WINDOW_SQ[k]
     out, norm = out.reshape(-1), norm.reshape(-1)
     good = norm > 1e-3 * norm.max()
     out[good] /= norm[good]
@@ -232,39 +252,48 @@ def _istft_frames(spec: np.ndarray, n_fft: int, hop: int, window: np.ndarray) ->
 def time_stretch(x: np.ndarray, factor: float) -> np.ndarray:
     """Phase-vocoder stretch: output duration = input duration * factor.
 
-    Analysis frames (Hann 1024, hop 256) start at sample 0 with no centering
-    padding; only an input shorter than n_fft + hop is zero-padded, at the
-    end, to that length. The overlap-add is divided by the summed squared
-    window, and output samples where that sum is below 1e-3 of its peak (the
-    first and last few, covered only by a window's tail) are set to zero
-    rather than amplified.
-    The result is cut or zero-padded at the end to round(len(x) * factor).
+    Analysis frames (``VOCODER_WINDOW``, hop ``VOCODER_HOP``) start at sample
+    0 with no centering padding; only an input shorter than n_fft + hop is
+    zero-padded, at the end, to that length. Output frame j reads the
+    analysis frames at position j / factor: its magnitudes are interpolated
+    between the two neighbours, and its phase advances by the phase
+    difference between them.
+
+    The spectrum is kept frames-major, (frames, bins), and no phase is ever
+    taken as an angle. With unit phasors ``u = X / |X|`` (``u = 1`` where
+    ``|X| = 0``, as ``angle(0) = 0``), the advance between frames k and k + 1
+    is ``u[k + 1] * conj(u[k])``: the principal-value phase-advance estimate
+    ``wrap(dphi - omega) + omega`` equals dphi modulo 2 pi, so its exponential is
+    exactly that product. Output phasors are the running product of the
+    advances from ``u[0]``.
+
+    The overlap-add is divided by the summed squared window, and output
+    samples where that sum is below 1e-3 of its peak (the first and last
+    few, covered only by a window's tail) are set to zero rather than
+    amplified. The result is cut or zero-padded at the end to
+    round(len(x) * factor).
     """
     target = int(round(len(x) * factor))
     if target < 1:
         raise DegradationError(f"time_stretch factor {factor!r} leaves no samples of a {len(x)}-sample input")
-    n_fft, hop = 1024, 256
-    if len(x) < n_fft + hop:
-        x = np.pad(x, (0, n_fft + hop - len(x)))
-    window = scipy.signal.windows.hann(n_fft, sym=False)
-    spec = _stft_frames(x, n_fft, hop, window)
-    n_frames = spec.shape[1]
-    steps = np.arange(0.0, n_frames - 1, 1.0 / factor)
+    if len(x) < VOCODER_N_FFT + VOCODER_HOP:
+        x = np.pad(x, (0, VOCODER_N_FFT + VOCODER_HOP - len(x)))
+    spec = _stft_frames(x)
+    steps = np.arange(0.0, len(spec) - 1, 1.0 / factor)
     low = np.floor(steps).astype(np.int64)
-    frac = steps - low
+    frac = (steps - low)[:, None]
     mags = np.abs(spec)
-    mag_interp = mags[:, low] * (1.0 - frac) + mags[:, low + 1] * frac
-    omega = 2.0 * np.pi * hop * np.arange(spec.shape[0]) / n_fft
-    phases = np.angle(spec)
-    dphase = phases[:, 1:] - phases[:, :-1] - omega[:, None]
-    dphase = dphase - 2.0 * np.pi * np.round(dphase / (2.0 * np.pi))
-    dphase += omega[:, None]
-    advance = dphase[:, low]
-    accum = np.concatenate([phases[:, :1], advance[:, :-1]], axis=1).cumsum(axis=1)
-    out = _istft_frames(mag_interp * np.exp(1j * accum), n_fft, hop, window)
-    if len(out) >= target:
-        return out[:target]
-    return np.pad(out, (0, target - len(out)))
+    unit = np.divide(spec, mags, out=np.ones_like(spec), where=mags > 0.0)
+    advance = unit[1:] * unit[:-1].conj()
+    out = np.empty((len(steps), spec.shape[1]), dtype=spec.dtype)
+    out[0] = unit[0]
+    for j in range(1, len(steps)):
+        np.multiply(out[j - 1], advance[low[j - 1]], out=out[j])
+    out *= mags[low] * (1.0 - frac) + mags[low + 1] * frac
+    samples = _istft_frames(out)
+    if len(samples) >= target:
+        return samples[:target]
+    return np.pad(samples, (0, target - len(samples)))
 
 
 def pitch_shift(x: np.ndarray, semitones: float) -> np.ndarray:

@@ -8,9 +8,6 @@ excerpts, degrades them, and scores STEP 1 / STEP 2 top-1 recognition.
 
 from __future__ import annotations
 
-import ctypes
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 
@@ -21,8 +18,9 @@ from printdex import hashing as _hashing
 from printdex import search as _search
 from printdex.audio import FRAME_PERIOD, SAMPLE_RATE, AudioBuffer, load_audio, normalize, resample
 from printdex.hashing import _MASK64, _splitmix64
+from printdex.parallel import parallel_map
 from printdex.prints import analyze
-from printdex.reduction import ReductionModel, model_sha256, reduce_prints, train_reduction
+from printdex.reduction import ReductionModel, TrainingError, model_sha256, reduce_prints, train_reduction
 
 
 # A track id is stored in the index's u32 print-table field.
@@ -88,84 +86,6 @@ def load_track(entry_or_path, cfg=None) -> AudioBuffer:
 
 
 # ---------------------------------------------------------------------------
-# Work per track over the allowed CPUs
-
-
-def _openblas_functions(name: str) -> list:
-    """The C entry point ``openblas_<name>`` of every OpenBLAS this process has loaded.
-
-    numpy and scipy wheels each bundle their own OpenBLAS, whose symbols carry
-    a ``scipy_`` prefix and, for 64-bit integers, a ``64_`` suffix. The names
-    ending in ``_`` or ``_64_`` are Fortran entry points taking pointers, and
-    are never called. Without ``/proc/self/maps`` the list is empty.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return []
-    paths = {f[5].strip() for f in fields if len(f) == 6 and ".so" in f[5]}
-    found = {}  # by address: a symbol lookup also searches the library's dependencies
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for symbol in (f"{prefix}openblas_{name}{suffix}" for prefix in ("", "scipy_") for suffix in ("", "64_")):
-            if hasattr(lib, symbol):
-                func = getattr(lib, symbol)
-                found.setdefault(ctypes.cast(func, ctypes.c_void_p).value, func)
-    return list(found.values())
-
-
-_worker_func = None  # the function a fork worker maps; set in the worker only
-
-
-def one_blas_thread() -> None:
-    """Set every OpenBLAS this process has loaded to one thread.
-
-    A forked worker and a query each run one thread: with OpenBLAS's default
-    of one per CPU, the extra threads spin, and a 7 s query took about twice
-    its wall time in CPU.
-    """
-    for set_threads in _openblas_functions("set_num_threads"):
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
-
-
-def _init_worker(func) -> None:
-    global _worker_func
-    _worker_func = func
-    one_blas_thread()
-
-
-def _call_worker(item):
-    return _worker_func(item)
-
-
-def _parallel_map(func, items):
-    """Yield ``func(item)`` for each item, in order, over one worker per allowed CPU.
-
-    Each item is independent work, such as one catalog track or one
-    evaluation query. Workers are forked, so ``func`` may be a closure over
-    the model and only the items and results are pickled. Each
-    worker runs one BLAS thread: with OpenBLAS's default of one thread per
-    CPU in every worker, two workers on two CPUs ran slower than one
-    process. Python's imports make ``spawn`` workers cost seconds per call,
-    which forking avoids. With one allowed CPU, a single item, or no
-    OpenBLAS entry point to limit, ``func`` runs in this process.
-    """
-    items = list(items)
-    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_workers = min(n_cpus, len(items))
-    if n_workers > 1 and _openblas_functions("set_num_threads"):
-        with multiprocessing.get_context("fork").Pool(n_workers, _init_worker, (func,)) as pool:
-            yield from pool.imap(_call_worker, items)
-    else:
-        yield from map(func, items)
-
-
-# ---------------------------------------------------------------------------
 # Training
 
 
@@ -227,8 +147,14 @@ def collect_training_data(
     print per degradation variant, computed at the original anchor positions
     (rescaled when a variant changes the duration). A wider anchor pool per
     track feeds the conditioning/decorrelation fits, which need many more
-    samples than the class structure provides.
+    samples than the class structure provides. ``times_per_track`` must be
+    at least 1 and ``pool_times_per_track`` at least 0; both are checked
+    before any track is decoded.
     """
+    if times_per_track < 1:
+        raise ValueError(f"times_per_track must be at least 1, got {times_per_track}")
+    if pool_times_per_track < 0:
+        raise ValueError(f"pool_times_per_track must be at least 0, got {pool_times_per_track}")
     specs = [(label, _degrade.parse_spec(text)) for label, text in plan]
 
     def track_records(entry):
@@ -262,7 +188,7 @@ def collect_training_data(
         )
 
     records = []
-    for t_idx, rec in enumerate(_parallel_map(track_records, entries)):
+    for t_idx, rec in enumerate(parallel_map(track_records, entries)):
         if rec is not None:
             records.append(rec)
         if progress:
@@ -282,6 +208,12 @@ def train_from_manifest(
     enforce_min_originals: bool = True,
     progress=None,
 ) -> ReductionModel:
+    """Collect the training prints of ``entries`` and fit the reduction model.
+
+    ``lda_dim`` must be at least 1, checked before any track is decoded.
+    """
+    if lda_dim < 1:
+        raise TrainingError(f"LDA needs K >= 1, got K={lda_dim}")
     data = collect_training_data(
         entries,
         plan,
@@ -334,7 +266,7 @@ def build_index(
         kept, reduced = reduced_prints_for_buffer(buf, model)
         return entry, buf.duration, kept, index_postings(reduced, model, index.spec)
 
-    for i, (entry, duration, kept, codes) in enumerate(_parallel_map(track_prints, entries)):
+    for i, (entry, duration, kept, codes) in enumerate(parallel_map(track_prints, entries)):
         index.table.insert(entry.track_id, kept, codes)
         index.tracks[entry.track_id] = _hashing.TrackInfo(name=entry.label or entry.path, duration=duration)
         if progress:
@@ -480,7 +412,7 @@ def evaluate(
         EvalCell(label=label, n_queries=len(queries), step1_ok=0, step2_ok=0, partial=partial) for label, _, partial in conditions
     ]
     items = [(c_idx, q_idx) for c_idx in range(len(conditions)) for q_idx in range(len(queries))]
-    for c_idx, q_idx, step1, step2 in _parallel_map(outcome, items):
+    for c_idx, q_idx, step1, step2 in parallel_map(outcome, items):
         cell = cells[c_idx]
         cell.step1_ok += int(step1)
         cell.step2_ok += int(step2)

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from printdex.parallel import parallel_map
+
 LDA_DIM = 80
 OUT_DIM = 40
 ICCR_REL_THRESHOLD = 1e-5
@@ -154,6 +156,8 @@ def fit_lda(t: np.ndarray, b: np.ndarray, k: int, n_classes: int, n_samples: int
     at desk scale). Returns (P_lda, eigenvalues).
     """
     dim = t.shape[0]
+    if k < 1:
+        raise TrainingError(f"LDA needs K >= 1, got K={k}")
     if k >= n_classes:
         raise TrainingError(f"LDA needs K < C (K={k}, C={n_classes})")
     if k > dim:
@@ -579,14 +583,17 @@ def train_reduction(
     seed: int = 0,
     enforce_min_originals: bool = True,
 ) -> ReductionModel:
-    """Fit all per-band chains.
+    """Fit all per-band chains, one band per ``parallel_map`` item.
 
     ``prints`` is (n, bands, in_dim) with one class label per record;
     ``pools`` is an optional (m, bands, in_dim) stack of extra original
-    prints. Seeds are derived per band for determinism.
+    prints. Seeds are derived per band for determinism. Each band is fitted
+    at one OpenBLAS thread, in a forked worker or in this process, so the
+    model's bytes do not depend on the CPU count.
     """
-    bands = [
-        train_band(
+
+    def fit_band(b):
+        return train_band(
             prints[:, b],
             class_ids,
             is_original,
@@ -596,6 +603,6 @@ def train_reduction(
             seed=seed * 1000 + b,
             enforce_min_originals=enforce_min_originals,
         )
-        for b in range(prints.shape[1])
-    ]
+
+    bands = list(parallel_map(fit_band, range(prints.shape[1])))
     return ReductionModel(bands=bands, in_dim=prints.shape[2], out_dim=out_dim)

@@ -1,5 +1,4 @@
 import argparse
-import ctypes
 import hashlib
 import json
 import os
@@ -11,7 +10,7 @@ import pytest
 
 from corpus import build_corpus, synth_track
 
-from printdex import pipeline
+from printdex import parallel, pipeline
 from printdex.audio import AudioBuffer, load_audio, save_wav
 from printdex.cli import build_parser, main
 from printdex.hashing import N_RELIABLE, load_index
@@ -40,15 +39,11 @@ def _sha12(path) -> str:
 
 
 def _blas_threads() -> list:
-    getters = pipeline._openblas_functions("get_num_threads")
-    for get in getters:
-        get.argtypes, get.restype = [], ctypes.c_int
-    return [get() for get in getters]
+    return [get() for get in parallel._openblas_functions("get_num_threads")]
 
 
 def _set_blas_threads(n: int) -> None:
-    for set_threads in pipeline._openblas_functions("set_num_threads"):
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    for set_threads in parallel._openblas_functions("set_num_threads"):
         set_threads(n)
 
 
@@ -121,6 +116,49 @@ class TestTrain:
         code = main(["train", "--manifest", manifest, "--out", str(tmp_path / "m.bmrm"), "--times-per-track", "7"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestTrainSizes:
+    """Bad training sizes fail in one line before any track is decoded: the manifest's file does not exist."""
+
+    CASES = [
+        ("--lda-dim", "-5", "LDA needs K >= 1, got K=-5"),
+        ("--lda-dim", "0", "LDA needs K >= 1, got K=0"),
+        ("--times-per-track", "-1", "times_per_track must be at least 1, got -1"),
+        ("--times-per-track", "0", "times_per_track must be at least 1, got 0"),
+        ("--pool-times-per-track", "-3", "pool_times_per_track must be at least 0, got -3"),
+    ]
+
+    @staticmethod
+    def _missing_track(tmp_path):
+        return [pipeline.ManifestEntry(1, str(tmp_path / "missing.wav"))]
+
+    @pytest.mark.parametrize("option, value, message", CASES)
+    def test_cli_one_line(self, tmp_path, capsys, option, value, message):
+        manifest = tmp_path / "m.tsv"
+        write_manifest(manifest, self._missing_track(tmp_path))
+        assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.bmrm"), option, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.bmrm").exists()
+
+    @pytest.mark.parametrize("lda_dim", [-5, 0])
+    def test_train_from_manifest_rejects_lda_dim(self, tmp_path, lda_dim):
+        with pytest.raises(ValueError) as info:
+            pipeline.train_from_manifest(self._missing_track(tmp_path), lda_dim=lda_dim)
+        assert str(info.value) == f"LDA needs K >= 1, got K={lda_dim}"
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"times_per_track": -1}, "times_per_track must be at least 1, got -1"),
+            ({"times_per_track": 0}, "times_per_track must be at least 1, got 0"),
+            ({"pool_times_per_track": -3}, "pool_times_per_track must be at least 0, got -3"),
+        ],
+    )
+    def test_collect_training_data_rejects(self, tmp_path, sizes, message):
+        with pytest.raises(ValueError) as info:
+            pipeline.collect_training_data(self._missing_track(tmp_path), **sizes)
+        assert str(info.value) == message
 
 
 class TestQueryCommand:

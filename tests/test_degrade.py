@@ -7,6 +7,8 @@ import scipy.signal
 
 from printdex.audio import AudioBuffer, save_wav
 from printdex.degrade import (
+    VOCODER_HOP,
+    VOCODER_N_FFT,
     DegradationError,
     DegradationSpec,
     _istft_frames,
@@ -19,6 +21,7 @@ from printdex.degrade import (
 )
 from printdex.pipeline import DEFAULT_TRAINING_PLAN
 
+import vocoder_oracle
 from conftest import make_sine
 
 SR = 11025
@@ -289,12 +292,12 @@ class TestScaleTransforms:
 
 
 def _istft_frames_loop(spec, n_fft, hop, window):
-    """Frame-by-frame overlap-add: the oracle for ``_istft_frames``."""
-    frames = np.fft.irfft(spec.T, n=n_fft, axis=1) * window
-    n_out = (spec.shape[1] - 1) * hop + n_fft
+    """Frame-by-frame overlap-add of a (frames, bins) spectrum: the oracle for ``_istft_frames``."""
+    frames = np.fft.irfft(spec, n=n_fft, axis=1) * window
+    n_out = (spec.shape[0] - 1) * hop + n_fft
     out = np.zeros(n_out)
     norm = np.zeros(n_out)
-    for m in range(spec.shape[1]):
+    for m in range(spec.shape[0]):
         out[m * hop : m * hop + n_fft] += frames[m]
         norm[m * hop : m * hop + n_fft] += window**2
     good = norm > 1e-3 * norm.max()
@@ -309,9 +312,57 @@ def test_istft_overlap_add_equals_frame_loop(n):
     n_fft, hop = 1024, 256
     x = np.pad(_music(n / SR + 0.01, seed=n).samples[:n], (0, max(0, n_fft + hop - n)))
     window = scipy.signal.windows.hann(n_fft, sym=False)
-    spec = _stft_frames(x, n_fft, hop, window)
+    spec = _stft_frames(x)
     spec = spec * np.exp(1j * np.random.default_rng(n).uniform(-np.pi, np.pi, spec.shape))
-    assert np.array_equal(_istft_frames(spec, n_fft, hop, window), _istft_frames_loop(spec, n_fft, hop, window))
+    assert np.array_equal(_istft_frames(spec), _istft_frames_loop(spec, n_fft, hop, window))
+
+
+def _silence_inside(seed=3):
+    """4 s of music with 1.5 s of digital silence in the middle: whole frames of zero bins."""
+    x = _music(4.0, seed=seed).samples.copy()
+    x[int(1.2 * SR) : int(2.7 * SR)] = 0.0
+    return x
+
+
+class TestVocoderAgainstReference:
+    """The phasor recurrence against the angle-and-cumsum vocoder of ``tests/vocoder_oracle.py``.
+
+    Both compute the same phases; the reference's cumulative sum grows to
+    thousands of radians, and its rounding sets the 1e-8 of the peak
+    bound on these 4 s inputs.
+    """
+
+    @staticmethod
+    def _assert_close(out, ref):
+        assert len(out) == len(ref)
+        assert np.abs(out - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cents", [30.0, -30.0, 200.0, -200.0])
+    def test_time_stretch(self, cents):
+        x = _music(4.0, seed=1).samples
+        factor = 2.0 ** (cents / 100.0)
+        self._assert_close(time_stretch(x, factor), vocoder_oracle.time_stretch(x, factor))
+
+    @pytest.mark.parametrize("semitones", [0.5, -0.5, 24.0, -24.0])
+    def test_pitch_shift(self, semitones):
+        x = _music(4.0, seed=2).samples
+        self._assert_close(pitch_shift(x, semitones), vocoder_oracle.pitch_shift(x, semitones))
+
+    @pytest.mark.parametrize("cents", [30.0, -30.0])
+    def test_input_shorter_than_two_frames(self, cents):
+        """An input shorter than n_fft + hop is zero-padded at the end to that length."""
+        x = _music(0.1, seed=4).samples
+        assert len(x) < VOCODER_N_FFT + VOCODER_HOP
+        factor = 2.0 ** (cents / 100.0)
+        self._assert_close(time_stretch(x, factor), vocoder_oracle.time_stretch(x, factor))
+
+    @pytest.mark.parametrize("cents", [30.0, -30.0])
+    def test_digital_silence(self, cents):
+        """Zero bins take phase 0 in the reference (np.angle(0) = 0) and unit phasor 1 here."""
+        x = _silence_inside()
+        factor = 2.0 ** (cents / 100.0)
+        assert (np.abs(_stft_frames(x)) == 0.0).any()
+        self._assert_close(time_stretch(x, factor), vocoder_oracle.time_stretch(x, factor))
 
 
 class TestChainAndScenario:

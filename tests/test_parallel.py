@@ -1,4 +1,4 @@
-"""Per-track work over the allowed CPUs: pipeline._parallel_map and its callers.
+"""Work over the allowed CPUs: parallel.parallel_map and its callers.
 
 The worker count follows ``os.sched_getaffinity``; the tests set it with
 monkeypatch, so "several workers" means two forked workers on any machine.
@@ -6,14 +6,14 @@ The same tests run once more under ``taskset -c 0`` in CI, where the
 unpatched affinity leaves one CPU.
 """
 
-import ctypes
+import contextlib
 import os
 
 import pytest
 
 from corpus import build_corpus, synth_track
 
-from printdex import hashing, pipeline
+from printdex import hashing, parallel, pipeline
 from printdex.audio import save_wav
 from printdex.reduction import save_model
 
@@ -25,10 +25,21 @@ def _allow_cpus(monkeypatch, n: int) -> None:
 
 
 def _blas_threads() -> list:
-    getters = pipeline._openblas_functions("get_num_threads")
-    for get in getters:
-        get.argtypes, get.restype = [], ctypes.c_int
-    return [get() for get in getters]
+    return [get() for get in parallel._openblas_functions("get_num_threads")]
+
+
+@contextlib.contextmanager
+def _main_blas_threads(n: int):
+    """Run this process's OpenBLAS libraries at ``n`` threads, then restore their counts."""
+    setters = parallel._openblas_functions("set_num_threads")
+    before = _blas_threads()
+    for set_threads in setters:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        for set_threads, count in zip(setters, before):
+            set_threads(count)
 
 
 def _pid_and_blas_threads(item):
@@ -38,7 +49,7 @@ def _pid_and_blas_threads(item):
 def test_worker_runs_one_blas_thread(monkeypatch):
     _allow_cpus(monkeypatch, 2)
     before = _blas_threads()
-    out = list(pipeline._parallel_map(_pid_and_blas_threads, range(6)))
+    out = list(parallel.parallel_map(_pid_and_blas_threads, range(6)))
     assert [item for item, _, _ in out] == list(range(6))
     assert all(pid != os.getpid() for _, pid, _ in out)
     assert all(threads == [1] * len(before) for _, _, threads in out)
@@ -47,21 +58,28 @@ def test_worker_runs_one_blas_thread(monkeypatch):
 
 @pytest.mark.parametrize("cause", ["one allowed cpu", "no entry point", "one item"])
 def test_in_process_without_child(monkeypatch, cause):
+    """In this process, each item runs at one OpenBLAS thread and the caller's count is back between items."""
     _allow_cpus(monkeypatch, 1 if cause == "one allowed cpu" else 2)
     if cause == "no entry point":
-        monkeypatch.setattr(pipeline, "_openblas_functions", lambda name: [])
+        monkeypatch.setattr(parallel, "_openblas_functions", lambda name: [])
 
     def no_pool(method):
         raise AssertionError(f"a {method} pool was started")
 
-    monkeypatch.setattr(pipeline.multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(parallel.multiprocessing, "get_context", no_pool)
     items = range(1 if cause == "one item" else 4)
-    assert list(pipeline._parallel_map(lambda i: (i, os.getpid()), items)) == [(i, os.getpid()) for i in items]
+    with _main_blas_threads(2):
+        caller = _blas_threads()
+        out = []
+        for result in parallel.parallel_map(lambda i: (i, os.getpid(), _blas_threads()), items):
+            out.append(result)
+            assert _blas_threads() == caller
+    assert out == [(i, os.getpid(), [1] * len(caller)) for i in items]
 
 
 def test_workers_follow_real_affinity():
     """Unpatched: forked workers with several allowed CPUs, this process alone with one."""
-    pids = {pid for _, pid, _ in pipeline._parallel_map(_pid_and_blas_threads, range(4))}
+    pids = {pid for _, pid, _ in parallel.parallel_map(_pid_and_blas_threads, range(4))}
     if len(os.sched_getaffinity(0)) == 1:
         assert pids == {os.getpid()}
     else:
@@ -77,7 +95,7 @@ def test_worker_error_reaches_caller(monkeypatch):
         return item
 
     with pytest.raises(ValueError, match="^bad item 2$"):
-        list(pipeline._parallel_map(fail_on_two, range(4)))
+        list(parallel.parallel_map(fail_on_two, range(4)))
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +122,19 @@ def _artifacts(entries, directory) -> tuple:
 
 
 def test_train_and_index_files_do_not_depend_on_workers(corpus, tmp_path, monkeypatch):
-    (tmp_path / "one").mkdir()
-    (tmp_path / "two").mkdir()
-    _allow_cpus(monkeypatch, 1)
-    one = _artifacts(corpus, tmp_path / "one")
-    _allow_cpus(monkeypatch, 2)
-    assert _artifacts(corpus, tmp_path / "two") == one
+    """One or two allowed CPUs, each with this process's OpenBLAS at one or two threads: the same files.
+
+    With one CPU the band fits and the per-track work run in this process,
+    with two in forked workers; either way at one OpenBLAS thread.
+    """
+    artifacts = {}
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        for threads in (1, 2):
+            (tmp_path / f"{cpus}-{threads}").mkdir()
+            with _main_blas_threads(threads):
+                artifacts[cpus, threads] = _artifacts(corpus, tmp_path / f"{cpus}-{threads}")
+    assert all(files == artifacts[1, 1] for files in artifacts.values())
 
 
 def test_index_file_does_not_depend_on_manifest_order(corpus, model, tmp_path):

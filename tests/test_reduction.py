@@ -204,6 +204,13 @@ class TestLda:
         with pytest.raises(TrainingError):
             fit_lda(np.eye(3), np.eye(3), 3, n_classes=3)
 
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_k_below_one_rejected(self, k):
+        """[:k] with a negative k would keep all but |k| rows; k = 0 has no rows to sign-fix."""
+        with pytest.raises(TrainingError) as info:
+            fit_lda(np.eye(3), np.eye(3), k, n_classes=10)
+        assert str(info.value) == f"LDA needs K >= 1, got K={k}"
+
     @pytest.mark.parametrize("last", [0.0, -1.0])
     def test_total_covariance_not_positive_definite_rejected(self, last):
         # n_samples >= 10 * dim, so no shrinkage term rescues T
