@@ -182,7 +182,7 @@ def collect_training_data(
         is_original[: len(class_pick)] = True
         return (
             np.concatenate(prints),
-            np.concatenate(ranks) + 100000 * entry.track_id,
+            np.concatenate(ranks) + entry.track_id * times_per_track,
             is_original,
             coeffs[pool_pick],
         )

@@ -129,9 +129,8 @@ def scatter_matrices(x: np.ndarray, record_class: np.ndarray, n_classes: int) ->
     """(T, B, mu) of the rows of x: total covariance, between-class covariance, mean.
 
     ``record_class`` gives each row's class in ``range(n_classes)``; the
-    class centers are the class means. Class sums accumulate in record order
-    and the centers' outer products in the order each class first appears,
-    which keeps trained models bit-stable.
+    class centers are the class means, and B comes from one product of the
+    (n_classes x dim) center matrix with itself.
     """
     x = np.asarray(x, dtype=np.float64)
     n, dim = x.shape
@@ -140,11 +139,7 @@ def scatter_matrices(x: np.ndarray, record_class: np.ndarray, n_classes: int) ->
     centers = np.zeros((n_classes, dim))
     np.add.at(centers, record_class, x)
     centers /= np.bincount(record_class, minlength=n_classes)[:, None]
-    _, first = np.unique(record_class, return_index=True)
-    center_outer = np.zeros((dim, dim))
-    for c in record_class[np.sort(first)]:
-        center_outer += np.outer(centers[c], centers[c])
-    b = center_outer / (n_classes - 1) - (n_classes / (n_classes - 1)) * np.outer(mu, mu)
+    b = (centers.T @ centers) / (n_classes - 1) - (n_classes / (n_classes - 1)) * np.outer(mu, mu)
     return (t + t.T) / 2.0, (b + b.T) / 2.0, mu
 
 
@@ -254,36 +249,37 @@ def fit_ompca(pos: np.ndarray, neg: np.ndarray, k: int = OUT_DIM) -> tuple[np.nd
     """Recursive orthogonal discriminant reduction.
 
     At each step the top generalized eigenvector of (C_pos^-1 C_neg) in the
-    current complementary subspace is extracted, extended to an orthogonal
-    basis by a Householder reflection, and both distributions plus the
-    accumulated basis are projected onto the complement. Returns
-    (P (k x J) with orthonormal rows, generalized Rayleigh quotients, which
-    are non-increasing).
+    current complementary subspace is extracted and extended to an
+    orthogonal basis by a Householder reflection. The covariances of the
+    difference columns ``pos`` and ``neg`` (J x n) are computed once; each
+    step takes both, and the accumulated basis, onto the complement ``Q``
+    as ``Q^T C Q``, which is the covariance of the projected data. C_pos is
+    regularized afresh at each step. Returns (P (k x J) with orthonormal
+    rows, generalized Rayleigh quotients, which are non-increasing).
     """
     pos = np.asarray(pos, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
     j = pos.shape[0]
     if k > j:
         raise TrainingError(f"cannot extract {k} directions from dimension {j}")
-    cur_pos, cur_neg = pos.copy(), neg.copy()
+    cov_pos = np.atleast_2d(np.cov(pos))
+    cov_neg = np.atleast_2d(np.cov(neg))
     basis = np.eye(j)
     rows = np.empty((k, j))
     quotients = np.empty(k)
     for step in range(k):
-        c_pos = np.atleast_2d(np.cov(cur_pos))
-        c_neg = np.atleast_2d(np.cov(cur_neg))
-        c_pos = c_pos + np.eye(c_pos.shape[0]) * (1e-8 * np.trace(c_pos) / c_pos.shape[0] + 1e-300)
-        evals, evecs = _eigh(c_neg, c_pos)
+        c_pos = cov_pos + np.eye(cov_pos.shape[0]) * (1e-8 * np.trace(cov_pos) / cov_pos.shape[0] + 1e-300)
+        _, evecs = _eigh(cov_neg, c_pos)
         g = evecs[:, -1]
         g = g / np.linalg.norm(g)
         if g[np.argmax(np.abs(g))] < 0:
             g = -g
-        quotients[step] = (g @ c_neg @ g) / (g @ c_pos @ g)
+        quotients[step] = (g @ cov_neg @ g) / (g @ c_pos @ g)
         rows[step] = g @ basis
         if step < k - 1:
             comp = _householder_with_first_column(g)[:, 1:]
-            cur_pos = comp.T @ cur_pos
-            cur_neg = comp.T @ cur_neg
+            cov_pos = comp.T @ cov_pos @ comp
+            cov_neg = comp.T @ cov_neg @ comp
             basis = comp.T @ basis
     return rows, quotients
 
@@ -529,6 +525,11 @@ def train_band(
     ``prints`` is (n, in_dim) with class labels; ``extra_originals`` is an
     optional pool of additional unlabeled original-signal prints that only
     feeds the ICCR and ICA fits (those need far more samples than classes).
+    ``sigma_e`` is the per-component deviation of the reduced residuals
+    (degraded print minus its original), taken as the OMPCA and Hadamard
+    rows applied to the positive differences: the affine terms cancel in a
+    difference. It is floored at 1e-9 * max(its largest entry, 1), so it
+    stays strictly positive.
     """
     prints = np.asarray(prints, dtype=np.float64)
     is_original = np.asarray(is_original, dtype=bool)
@@ -565,10 +566,8 @@ def train_band(
         },
     )
     compose_final(chain)
-    reduced = apply_reduction(prints, ReductionModel(bands=[chain], in_dim=prints.shape[1]), 0)
-    residuals = reduced[~is_original] - reduced[original_row[record_class[~is_original]]]
-    sigma = residuals.std(axis=0, ddof=1)
-    chain.sigma_e = np.maximum(sigma, 1e-9 * max(float(np.abs(reduced).max()), 1.0))
+    sigma = (chain.p_ht @ p_ompca @ pos).std(axis=1, ddof=1)
+    chain.sigma_e = np.maximum(sigma, 1e-9 * max(float(sigma.max()), 1.0))
     return chain
 
 

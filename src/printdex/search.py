@@ -113,11 +113,9 @@ def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: f
         n_segments = int(match_segment.max()) + 1
         grid = np.zeros((len(track_ids), n_segments), dtype=np.int64)
         np.add.at(grid, (inverse, match_segment), 1)
-        if n_segments <= window:
-            best = grid.sum(axis=1)
-        else:
-            cum = np.cumsum(np.pad(grid, ((0, 0), (1, 0))), axis=1)
-            best = (cum[:, window:] - cum[:, :-window]).max(axis=1)
+        window = min(window, n_segments)
+        cum = np.cumsum(np.pad(grid, ((0, 0), (1, 0))), axis=1)
+        best = (cum[:, window:] - cum[:, :-window]).max(axis=1)
     order = np.lexsort((track_ids, -best))
     return MatchHistogram(
         track_ids=track_ids[order],

@@ -2,8 +2,11 @@
 
 The production paths (``hashing.derive_codes``, ``reduction.reduce_prints``)
 are batched and use the composed affine map; these take one print, or one
-stage, at a time. The two survival simulations check the LSH model: under
-its independence approximation, and with exactly k flipped bits.
+stage, at a time. The reduction fits work on second moments; their data
+forms here loop over classes, re-project the difference data at each OMPCA
+step and take the noise deviations from the composed map's outputs. The
+two survival simulations check the LSH model: under its independence
+approximation, and with exactly k flipped bits.
 ``table_triples`` decodes a frozen hash table into the (code, track, time)
 triples it stores, for brute-force lookups.
 """
@@ -12,7 +15,7 @@ import numpy as np
 import scipy.special
 
 from printdex.hashing import CODE_BITS, DIR_SHIFT, LshSpec, codes_from_bits, make_lsh_spec
-from printdex.reduction import BandChain
+from printdex.reduction import BandChain, ReductionModel, _eigh, _householder_with_first_column, apply_reduction
 
 
 def binarize(z) -> int:
@@ -89,3 +92,53 @@ def table_triples(table) -> np.ndarray:
             track, time = table.prints[print_id]
             rows.append(((int(bucket) << DIR_SHIFT) | int(low), int(track), int(time)))
     return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def between_class_scatter(x: np.ndarray, record_class: np.ndarray, n_classes: int) -> np.ndarray:
+    """Between-class covariance of the rows of x, one center outer product at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    n, dim = x.shape
+    mu = x.sum(axis=0) / n
+    centers = np.zeros((n_classes, dim))
+    np.add.at(centers, record_class, x)
+    centers /= np.bincount(record_class, minlength=n_classes)[:, None]
+    _, first = np.unique(record_class, return_index=True)
+    center_outer = np.zeros((dim, dim))
+    for c in record_class[np.sort(first)]:
+        center_outer += np.outer(centers[c], centers[c])
+    b = center_outer / (n_classes - 1) - (n_classes / (n_classes - 1)) * np.outer(mu, mu)
+    return (b + b.T) / 2.0
+
+
+def fit_ompca_on_data(pos: np.ndarray, neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """OMPCA that projects both difference sets onto each step's complement
+    and recomputes their covariances from the projected data."""
+    cur_pos = np.asarray(pos, dtype=np.float64)
+    cur_neg = np.asarray(neg, dtype=np.float64)
+    j = cur_pos.shape[0]
+    basis = np.eye(j)
+    rows = np.empty((k, j))
+    quotients = np.empty(k)
+    for step in range(k):
+        c_pos = np.atleast_2d(np.cov(cur_pos))
+        c_neg = np.atleast_2d(np.cov(cur_neg))
+        c_pos = c_pos + np.eye(c_pos.shape[0]) * (1e-8 * np.trace(c_pos) / c_pos.shape[0] + 1e-300)
+        _, evecs = _eigh(c_neg, c_pos)
+        g = evecs[:, -1] / np.linalg.norm(evecs[:, -1])
+        if g[np.argmax(np.abs(g))] < 0:
+            g = -g
+        quotients[step] = (g @ c_neg @ g) / (g @ c_pos @ g)
+        rows[step] = g @ basis
+        comp = _householder_with_first_column(g)[:, 1:]
+        cur_pos, cur_neg, basis = comp.T @ cur_pos, comp.T @ cur_neg, comp.T @ basis
+    return rows, quotients
+
+
+def noise_deviations(chain: BandChain, prints: np.ndarray, record_class: np.ndarray, original_row: np.ndarray) -> np.ndarray:
+    """sigma_e of a composed chain: reduce every print, subtract each degraded
+    print's original, take the per-component deviation."""
+    reduced = apply_reduction(prints, ReductionModel(bands=[chain], in_dim=prints.shape[1]), 0)
+    degraded = np.setdiff1d(np.arange(len(prints)), original_row)
+    residuals = reduced[degraded] - reduced[original_row[record_class[degraded]]]
+    sigma = residuals.std(axis=0, ddof=1)
+    return np.maximum(sigma, 1e-9 * max(float(np.abs(reduced).max()), 1.0))

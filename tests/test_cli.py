@@ -111,6 +111,24 @@ class TestTrain:
         code = main(["train", "--manifest", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "m.bmrm")])
         assert code == 1
 
+    def test_class_ids_distinct_past_100000_anchors_per_track(self, monkeypatch):
+        """Two tracks of 100 001 class anchors each give 200 002 distinct classes."""
+        n = 100_001
+        buf = AudioBuffer(samples=np.sin(np.arange(1024) * 0.1), sample_rate=11025)
+        monkeypatch.setattr(pipeline, "load_track", lambda entry: buf)
+
+        def tiny_analyze(audio, frames=None):
+            kept = np.arange(n) if frames is None else frames
+            return kept, np.ones((len(kept), 1, 1), dtype=np.float32)
+
+        monkeypatch.setattr(pipeline, "analyze", tiny_analyze)
+        entries = [pipeline.ManifestEntry(1, "a.wav"), pipeline.ManifestEntry(2, "b.wav")]
+        data = pipeline.collect_training_data(
+            entries, (("white12", "white_noise:snr_db=12"),), times_per_track=n, pool_times_per_track=0
+        )
+        assert len(data.class_ids) == 2 * 2 * n
+        assert len(np.unique(data.class_ids)) == 2 * n
+
     def test_small_corpus_without_waiver_fails(self, tmp_path, capsys):
         manifest, entries = build_corpus(tmp_path, 12, duration_s=12.0)
         code = main(["train", "--manifest", manifest, "--out", str(tmp_path / "m.bmrm"), "--times-per-track", "7"])

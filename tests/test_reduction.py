@@ -26,7 +26,7 @@ from printdex.reduction import (
     train_band,
 )
 
-from reference import apply_chain
+from reference import apply_chain, between_class_scatter, fit_ompca_on_data, noise_deviations
 
 
 def _pencil(kind, n, rng):
@@ -156,6 +156,16 @@ class TestScatterAccumulator:
         means = np.stack([x[classes == c].mean(axis=0) for c in range(20)])
         b_direct = means.T @ means / 19 - (20 / 19) * np.outer(x.mean(axis=0), x.mean(axis=0))
         assert np.allclose(b, b_direct, atol=1e-10)
+
+    def test_between_class_matches_loop_oracle(self):
+        """Interleaved classes of unequal size, against one outer product per class."""
+        rng = np.random.default_rng(7)
+        classes = rng.permutation(np.repeat(np.arange(9), np.arange(1, 10)))
+        x = rng.standard_normal((len(classes), 6)) + classes[:, None]
+        record_class, original_row = class_index(classes, _first_of_each(classes))
+        _, b, _ = scatter_matrices(x, record_class, len(original_row))
+        ref = between_class_scatter(x, record_class, len(original_row))
+        assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_duplicate_original_rejected(self):
         with pytest.raises(TrainingError, match="^class a has more than one original record$"):
@@ -330,6 +340,40 @@ class TestOmpca:
         with pytest.raises(TrainingError):
             fit_ompca(np.zeros((3, 10)), np.zeros((3, 10)), 4)
 
+    @pytest.mark.parametrize("kind", ["whitened_pos", "cones", "scaled", "rank_9_of_10", "rank_4_of_10"])
+    def test_matches_data_projection_oracle(self, kind):
+        """Covariances projected step by step equal those of the projected data.
+
+        A rank-deficient ``pos`` leaves C_pos singular; only the regularizer
+        makes the pencil definite, and its null directions come first with
+        quotients near 1e8. With one such direction both forms agree to
+        1e-10. With six, both forms carry the pencil's n * eps * cond error
+        on those rows (about 4e-8 each against a 40-digit solution), so the
+        tolerance scales with the conditioning, as in ``TestEigh``.
+        """
+        rng = np.random.default_rng(21)
+        if kind == "whitened_pos":
+            pos = rng.standard_normal((4, 5000))
+            pos = np.linalg.cholesky(np.linalg.inv(np.cov(pos))).T @ (pos - pos.mean(axis=1, keepdims=True))
+            neg, k = rng.standard_normal((4, 5000)) * np.array([[3.0], [1.0], [0.5], [0.2]]), 2
+        elif kind == "cones":
+            neg, pos, k = _elongated_cloud(30.0, 4.0, 0.8, 4000, rng), _elongated_cloud(120.0, 2.0, 0.3, 4000, rng), 2
+        elif kind == "scaled":
+            pos = rng.standard_normal((12, 3000)) * rng.uniform(0.5, 2.0, (12, 1))
+            neg, k = rng.standard_normal((12, 3000)) * rng.uniform(0.5, 4.0, (12, 1)), 6
+        else:
+            rank = int(kind.split("_")[1])
+            pos = rng.standard_normal((10, rank)) @ rng.standard_normal((rank, 2000))
+            neg, k = rng.standard_normal((10, 2000)) * rng.uniform(0.5, 4.0, (10, 1)), 8
+        tol = 1e-10
+        if kind == "rank_4_of_10":
+            c_pos = np.cov(pos)
+            tol = 8 * 10 * np.finfo(float).eps * np.linalg.cond(c_pos + np.eye(10) * (1e-8 * np.trace(c_pos) / 10))
+        p, q = fit_ompca(pos, neg, k)
+        p_ref, q_ref = fit_ompca_on_data(pos, neg, k)
+        assert np.abs(p - p_ref).max() <= tol
+        assert np.all(np.abs(q - q_ref) <= tol * np.abs(q_ref))
+
 
 class TestHadamard:
     def test_k4_matches_reference(self):
@@ -397,6 +441,11 @@ class TestTrainBandAndCompose:
         factorized = chain.p_final @ x + chain.t_final[:, None]
         scale = np.abs(direct).max()
         assert np.abs(direct - factorized).max() < 1e-9 * max(scale, 1.0)
+
+    def test_sigma_e_matches_reduced_residuals(self, synth_chain):
+        chain, prints, class_ids, is_orig, _ = synth_chain
+        ref = noise_deviations(chain, prints, *class_index(class_ids, is_orig))
+        assert np.all(np.abs(chain.sigma_e - ref) <= 1e-10 * ref)
 
     def test_zero_vector_maps_to_translation(self, synth_chain):
         chain, *_ = synth_chain
