@@ -11,6 +11,11 @@ resample to ``SAMPLE_RATE`` first; ``stft`` rejects any other rate.
 11.025 kHz) with two matrix products that compute ``resample_poly``'s output
 to rounding; every other ratio goes through ``resample_poly`` itself.
 
+The front end's windows and decimator taps are computed here by scipy's own
+formulas (``cosine_window``, ``_lowpass_taps``), to the bit, so that a query
+never imports ``scipy.signal``: that import alone costs about 45 MB and half a
+second at every process start. Only non-integer resampling loads it.
+
 ``stft`` never keeps the (bins, frames) magnitude matrix: the front end needs
 only two reductions of each frame, its log-frequency rows (prints) and its
 1-norm (onsets), and both are taken block by block. The FFT, the magnitudes
@@ -28,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.fft
 import scipy.io.wavfile
-import scipy.signal
+import scipy.special
 
 SAMPLE_RATE = 11025
 WINDOW_SAMPLES = int(round(0.150 * SAMPLE_RATE))  # 1654
@@ -39,12 +44,24 @@ HOP_SAMPLES = int(round(0.020 * SAMPLE_RATE))  # 220
 FFT_SIZE = 2 << (WINDOW_SAMPLES - 1).bit_length()  # 4096
 FRAME_PERIOD = HOP_SAMPLES / SAMPLE_RATE
 
+
+def cosine_window(n: int, a0: float, sym: bool = True) -> np.ndarray:
+    """The n-point window a0 + (1 - a0) cos(x), x = linspace(-pi, pi): Hann at a0 = 0.5, Hamming at 0.54.
+
+    ``scipy.signal.windows.general_hamming(n, a0, sym)`` bit for bit, by its
+    own cosine-sum formula; the periodic window (``sym=False``) is the first
+    n of n + 1 points. ``n`` is at least 2.
+    """
+    w = a0 + (1.0 - a0) * np.cos(np.linspace(-np.pi, np.pi, n if sym else n + 1))
+    return w[:n]
+
+
 # Frames per FFT call in ``stft``: bounds the float32/complex64 temporaries to
 # about 2 MB whatever the buffer length. On 2 vCPUs, 32 to 64 ran fastest of
 # 16 to 128 frames; 16 took about 10 % longer and 128 about 20 %.
 STFT_BLOCK_FRAMES = 64
 # The periodic Hann window of every frame, in the FFT's precision.
-HANN_WINDOW = scipy.signal.windows.hann(WINDOW_SAMPLES, sym=False).astype(np.float32)
+HANN_WINDOW = cosine_window(WINDOW_SAMPLES, 0.5, sym=False).astype(np.float32)
 HANN_WINDOW.setflags(write=False)
 
 # Output samples per row of the decimator's matrix products (``_decimate``).
@@ -116,18 +133,33 @@ def save_wav(path, buf: AudioBuffer) -> None:
     scipy.io.wavfile.write(path, buf.sample_rate, pcm)
 
 
+def _lowpass_taps(q: int) -> np.ndarray:
+    """``scipy.signal.firwin(20q + 1, 1 / q, window=("kaiser", 5.0))`` bit for bit, by firwin's formula.
+
+    The ideal low-pass ``sinc`` at cut-off 1/q of Nyquist, times a Kaiser
+    window with beta 5 (``i0`` ratio), scaled to sum 1.
+    """
+    n = 20 * q + 1
+    m = np.arange(n, dtype=np.float64) - 0.5 * (n - 1)
+    cutoff = 1.0 / q
+    h = cutoff * np.sinc(cutoff * m)
+    h *= scipy.special.i0(5.0 * np.sqrt(1 - (m / (0.5 * (n - 1))) ** 2.0)) / scipy.special.i0(5.0)
+    return h / h.sum()
+
+
 @functools.lru_cache(maxsize=None)
 def _decimator(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(H_top, H_tail): ``resample_poly(x, 1, q)`` as matrices over rows of q * DECIMATE_BLOCK inputs.
 
-    The filter is ``resample_poly``'s: 20q + 1 ``firwin`` taps, cut-off at
-    the output Nyquist frequency, Kaiser window with beta 5. Output column
-    ``i`` of a row weights the row's zero-padded inputs ``i*q ... i*q + 20q``
-    with the taps; H_top holds the taps that fall inside the row and H_tail
-    (20q rows) those that reach into the next row.
+    The filter is ``resample_poly``'s: 20q + 1 ``firwin`` taps
+    (``_lowpass_taps``), cut-off at the output Nyquist frequency, Kaiser
+    window with beta 5. Output column ``i`` of a row weights the row's
+    zero-padded inputs ``i*q ... i*q + 20q`` with the taps; H_top holds the
+    taps that fall inside the row and H_tail (20q rows) those that reach into
+    the next row.
     """
     half = 10 * q
-    taps = scipy.signal.firwin(2 * half + 1, 1.0 / q, window=("kaiser", 5.0))
+    taps = _lowpass_taps(q)
     width = q * DECIMATE_BLOCK
     h = np.zeros((width + 2 * half, DECIMATE_BLOCK))
     for i in range(DECIMATE_BLOCK):
@@ -173,7 +205,9 @@ def resample(buf: AudioBuffer, target: int) -> AudioBuffer:
     if ratio.numerator == 1 and ratio.denominator <= MAX_DECIMATION:
         out = _decimate(buf.samples, ratio.denominator)
     else:
-        out = scipy.signal.resample_poly(buf.samples, ratio.numerator, ratio.denominator)
+        from scipy.signal import resample_poly  # the front end's one use of scipy.signal, so a query only loads it here
+
+        out = resample_poly(buf.samples, ratio.numerator, ratio.denominator)
     return AudioBuffer(samples=out, sample_rate=int(target))
 
 

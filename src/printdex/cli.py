@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from printdex import degrade as _degrade
 from printdex import hashing as _hashing
 from printdex import pipeline as _pipeline
 from printdex import search as _search
@@ -124,6 +123,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_degrade(args) -> int:
+    from printdex import degrade as _degrade  # loads scipy.signal, which query, index and inspect never need
+
     buf = load_audio(args.audio)
     if args.scenario:
         spec = _degrade.scenario(args.scenario, args.level, codec_command=args.codec_cmd, seed=args.seed)
@@ -153,6 +154,8 @@ def cmd_evaluate(args) -> int:
     for option, value, least in (("--queries", args.queries, 1), ("--duration", args.duration, WINDOW_S)):
         if value < least:
             raise ValueError(f"{option} must be at least {least:g}, got {value:g}")
+    from printdex import degrade as _degrade  # as in cmd_degrade
+
     entries = _pipeline.read_manifest(args.manifest)
     conditions = [("clean", None, False)]
     grid = [tuple(g.split("=", 1)) for g in args.degrade] if args.degrade else _default_grid()

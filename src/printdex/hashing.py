@@ -14,13 +14,14 @@ Monte-Carlo check of ``expected_unchanged`` are test oracles
 (``tests/reference.py``).
 
 The table holds one row per indexed print, (track, frame), sorted in that
-order, and one 5-byte posting per stored code: the code's low 6 bits and the
-print's row, sorted by (code, print), which is (code, track, frame) order.
-Print ids are assigned at insert: each track's prints are inserted once, in
-(track, frame) order, so a print's id is the running row count. The
-directory of 2^18 + 1 bucket starts over ``code >> 6`` supplies the rest of
-each code, so a print's track and frame are stored once instead of in each of
-its 50 postings and the index file grows by 258 bytes per print.
+order, and one 32-bit posting per stored code: the code's low 6 bits above
+the print's 26-bit row, sorted by (code, print), which is (code, track,
+frame) order. Print ids are assigned at insert: each track's prints are
+inserted once, in (track, frame) order, so a print's id is the running row
+count. The directory of 2^18 + 1 bucket starts over ``code >> 6`` supplies
+the rest of each code, so a print's track and frame are stored once instead
+of in each of its 50 postings and the index file grows by 208 bytes per
+print.
 """
 
 from __future__ import annotations
@@ -46,15 +47,18 @@ DIR_SHIFT = 6  # one lookup-directory bucket per 64 consecutive codes
 SEGMENT_FRAMES = int(round(15.0 * _audio.SAMPLE_RATE / _audio.HOP_SAMPLES))
 
 INDEX_MAGIC = b"BMIX"
-INDEX_VERSION = 3
-# Print ids and directory entries are u32, so a table holds at most this many
-# postings (and so prints).
+INDEX_VERSION = 4
+# Directory entries are u32, so a table holds at most this many postings.
 MAX_POSTINGS = (1 << 32) - 1
+# A posting is one u32, (code & 63) << PRINT_BITS | print id, so a table holds
+# at most this many prints.
+PRINT_BITS = 26
+MAX_PRINTS = 1 << PRINT_BITS
 
 _N_BUCKETS = EXT_TABLE_SIZE >> DIR_SHIFT
 _LOW_MASK = (1 << DIR_SHIFT) - 1
+_PRINT_MASK = (1 << PRINT_BITS) - 1
 _PRINT_DTYPE = np.dtype([("track", "<u4"), ("time", "<u4")])
-_POSTING_DTYPE = np.dtype([("low", "u1"), ("print", "<u4")])  # packed: 5 bytes
 # after the magic and the u16 version: L, L', b, bands, LSH seed, sample rate,
 # hop, segment frames, posting, print and track counts, model SHA-256
 _HEADER = struct.Struct("<HHHHQIIIQQI32s")
@@ -205,14 +209,16 @@ class HashTable:
 
     ``insert`` appends one run of a track's prints and assigns each its print
     id, its row in ``prints``, so the (track, time) keys must rise strictly
-    across all inserts. ``postings`` holds each code's low ``DIR_SHIFT`` bits
-    and its print's id; ``offsets`` (u32) starts each ``code >> DIR_SHIFT``
-    bucket. ``freeze`` sorts the postings; the arrays are None until then.
+    across all inserts. ``postings`` (u32) holds each code's low ``DIR_SHIFT``
+    bits above its print's ``PRINT_BITS``-bit id, so (code, print) order is
+    u32 order within a bucket; ``offsets`` (u32) starts each
+    ``code >> DIR_SHIFT`` bucket. ``freeze`` sorts the postings; the arrays
+    are None until then.
     """
 
     def __init__(self):
         self._prints = [np.empty(0, dtype=_PRINT_DTYPE)]
-        self._keys = [np.empty(0, dtype=np.uint64)]  # code << 32 | print id
+        self._keys = [np.empty(0, dtype=np.uint64)]  # code << PRINT_BITS | print id
         self._n_prints = self._n_postings = 0
         self._last = (-1, -1)  # (track, time) of the last inserted print
         self.offsets = self.postings = self.prints = None
@@ -235,15 +241,18 @@ class HashTable:
             raise ValueError(f"print ({track}, {frames[0]}) follows print {self._last}: insert each (track, frame) once, in increasing order")
         n_postings = self._n_postings + codes.size
         if n_postings > MAX_POSTINGS:
-            raise ValueError(f"cannot index {n_postings} postings: print ids and directory entries are u32, so at most {MAX_POSTINGS}")
+            raise ValueError(f"cannot index {n_postings} postings: directory entries are u32, so at most {MAX_POSTINGS}")
+        n_prints = self._n_prints + len(frames)
+        if n_prints > MAX_PRINTS:
+            raise ValueError(f"cannot index {n_prints} prints: a posting holds a {PRINT_BITS}-bit print id, so at most {MAX_PRINTS}")
         prints = np.empty(len(frames), dtype=_PRINT_DTYPE)
         prints["track"], prints["time"] = track, frames
         keys = codes.astype(np.uint64)
-        keys <<= 32
-        keys |= np.arange(self._n_prints, self._n_prints + len(frames), dtype=np.uint64)[:, None]
+        keys <<= PRINT_BITS
+        keys |= np.arange(self._n_prints, n_prints, dtype=np.uint64)[:, None]
         self._prints.append(prints)
         self._keys.append(keys.reshape(-1))
-        self._n_prints, self._n_postings = self._n_prints + len(frames), n_postings
+        self._n_prints, self._n_postings = n_prints, n_postings
         if len(frames):
             self._last = (int(track), int(frames[-1]))
 
@@ -255,10 +264,8 @@ class HashTable:
         keys = np.concatenate(self._keys)
         self._prints = self._keys = None
         keys.sort()
-        self.postings = np.empty(len(keys), dtype=_POSTING_DTYPE)
-        self.postings["print"] = keys & 0xFFFFFFFF
-        keys >>= 32
-        self.postings["low"] = keys & _LOW_MASK
+        self.postings = keys.astype(np.uint32)  # the low 32 bits: (code & 63) << PRINT_BITS | print id
+        keys >>= PRINT_BITS
         self.offsets = _directory(keys)
 
     def lookup_many(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,10 +280,10 @@ class HashTable:
         buckets = codes >> DIR_SHIFT
         starts = self.offsets[buckets].astype(np.int64)
         sizes = self.offsets[buckets + 1].astype(np.int64) - starts
-        rows = _gather_ranges(starts, sizes)
-        keep = self.postings["low"][rows] == np.repeat(codes & _LOW_MASK, sizes)
+        found = self.postings[_gather_ranges(starts, sizes)]
+        keep = (found >> PRINT_BITS) == np.repeat(codes & _LOW_MASK, sizes)
         counts = np.bincount(np.repeat(np.arange(len(codes)), sizes)[keep], minlength=len(codes))
-        return counts, self.prints[self.postings["print"][rows[keep]]]
+        return counts, self.prints[found[keep] & _PRINT_MASK]
 
     @property
     def n_postings(self) -> int:
@@ -287,7 +294,7 @@ class HashTable:
 
         A code's postings end where its bucket or its low bits change.
         """
-        low = self.postings["low"]
+        low = self.postings >> PRINT_BITS
         first = np.zeros(len(low) + 1, dtype=bool)
         first[self.offsets] = True  # offsets[-1] is len(low), which closes the last code
         first[1:-1] |= low[1:] != low[:-1]
@@ -323,7 +330,7 @@ class CatalogIndex:
 
 
 def save_index(path, index: CatalogIndex) -> None:
-    """Write the version-3 BMIX index file: header, directory, postings, prints, track records."""
+    """Write the version-4 BMIX index file: header, directory, postings, prints, track records."""
     table = index.table
     if table.postings is None:
         raise RuntimeError("freeze the table before saving")
@@ -346,7 +353,7 @@ def save_index(path, index: CatalogIndex) -> None:
                 bytes.fromhex(index.model_sha256),
             )
         )
-        for array, dtype in ((table.offsets, "<u4"), (table.postings, _POSTING_DTYPE), (table.prints, _PRINT_DTYPE)):
+        for array, dtype in ((table.offsets, "<u4"), (table.postings, "<u4"), (table.prints, _PRINT_DTYPE)):
             np.ascontiguousarray(array, dtype=dtype).tofile(fh)
         for tid in sorted(index.tracks):
             info = index.tracks[tid]
@@ -367,7 +374,7 @@ def _read_array(fh, dtype, n: int, path, what: str) -> np.ndarray:
 
 
 def load_index(path) -> CatalogIndex:
-    """Read a version-3 BMIX file whose header geometry is this build's, checking its sections."""
+    """Read a version-4 BMIX file whose header geometry is this build's, checking its sections."""
     with open(path, "rb") as fh:
         if fh.read(4) != INDEX_MAGIC:
             raise ValueError(f"{path!r} is not an index file")
@@ -388,7 +395,7 @@ def load_index(path) -> CatalogIndex:
             )
         # A forged count must fail here, not as a MemoryError in the read it sizes.
         needed = (
-            6 + _HEADER.size + 4 * (_N_BUCKETS + 1) + _POSTING_DTYPE.itemsize * n_postings + _PRINT_DTYPE.itemsize * n_prints + 14 * n_tracks
+            6 + _HEADER.size + 4 * (_N_BUCKETS + 1) + 4 * n_postings + _PRINT_DTYPE.itemsize * n_prints + 14 * n_tracks
         )
         size = os.fstat(fh.fileno()).st_size
         if needed > size:
@@ -397,26 +404,22 @@ def load_index(path) -> CatalogIndex:
                 f"needing at least {needed} bytes, file has {size}"
             )
         offsets = _read_array(fh, "<u4", _N_BUCKETS + 1, path, "directory")
-        postings = _read_array(fh, _POSTING_DTYPE, n_postings, path, "postings")
+        postings = _read_array(fh, "<u4", n_postings, path, "postings")
         prints = _read_array(fh, _PRINT_DTYPE, n_prints, path, "prints")
         corrupt = f"corrupt index file {path!r}:"
         if offsets[0] != 0 or offsets[-1] != n_postings or np.any(offsets[1:] < offsets[:-1]):
             raise ValueError(f"{corrupt} the directory does not rise from 0 to the posting count {n_postings}")
         if n_postings:
-            ids = np.ascontiguousarray(postings["print"])
-            keys = np.left_shift(postings["low"], 32, dtype=np.uint64)
-            keys |= ids
-            if keys.max() >> 32 > _LOW_MASK:
-                raise ValueError(f"{corrupt} a posting's low code bits exceed {_LOW_MASK}")
             # falls[i]: posting i sorts below posting i - 1, which only a bucket's first posting may
             falls = np.empty(n_postings + 1, dtype=bool)
             falls[0] = falls[n_postings] = False
-            np.less(keys[1:], keys[:-1], out=falls[1:n_postings])
+            np.less(postings[1:], postings[:-1], out=falls[1:n_postings])
             falls[offsets] = False
             if falls.any():
                 raise ValueError(f"{corrupt} postings are not sorted by (code, print)")
-            if ids.max() >= n_prints:
-                raise ValueError(f"{corrupt} a posting names print {ids.max()} of {n_prints}")
+            top = int((postings & _PRINT_MASK).max())
+            if top >= n_prints:
+                raise ValueError(f"{corrupt} a posting names print {top} of {n_prints}")
         keys = (prints["track"].astype(np.uint64) << 32) | prints["time"]
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError(f"{corrupt} prints are not strictly increasing by (track, time)")

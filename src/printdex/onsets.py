@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
-import scipy.signal
+
+from printdex.audio import cosine_window
 
 # The onset series is smoothed by an N_FILTER + 1-tap windowed-sinc low-pass
 # with cut-off frequency 1 / T_C (T_C in s); an anchor is a frame equal to
@@ -62,7 +63,7 @@ def design_smoother(t_c: float, n: int, frame_rate: float) -> np.ndarray:
     f_c = 1.0 / t_c
     ell = np.arange(-(n // 2), n // 2 + 1, dtype=np.float64)
     ideal = 2.0 * f_c * np.sinc(2.0 * f_c * ell / frame_rate)
-    coeffs = ideal * scipy.signal.windows.hamming(n + 1, sym=True)
+    coeffs = ideal * cosine_window(n + 1, 0.54)
     return coeffs / coeffs.sum()
 
 

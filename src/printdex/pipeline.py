@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from printdex import degrade as _degrade
 from printdex import hashing as _hashing
 from printdex import search as _search
 from printdex.audio import FRAME_PERIOD, SAMPLE_RATE, AudioBuffer, load_audio, normalize, resample
@@ -155,6 +154,10 @@ def collect_training_data(
         raise ValueError(f"times_per_track must be at least 1, got {times_per_track}")
     if pool_times_per_track < 0:
         raise ValueError(f"pool_times_per_track must be at least 0, got {pool_times_per_track}")
+    # degrade loads scipy.signal, which indexing and queries never need; the
+    # import comes before the workers fork, so each finds it loaded
+    from printdex import degrade as _degrade
+
     specs = [(label, _degrade.parse_spec(text)) for label, text in plan]
 
     def track_records(entry):
@@ -385,6 +388,8 @@ def evaluate(
     how many workers ran it. A model other than the index's is rejected.
     """
     check_model(index, model)
+    from printdex import degrade as _degrade  # as in collect_training_data
+
     t0 = time.monotonic()
     cache: dict = {}
 

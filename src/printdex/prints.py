@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft
-import scipy.signal
 import scipy.sparse
 
 from printdex import audio as _audio
@@ -148,10 +147,7 @@ class _LogLogMapper:
         self.time_span = (int(cols[0]), int(cols[-1]) + 1)
         self.time_map_t = time_map[:, self.time_span[0] : self.time_span[1]].T.astype(np.float32)
         self.band_rows = np.array(BAND_STARTS)[:, None] + np.arange(BAND_WIDTH)[None, :]
-        self.taper = np.outer(
-            scipy.signal.windows.hamming(BAND_WIDTH, sym=True),
-            scipy.signal.windows.hamming(N_LOGTIME, sym=True),
-        ).astype(np.float32)
+        self.taper = np.outer(_audio.cosine_window(BAND_WIDTH, 0.54), _audio.cosine_window(N_LOGTIME, 0.54)).astype(np.float32)
         self.log_norm = np.float32(np.log1p(LOG_KNEE))
 
 

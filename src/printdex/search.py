@@ -111,10 +111,11 @@ def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: f
     else:
         track_ids, inverse = np.unique(match_track, return_inverse=True)
         n_segments = int(match_segment.max()) + 1
-        grid = np.zeros((len(track_ids), n_segments), dtype=np.int64)
-        np.add.at(grid, (inverse, match_segment), 1)
+        # column 0 stays zero, so cum[:, s] counts segments before s
+        cum = np.zeros((len(track_ids), n_segments + 1), dtype=np.int64)
+        np.add.at(cum, (inverse, match_segment + 1), 1)
+        np.cumsum(cum, axis=1, out=cum)
         window = min(window, n_segments)
-        cum = np.cumsum(np.pad(grid, ((0, 0), (1, 0))), axis=1)
         best = (cum[:, window:] - cum[:, :-window]).max(axis=1)
     order = np.lexsort((track_ids, -best))
     return MatchHistogram(
@@ -197,8 +198,8 @@ def time_coherence(t: np.ndarray, tau: np.ndarray, weights: np.ndarray, sigma: f
     u = t - tau
     bins = np.floor(u / sigma).astype(np.int64)
     bmin = bins.min()
-    mass = np.bincount(bins - bmin, weights=weights, minlength=int(bins.max() - bmin + 1))
-    padded = np.pad(mass, 1)
+    # one zero bin on each side of the mass
+    padded = np.bincount(bins - (bmin - 1), weights=weights, minlength=int(bins.max() - bmin + 3))
     smoothed = padded[:-2] + padded[1:-1] + padded[2:]
     best = int(np.argmax(smoothed))
     return float(smoothed[best]), float((bmin + best + 0.5) * sigma)

@@ -14,7 +14,7 @@ triples it stores, for brute-force lookups.
 import numpy as np
 import scipy.special
 
-from printdex.hashing import CODE_BITS, DIR_SHIFT, LshSpec, codes_from_bits, make_lsh_spec
+from printdex.hashing import CODE_BITS, DIR_SHIFT, PRINT_BITS, LshSpec, codes_from_bits, make_lsh_spec
 from printdex.reduction import BandChain, ReductionModel, _eigh, _householder_with_first_column, apply_reduction
 
 
@@ -82,13 +82,14 @@ def apply_chain(chain: BandChain, x: np.ndarray) -> np.ndarray:
 def table_triples(table) -> np.ndarray:
     """(n_postings, 3) int64 rows (code, track, time) of a frozen table, in stored order.
 
-    Bucket b of the directory holds ``offsets[b]:offsets[b + 1]``; a code is
-    its bucket shifted left by DIR_SHIFT plus the posting's low bits.
+    Bucket b of the directory holds ``offsets[b]:offsets[b + 1]``; a posting
+    is the u32 ``low << PRINT_BITS | print id``, and its code is the bucket
+    shifted left by DIR_SHIFT plus ``low``.
     """
     rows = []
     for bucket in np.flatnonzero(np.diff(table.offsets.astype(np.int64))):
         for i in range(int(table.offsets[bucket]), int(table.offsets[bucket + 1])):
-            low, print_id = table.postings[i]
+            low, print_id = divmod(int(table.postings[i]), 1 << PRINT_BITS)
             track, time = table.prints[print_id]
             rows.append(((int(bucket) << DIR_SHIFT) | int(low), int(track), int(time)))
     return np.array(rows, dtype=np.int64).reshape(-1, 3)

@@ -15,7 +15,7 @@ from corpus import build_corpus, synth_track
 from reference import apply_chain, simulate_unchanged_codes
 from stft_oracle import dft2_magnitude, loglog_convert, modify_amplitudes
 
-from printdex import pipeline
+from printdex import degrade, pipeline
 from printdex.audio import stft
 from printdex.cli import main as cli_main
 from printdex.degrade import parse_spec
@@ -364,7 +364,7 @@ class TestCriterion7UniformityBenefit:
             buf = pipeline.load_track(entry)
             variants = variant_specs if e_idx < 45 else [None]
             for v_idx, dspec in enumerate(variants):
-                vbuf = buf if dspec is None else pipeline._degrade.apply(dspec.reseeded(e_idx * 10 + v_idx), buf)
+                vbuf = buf if dspec is None else degrade.apply(dspec.reseeded(e_idx * 10 + v_idx), buf)
                 kept, coeffs = pipeline.analyze(vbuf)
                 if len(kept) == 0:
                     continue

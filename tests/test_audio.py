@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
@@ -131,6 +137,45 @@ class TestResample:
         buf = AudioBuffer(samples=rng.uniform(-1, 1, rate // 3), sample_rate=rate)
         g = np.gcd(rate, target)
         assert np.array_equal(resample(buf, target).samples, scipy.signal.resample_poly(buf.samples, target // g, rate // g))
+
+
+class TestScipyFormulas:
+    """The front end's windows and decimator taps equal scipy.signal's bit for bit, without importing it."""
+
+    @pytest.mark.parametrize("n", [4, 21, 32, 64, WINDOW_SAMPLES])
+    @pytest.mark.parametrize("a0", [0.5, 0.54])
+    @pytest.mark.parametrize("sym", [True, False])
+    def test_cosine_window_is_general_hamming(self, n, a0, sym):
+        assert np.array_equal(audio.cosine_window(n, a0, sym), scipy.signal.windows.general_hamming(n, a0, sym=sym))
+
+    def test_hann_window(self):
+        assert np.array_equal(audio.HANN_WINDOW, scipy.signal.windows.hann(WINDOW_SAMPLES, sym=False).astype(np.float32))
+
+    @pytest.mark.parametrize("q", range(2, audio.MAX_DECIMATION + 1))
+    def test_lowpass_taps_are_firwin(self, q):
+        assert np.array_equal(audio._lowpass_taps(q), scipy.signal.firwin(20 * q + 1, 1.0 / q, window=("kaiser", 5.0)))
+
+    def test_query_front_end_does_not_import_scipy_signal(self):
+        """A fresh interpreter imports the CLI, pipeline and search and analyzes a 44.1 kHz buffer without scipy.signal."""
+        src = str(Path(audio.__file__).resolve().parents[1])
+        code = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import printdex.cli, printdex.pipeline, printdex.search
+            from printdex.audio import AudioBuffer, normalize, resample
+            from printdex.prints import analyze
+
+            rng = np.random.default_rng(0)
+            x = rng.uniform(-1, 1, 8 * 44100) * np.repeat(rng.uniform(0.1, 1, 80), 4410)
+            kept, prints = analyze(normalize(resample(AudioBuffer(x, 44100), 11025)))
+            assert len(kept) > 0 and np.all(np.isfinite(prints))
+            sys.exit(3 if "scipy.signal" in sys.modules else 0)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr or "scipy.signal was imported"
 
 
 class TestNormalize:

@@ -316,6 +316,17 @@ class TestHashTable:
         with pytest.raises(ValueError, match=r"^cannot index 4 postings: .* at most 3$"):
             t.insert(1, [0], [[4]])
 
+    def test_too_many_prints_rejected(self, monkeypatch):
+        """A print id must fit the posting's 26 bits; the rejected run leaves nothing behind."""
+        monkeypatch.setattr(hashing, "MAX_PRINTS", 3)
+        t = HashTable()
+        t.insert(0, [0, 1], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=r"^cannot index 4 prints: a posting holds a 26-bit print id, so at most 3$"):
+            t.insert(1, [0, 1], [[5], [6]])
+        t.insert(1, [0], [[5]])
+        t.freeze()
+        assert len(t.prints) == 3 and t.n_postings == 5
+
     @pytest.mark.parametrize(
         "first, second, message",
         [
@@ -435,7 +446,10 @@ POSTINGS_AT = HEADER_BYTES + 4 * (2**18 + 1)  # after the header and the directo
 
 
 def _small_index(tracks=None):
-    """Codes 3, 1, 2 of prints (1, 5), (2, 6), (3, 7): postings (low, print) (1, 1), (2, 2), (3, 0), all in bucket 0."""
+    """Codes 3, 1, 2 of prints (1, 5), (2, 6), (3, 7): postings (low, print) (1, 1), (2, 2), (3, 0), all in bucket 0.
+
+    Each posting is the u32 ``low << 26 | print``.
+    """
     t = HashTable()
     for track, frame, code in ((1, 5, 3), (2, 6, 1), (3, 7, 2)):
         t.insert(track, [frame], [[code]])
@@ -480,10 +494,12 @@ class TestIndexFile:
         assert np.array_equal(back.spec.selections, make_lsh_spec(99).selections)
 
     def test_file_sized_by_postings(self, tmp_path):
-        """Header, directory, 5 bytes per posting, 8 per print, then the track records."""
+        """Header, directory, 4 bytes per posting, 8 per print, then the track records."""
         path = tmp_path / "i.bmix"
         save_index(path, _small_index())
-        assert path.stat().st_size == HEADER_BYTES + 4 * (2**18 + 1) + 5 * 3 + 8 * 3 + 3 * (14 + 1)
+        assert path.stat().st_size == HEADER_BYTES + 4 * (2**18 + 1) + 4 * 3 + 8 * 3 + 3 * (14 + 1)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<3I", raw, POSTINGS_AT) == (1 << 26 | 1, 2 << 26 | 2, 3 << 26 | 0)
 
     def test_save_deterministic(self, tmp_path):
         index = _small_index()
@@ -517,13 +533,24 @@ class TestIndexFile:
         with pytest.raises(ValueError, match=f"^truncated index file .* claims 3 postings, {n_prints} prints and 3 tracks"):
             load_index(path)
 
-    @pytest.mark.parametrize("version", [1, 4])
+    @pytest.mark.parametrize("version", [1, 3])
     def test_other_version_rejected(self, tmp_path, version):
         path = _forge(tmp_path, lambda raw: raw.__setitem__(slice(4, 6), struct.pack("<H", version)))
         with pytest.raises(
-            ValueError, match=rf"^unsupported index version {version} in .*forged.bmix.*reads version 3; rebuild the index with `printdex index`$"
+            ValueError, match=rf"^unsupported index version {version} in .*forged.bmix.*reads version 4; rebuild the index with `printdex index`$"
         ):
             load_index(path)
+
+    def test_version_3_file_rejected(self, tmp_path):
+        """A whole version-3 file (5-byte postings: the low code bits as u8, then the print as u32) fails on its version."""
+
+        def edit(raw):
+            raw[4:6] = struct.pack("<H", 3)
+            words = struct.unpack_from("<3I", raw, POSTINGS_AT)
+            raw[POSTINGS_AT : POSTINGS_AT + 12] = b"".join(struct.pack("<BI", w >> 26, w & (2**26 - 1)) for w in words)
+
+        with pytest.raises(ValueError, match=r"^unsupported index version 3 .*rebuild the index with `printdex index`$"):
+            load_index(_forge(tmp_path, edit))
 
     def test_version_2_file_rejected(self, tmp_path):
         """A whole version-2 file (46-byte header, 12-byte postings) fails on its version, not as truncated."""
@@ -555,25 +582,22 @@ class TestIndexFile:
         "forgery, message",
         [
             ("swapped_codes", r"postings are not sorted by \(code, print\)"),
-            ("code_beyond_24_bits", "a posting's low code bits exceed 63"),
             ("swapped_prints", r"postings are not sorted by \(code, print\)"),
             ("print_id_out_of_range", "a posting names print 3 of 3"),
         ],
-        ids=["swapped_codes", "code_beyond_24_bits", "swapped_prints", "print_id_out_of_range"],
+        ids=["swapped_codes", "swapped_prints", "print_id_out_of_range"],
     )
     def test_forged_posting_codes_rejected(self, tmp_path, forgery, message):
-        first, second, last = (slice(POSTINGS_AT + 5 * i, POSTINGS_AT + 5 * i + 5) for i in range(3))
+        first, second = (slice(POSTINGS_AT + 4 * i, POSTINGS_AT + 4 * i + 4) for i in range(2))
 
         def edit(raw):
             if forgery == "swapped_codes":
                 raw[first], raw[second] = raw[second], raw[first]
-            elif forgery == "code_beyond_24_bits":
-                raw[last.start] = 64  # a low part with a bit of the next bucket
             elif forgery == "swapped_prints":  # same low bits, prints 2 then 1
-                raw[first] = bytes([1]) + struct.pack("<I", 2)
-                raw[second] = bytes([1]) + struct.pack("<I", 1)
-            else:
-                raw[first.start + 1 : first.stop] = struct.pack("<I", 3)
+                raw[first] = struct.pack("<I", 1 << 26 | 2)
+                raw[second] = struct.pack("<I", 1 << 26 | 1)
+            else:  # low bits 1, print 3
+                raw[first] = struct.pack("<I", 1 << 26 | 3)
 
         with pytest.raises(ValueError, match=rf"^corrupt index file .*forged.bmix.*: {message}$"):
             load_index(_forge(tmp_path, edit))
@@ -588,7 +612,7 @@ class TestIndexFile:
     @pytest.mark.parametrize("row", [b"\x01\x00\x00\x00\x05\x00\x00\x00", b"\x01\x00\x00\x00\x04\x00\x00\x00"], ids=["repeated", "decreasing"])
     def test_forged_print_table_rejected(self, tmp_path, row):
         """Print 1, (2, 6), becomes (1, 5), a copy of print 0, or (1, 4), below it."""
-        at = POSTINGS_AT + 5 * 3 + 8
+        at = POSTINGS_AT + 4 * 3 + 8
         path = _forge(tmp_path, lambda raw: raw.__setitem__(slice(at, at + 8), row))
         with pytest.raises(ValueError, match=r"^corrupt index file .*: prints are not strictly increasing by \(track, time\)$"):
             load_index(path)
@@ -601,7 +625,7 @@ class TestIndexFile:
 
     def test_repeated_track_id_rejected(self, tmp_path):
         """A second record for track 1 would rename it and leave track 2's prints without a record."""
-        second = POSTINGS_AT + 5 * 3 + 8 * 3 + 14 + len("x")  # track 1's record comes first
+        second = POSTINGS_AT + 4 * 3 + 8 * 3 + 14 + len("x")  # track 1's record comes first
 
         def edit(raw):
             assert struct.unpack_from("<I", raw, second) == (2,)
