@@ -14,6 +14,12 @@ each output frame's phasor is the previous one times the unit-phasor ratio
 the exponential of the textbook principal-value phase advance (Laroche &
 Dolson, IEEE TSAP 1999), so no phase is taken as an angle or accumulated
 as a float.
+
+``time_stretch:cents`` is not in musical cents. The stretch factor is
+``2 ** (cents / 100)``, so one unit is 1/100 octave, which is 12 musical
+cents: ``cents=30`` lengthens the input by x1.231 and ``cents=-30`` shortens
+it to x0.812, and the ``slowdown`` scenario's levels 4/8/12 lengthen it by
+2.8/5.7/8.7 %.
 """
 
 from __future__ import annotations
@@ -61,8 +67,9 @@ POSITIVE_PARAMS = ("ratio", "rt60_s")
 # / 12) times its length, so its work and memory grow as the shift goes down;
 # two octaves keep them within 4x those of the input.
 PITCH_SHIFT_MAX_SEMITONES = 24.0
-# time_stretch's output is 2 ** (cents / 100) times its input; two octaves
-# either way keep that factor in [1/4, 4], the same 4x bound.
+# time_stretch's output is 2 ** (cents / 100) times its input, so its cents
+# are 1/100 octave (12 musical cents) each; two octaves either way keep that
+# factor in [1/4, 4], the same 4x bound.
 TIME_STRETCH_MAX_CENTS = 200.0
 # Numeric parameters bounded in magnitude, checked when a spec is built.
 MAX_ABS_PARAMS = {"semitones": PITCH_SHIFT_MAX_SEMITONES, "cents": TIME_STRETCH_MAX_CENTS}
@@ -403,6 +410,7 @@ def scenario(name: str, level: int, codec_command: str | None = None, seed: int 
         ]
         codec_label = "GSM"
     elif name == "slowdown":
+        # 2 ** (cents / 100): 2.8, 5.7 and 8.7 % longer
         cents = _level_value((4.0, 8.0, 12.0), level)
         steps = [
             step("time_stretch", cents=cents),

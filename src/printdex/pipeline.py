@@ -148,7 +148,8 @@ def collect_training_data(
     track feeds the conditioning/decorrelation fits, which need many more
     samples than the class structure provides. ``times_per_track`` must be
     at least 1 and ``pool_times_per_track`` at least 0; both are checked
-    before any track is decoded.
+    before any track is decoded. A catalog where no track gives a print
+    fails with a one-line ``ValueError``.
     """
     if times_per_track < 1:
         raise ValueError(f"times_per_track must be at least 1, got {times_per_track}")
@@ -190,13 +191,22 @@ def collect_training_data(
             coeffs[pool_pick],
         )
 
-    records = []
+    # one buffer per field, sized for every track's largest share and filled
+    # as the tracks arrive, so this process holds the prints only once
+    max_rows = (len(entries) * (len(specs) + 1) * times_per_track,) * 3 + (len(entries) * pool_times_per_track,)
+    out, filled = None, [0, 0, 0, 0]
     for t_idx, rec in enumerate(parallel_map(track_records, entries)):
         if rec is not None:
-            records.append(rec)
+            if out is None:
+                out = [np.empty((n,) + a.shape[1:], dtype=a.dtype) for n, a in zip(max_rows, rec)]
+            for k, a in enumerate(rec):
+                out[k][filled[k] : filled[k] + len(a)] = a
+                filled[k] += len(a)
         if progress:
             progress(f"training data: {t_idx + 1}/{len(entries)} tracks")
-    return TrainingData(*(np.concatenate([rec[k] for rec in records]) for k in range(4)))
+    if out is None:
+        raise ValueError("no catalog track gives a training print")
+    return TrainingData(*(a[:n] for a, n in zip(out, filled)))
 
 
 def train_from_manifest(

@@ -34,6 +34,11 @@ LDA_DIM = 80
 OUT_DIM = 40
 ICCR_REL_THRESHOLD = 1e-5
 MIN_ICCR_SAMPLES_FACTOR = 4
+# FastICA has converged when every row of the rotation keeps its direction to
+# within ICA_TOL (|cosine| to its previous value), and falls back to plain
+# whitening if that takes more than ICA_MAX_ITER iterations.
+ICA_MAX_ITER = 500
+ICA_TOL = 1e-6
 
 MODEL_MAGIC = b"BMRM"
 MODEL_VERSION = 2
@@ -74,12 +79,13 @@ def _fix_signs(rows: np.ndarray) -> np.ndarray:
 # ICCR
 
 
-def fit_iccr(x: np.ndarray, rel_threshold: float = ICCR_REL_THRESHOLD, enforce_min_samples: bool = False) -> tuple[np.ndarray, int]:
+def fit_iccr(x: np.ndarray, enforce_min_samples: bool = False) -> tuple[np.ndarray, int]:
     """Reject linearly dependent components of X (J x N) via SVD.
 
     Returns (P, j0): the rows of P are the left singular vectors whose
-    singular value exceeds s1 * rel_threshold. P @ P.T = I. The second moment
-    is deliberately uncentered (the inputs are nonnegative DFT magnitudes).
+    singular value exceeds s1 * ICCR_REL_THRESHOLD. P @ P.T = I. The second
+    moment is deliberately uncentered (the inputs are nonnegative DFT
+    magnitudes).
     """
     x = np.asarray(x, dtype=np.float64)
     j, n = x.shape
@@ -97,7 +103,7 @@ def fit_iccr(x: np.ndarray, rel_threshold: float = ICCR_REL_THRESHOLD, enforce_m
         basis = basis.T
     if svals.size == 0 or svals[0] == 0.0:
         raise TrainingError("ICCR input matrix is all-zero")
-    j0 = int(np.sum(svals > svals[0] * rel_threshold))
+    j0 = int(np.sum(svals > svals[0] * ICCR_REL_THRESHOLD))
     return _fix_signs(basis[:j0]), j0
 
 
@@ -143,7 +149,7 @@ def scatter_matrices(x: np.ndarray, record_class: np.ndarray, n_classes: int) ->
     return (t + t.T) / 2.0, (b + b.T) / 2.0, mu
 
 
-def fit_lda(t: np.ndarray, b: np.ndarray, k: int, n_classes: int, n_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def fit_lda(t: np.ndarray, b: np.ndarray, k: int, n_classes: int, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenvectors of T^-1 B, rows ordered by decreasing eigenvalue.
 
     T gets a shrinkage term 1e-4 * trace(T)/dim when the sample count is
@@ -158,7 +164,7 @@ def fit_lda(t: np.ndarray, b: np.ndarray, k: int, n_classes: int, n_samples: int
     if k > dim:
         raise TrainingError(f"K={k} exceeds dimension {dim}")
     t_reg = t
-    if n_samples is None or n_samples < 10 * dim:
+    if n_samples < 10 * dim:
         t_reg = t + np.eye(dim) * (1e-4 * np.trace(t) / dim)
     try:
         evals, evecs = _eigh(b, t_reg)
@@ -178,11 +184,11 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
     return (evecs * (1.0 / np.sqrt(evals))) @ evecs.T @ w
 
 
-def fit_ica(z: np.ndarray, seed: int = 0, max_iter: int = 500, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray, bool]:
+def fit_ica(z: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray, bool]:
     """Fit Y = P @ X + t with Y centered, unit-variance and independent.
 
     Symmetric (parallel) fixed-point iteration with the cubic nonlinearity.
-    If the rotation does not converge within max_iter, falls back to plain
+    If the rotation does not converge within ICA_MAX_ITER, falls back to plain
     whitening (decorrelation without rotation) and reports converged=False.
     """
     z = np.asarray(z, dtype=np.float64)
@@ -197,13 +203,13 @@ def fit_ica(z: np.ndarray, seed: int = 0, max_iter: int = 500, tol: float = 1e-6
     rng = np.random.default_rng(seed)
     w = _sym_decorrelate(rng.standard_normal((dim, dim)))
     converged = False
-    for _ in range(max_iter):
+    for _ in range(ICA_MAX_ITER):
         wx = w @ xw
         w_new = (wx * wx * wx) @ xw.T / n - (3.0 * np.mean(wx**2, axis=1))[:, None] * w
         w_new = _sym_decorrelate(w_new)
         delta = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
         w = w_new
-        if delta < tol:
+        if delta < ICA_TOL:
             converged = True
             break
     p = _fix_signs(w @ whiten if converged else whiten)
@@ -578,7 +584,6 @@ def train_reduction(
     pools: np.ndarray | None = None,
     *,
     lda_dim: int = LDA_DIM,
-    out_dim: int = OUT_DIM,
     seed: int = 0,
     enforce_min_originals: bool = True,
 ) -> ReductionModel:
@@ -598,10 +603,9 @@ def train_reduction(
             is_original,
             None if pools is None else pools[:, b],
             lda_dim=lda_dim,
-            out_dim=out_dim,
             seed=seed * 1000 + b,
             enforce_min_originals=enforce_min_originals,
         )
 
     bands = list(parallel_map(fit_band, range(prints.shape[1])))
-    return ReductionModel(bands=bands, in_dim=prints.shape[2], out_dim=out_dim)
+    return ReductionModel(bands=bands, in_dim=prints.shape[2])

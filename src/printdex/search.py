@@ -139,19 +139,17 @@ def select_candidates(hist: MatchHistogram) -> np.ndarray:
     return ids[:n_keep]
 
 
-def cone_weights(t: np.ndarray, tau: np.ndarray, alpha_max: float) -> np.ndarray:
+def cone_weights(t: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """1 + number of later pairs inside each pair's stretch cone.
 
     The cone from (t_n, tau_n) holds pairs (t_m, tau_m) with t_m > t_n whose
-    connecting slope lies in [1/alpha_max, alpha_max]; collinear pairs under
+    connecting slope lies in [1/ALPHA_MAX, ALPHA_MAX]; collinear pairs under
     any admissible stretch support each other. One anchor pair gives many
     equal (t, tau) pairs, and copies of one point have dt = 0, outside every
     cone. So support is counted between distinct points sorted by t, each
     block of rows against the suffix of strictly later points, weighted by
     how many pairs share each point; every copy gets its point's weight.
     """
-    if alpha_max <= 1.0:
-        raise ValueError("alpha_max must exceed 1")
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     n = len(t)
@@ -166,7 +164,7 @@ def cone_weights(t: np.ndarray, tau: np.ndarray, alpha_max: float) -> np.ndarray
     m = len(pt)
     first_later = np.searchsorted(pt, pt, side="right")
     support = np.zeros(m, dtype=np.int64)
-    lo, hi = 1.0 / alpha_max, alpha_max
+    lo, hi = 1.0 / ALPHA_MAX, ALPHA_MAX
     for start in range(0, m, CONE_BLOCK_ROWS):
         later = first_later[start]
         if later == m:
@@ -183,51 +181,49 @@ def cone_weights(t: np.ndarray, tau: np.ndarray, alpha_max: float) -> np.ndarray
     return weights
 
 
-def time_coherence(t: np.ndarray, tau: np.ndarray, weights: np.ndarray, sigma: float) -> tuple[float, float]:
+def time_coherence(t: np.ndarray, tau: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Best weighted alignment mass over offsets u = t - tau.
 
-    Histogram with bin width sigma plus one-bin neighbor smoothing; returns
+    Histogram with bin width SIGMA plus one-bin neighbor smoothing; returns
     (score, center of the winning bin).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     if len(t) == 0:
         return 0.0, 0.0
     u = t - tau
-    bins = np.floor(u / sigma).astype(np.int64)
+    bins = np.floor(u / SIGMA).astype(np.int64)
     bmin = bins.min()
     # one zero bin on each side of the mass
     padded = np.bincount(bins - (bmin - 1), weights=weights, minlength=int(bins.max() - bmin + 3))
     smoothed = padded[:-2] + padded[1:-1] + padded[2:]
     best = int(np.argmax(smoothed))
-    return float(smoothed[best]), float((bmin + best + 0.5) * sigma)
+    return float(smoothed[best]), float((bmin + best + 0.5) * SIGMA)
 
 
-def refine_alignment(t: np.ndarray, tau: np.ndarray, delta_t: float, sigma: float, alpha_max: float, weights: np.ndarray | None = None) -> tuple[float, float, int, bool]:
+def refine_alignment(t: np.ndarray, tau: np.ndarray, delta_t: float, weights: np.ndarray) -> tuple[float, float, int, bool]:
     """Linear regression tau = alpha * t - delta on the winning window.
 
-    Pairs within 1.5 sigma of the winning offset give an initial fit; one
+    Pairs within 1.5 SIGMA of the winning offset give an initial fit; one
     re-selection pass gathers inliers from ALL pairs around the fitted line
-    (margin sigma), admitting stretched matches outside the initial window,
+    (margin SIGMA), admitting stretched matches outside the initial window,
     and refits. Pair weights (cone counts) steer the regression toward
     mutually consistent pairs, which keeps stray collisions inside the
     window from tilting the slope. alpha is clamped to
-    [1/alpha_max, alpha_max]. With fewer than 2 inliers, reports
+    [1/ALPHA_MAX, ALPHA_MAX]. With fewer than 2 inliers, reports
     (1.0, delta_t) flagged low-confidence.
     """
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
-    w = np.ones(len(t)) if weights is None else np.asarray(weights, dtype=np.float64)
-    initial = np.abs((t - tau) - delta_t) <= 1.5 * sigma
+    w = np.asarray(weights, dtype=np.float64)
+    initial = np.abs((t - tau) - delta_t) <= 1.5 * SIGMA
     if initial.sum() < 2:
         return 1.0, delta_t, int(initial.sum()), True
     alpha, delta = _fit_line(t[initial], tau[initial], w[initial])
-    inliers = np.abs(tau - (alpha * t - delta)) <= sigma
+    inliers = np.abs(tau - (alpha * t - delta)) <= SIGMA
     if inliers.sum() >= 2:
         alpha, delta = _fit_line(t[inliers], tau[inliers], w[inliers])
-    alpha = float(np.clip(alpha, 1.0 / alpha_max, alpha_max))
+    alpha = float(np.clip(alpha, 1.0 / ALPHA_MAX, ALPHA_MAX))
     return alpha, delta, int(inliers.sum()), False
 
 
@@ -272,9 +268,9 @@ def query_index(buf, index, model, cfg=None, print_cfg=None, onset_cfg=None) -> 
         mask = hist.match_track == track_id
         t = hist.match_t[mask]
         tau = hist.match_tau[mask]
-        w = cone_weights(t, tau, ALPHA_MAX)
-        score, delta_t = time_coherence(t, tau, w, SIGMA)
-        alpha, delta_star, n_inliers, low_conf = refine_alignment(t, tau, delta_t, SIGMA, ALPHA_MAX, weights=w)
+        w = cone_weights(t, tau)
+        score, delta_t = time_coherence(t, tau, w)
+        alpha, delta_star, n_inliers, low_conf = refine_alignment(t, tau, delta_t, w)
         results.append(
             SearchResult(
                 track_id=int(track_id),

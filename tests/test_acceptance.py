@@ -38,7 +38,7 @@ from printdex.reduction import (
     hadamard_matrix,
     reduce_prints,
 )
-from printdex.search import cone_weights, refine_alignment, time_coherence
+from printdex.search import ALPHA_MAX, SIGMA, cone_weights, refine_alignment, time_coherence
 
 pytestmark = pytest.mark.acceptance
 
@@ -231,14 +231,14 @@ class TestCriterion5OracleEquivalences:
             t = rng.uniform(0, 40, n)
             tau = rng.uniform(0, 12, n)
             w = rng.integers(1, 7, n).astype(float)
-            score, delta = time_coherence(t, tau, w, 0.25)
+            score, delta = time_coherence(t, tau, w)
             u = t - tau
-            bins = np.floor(u / 0.25).astype(np.int64)
+            bins = np.floor(u / SIGMA).astype(np.int64)
             best_score, best_delta = -1.0, 0.0
             for b in range(bins.min(), bins.max() + 1):
                 mass = w[(bins >= b - 1) & (bins <= b + 1)].sum()
                 if mass > best_score:
-                    best_score, best_delta = mass, (b + 0.5) * 0.25
+                    best_score, best_delta = mass, (b + 0.5) * SIGMA
             mismatches += not (score == best_score and delta == best_delta)
         ok &= mismatches == 0
         details.append(f"coherence mismatches {mismatches}/100")
@@ -248,13 +248,13 @@ class TestCriterion5OracleEquivalences:
             n = 150
             t = rng.uniform(0, 30, n)
             tau = rng.uniform(0, 30, n)
-            w = cone_weights(t, tau, 1.3)
+            w = cone_weights(t, tau)
             oracle = np.ones(n)
             for a in range(n):
                 for m in range(n):
                     if t[m] > t[a]:
                         slope = (tau[m] - tau[a]) / (t[m] - t[a])
-                        if 1 / 1.3 <= slope <= 1.3:
+                        if 1 / ALPHA_MAX <= slope <= ALPHA_MAX:
                             oracle[a] += 1
             cone_bad += not np.array_equal(w, oracle)
         ok &= cone_bad == 0
@@ -262,9 +262,8 @@ class TestCriterion5OracleEquivalences:
         # refine_alignment on the clean stretched line
         t = np.linspace(0, 12, 50)
         tau = 1.3 * t - 2.0
-        w = cone_weights(t, tau, 1.4)
-        _, delta0 = time_coherence(t, tau, w, 0.25)
-        alpha, delta, *_ = refine_alignment(t, tau, delta0, 0.25, 1.4)
+        _, delta0 = time_coherence(t, tau, cone_weights(t, tau))
+        alpha, delta, *_ = refine_alignment(t, tau, delta0, np.ones(len(t)))
         clean_ok = abs(alpha - 1.3) <= 0.02 and abs(delta - 2.0) <= 0.1
         ok &= clean_ok
         details.append(f"clean line alpha={alpha:.4f} delta={delta:.3f}")
@@ -276,9 +275,9 @@ class TestCriterion5OracleEquivalences:
             tau_line = 1.3 * t_line - 2.0
             t_all = np.concatenate([t_line, r.uniform(0, 12, 30)])
             tau_all = np.concatenate([tau_line, r.uniform(tau_line.min(), tau_line.max(), 30)])
-            w = cone_weights(t_all, tau_all, 1.4)
-            _, d0 = time_coherence(t_all, tau_all, w, 0.25)
-            a_est, *_ = refine_alignment(t_all, tau_all, d0, 0.25, 1.4, weights=w)
+            w = cone_weights(t_all, tau_all)
+            _, d0 = time_coherence(t_all, tau_all, w)
+            a_est, *_ = refine_alignment(t_all, tau_all, d0, w)
             worst = max(worst, abs(a_est - 1.3))
         ok &= worst <= 0.05
         details.append(f"outlier worst dalpha {worst:.4f}")

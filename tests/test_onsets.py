@@ -1,30 +1,39 @@
 import numpy as np
 import pytest
 
-from printdex.audio import FRAME_PERIOD, AudioBuffer
+from printdex.audio import FRAME_PERIOD, AudioBuffer, Spectrogram
 from printdex.onsets import (
-    design_smoother,
-    diff_spectral_norms,
-    post_filter,
+    MEAN_LAG,
+    N_FILTER,
+    SMOOTHER,
+    _local_maxima,
+    _onset_function,
+    _smooth,
     select_analysis_times,
-    select_times,
 )
 
 from stft_oracle import frame_norms, magnitude_stft, spectrogram
 
 SR = 11025
+# half-width in frames of the sliding-maximum window
+HALF = int(round(MEAN_LAG * Spectrogram.frame_rate)) // 2
+
+
+def _maxima_oracle(phi):
+    """Frames equal to the maximum over [i - HALF, i + HALF], for series without equal neighbours."""
+    return [i for i in range(len(phi)) if phi[i] == max(phi[max(0, i - HALF) : i + HALF + 1])]
 
 
 class TestDiffSpectralNorms:
     def test_constant_energy(self):
         norms = np.outer(np.arange(1, 5), np.ones(6)).sum(axis=0)
-        assert np.allclose(diff_spectral_norms(norms), 0.0)
+        assert np.allclose(_onset_function(norms), 0.0)
 
     def test_decreasing_energy_rectified_away(self):
-        assert np.allclose(diff_spectral_norms([5.0, 3.0]), [0.0, 0.0])
+        assert np.allclose(_onset_function([5.0, 3.0]), [0.0, 0.0])
 
     def test_increasing_energy(self):
-        assert np.allclose(diff_spectral_norms([3.0, 5.0]), [0.0, 2.0])
+        assert np.allclose(_onset_function([3.0, 5.0]), [0.0, 2.0])
 
     def test_equals_abs_form_on_real_spectrogram(self):
         from corpus import synth_track
@@ -35,86 +44,64 @@ class TestDiffSpectralNorms:
         phi = np.zeros(m.shape[1])
         diff = norms[1:] - norms[:-1]
         phi[1:] = np.abs((diff + np.abs(diff)) / 2.0)  # half-wave rectifier (x + |x|) / 2
-        assert np.array_equal(diff_spectral_norms(spectrogram(buf).norms), phi)
+        assert np.array_equal(_onset_function(spectrogram(buf).norms), phi)
 
 
 class TestSmoother:
-    def test_identity_filter(self):
-        assert np.allclose(design_smoother(0.05, 0, 50.0), [1.0])
-
     def test_symmetric_and_normalized(self):
-        b = design_smoother(0.05, 20, 50.0)
-        assert len(b) == 21
-        assert np.allclose(b, b[::-1])
-        assert b.sum() == pytest.approx(1.0)
+        assert len(SMOOTHER) == N_FILTER + 1
+        assert np.allclose(SMOOTHER, SMOOTHER[::-1])
+        assert SMOOTHER.sum() == pytest.approx(1.0)
 
     def test_lowpass_response(self):
-        frame_rate = 50.0
-        b = design_smoother(0.05, 20, frame_rate)
+        frame_rate = Spectrogram.frame_rate
         freqs = np.fft.rfftfreq(4096, d=1.0 / frame_rate)
-        gain = np.abs(np.fft.rfft(b, n=4096))
+        gain = np.abs(np.fft.rfft(SMOOTHER, n=4096))
         assert gain[0] == pytest.approx(1.0)
         assert gain[np.argmin(np.abs(freqs - frame_rate / 2))] < 0.1
-
-    def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            design_smoother(0.05, 7, 50.0)
 
 
 class TestPostFilter:
     def test_identity(self):
-        phi = np.abs(np.sin(np.arange(50)))
-        assert np.allclose(post_filter(phi, np.array([1.0])), phi)
+        """The sum-normalized smoother with reflected edges leaves a constant series as it is."""
+        assert np.allclose(_smooth(np.full(50, 0.7)), 0.7)
 
     def test_impulse_gives_coefficients(self):
-        b = design_smoother(0.05, 10, 50.0)
-        phi = np.zeros(41)
-        phi[20] = 1.0
-        out = post_filter(phi, b)
-        assert np.allclose(out[15:26], b)
-
-    def test_negative_input_rejected(self):
-        with pytest.raises(ValueError):
-            post_filter(np.array([1.0, -0.1, 0.0] * 10), np.array([1.0]))
+        half = N_FILTER // 2
+        phi = np.zeros(4 * half + 1)
+        phi[2 * half] = 1.0
+        out = _smooth(phi)
+        assert np.allclose(out[half : 3 * half + 1], SMOOTHER)
 
 
 class TestSelectTimes:
     def test_impulse_train(self):
-        frame_rate = 50.0
-        t = int(round(0.25 * frame_rate))
+        t = 2 * HALF
         phi = np.zeros(20 * t)
         impulses = np.arange(t, 19 * t, 2 * t)
         phi[impulses] = 1.0 + 0.01 * np.arange(len(impulses))
-        sel = select_times(phi, 0.25, frame_rate)
-        assert set(impulses).issubset(set(sel.frames))
+        assert set(impulses).issubset(set(_local_maxima(phi)))
 
     def test_strictly_increasing(self):
         phi = np.arange(100, dtype=float)
-        sel = select_times(phi, 0.25, 50.0)
-        half = int(round(0.25 * 50.0)) // 2
-        # brute-force sliding-max oracle defines the expectation
-        oracle = [i for i in range(100) if phi[i] == max(phi[max(0, i - half) : i + half + 1])]
-        assert np.array_equal(sel.frames, oracle)
+        frames = _local_maxima(phi)
+        assert np.array_equal(frames, _maxima_oracle(phi))
         # only frames inside the final window can survive an increasing series
-        assert len(sel.frames) >= 1
-        assert all(f >= 99 - half for f in sel.frames)
+        assert len(frames) >= 1
+        assert all(f >= 99 - HALF for f in frames)
 
     def test_constant_series_first_frame_only(self):
-        sel = select_times(np.ones(50), 0.25, 50.0)
-        assert np.array_equal(sel.frames, [0])
+        assert np.array_equal(_local_maxima(np.ones(50)), [0])
 
     def test_empty_series(self):
-        with pytest.raises(ValueError):
-            select_times(np.array([]), 0.25, 50.0)
+        spec = Spectrogram(logfreq=np.zeros((1, 0), dtype=np.float32), norms=np.zeros(0))
+        with pytest.raises(ValueError, match=r"^series too short \(0\) for filter support \(10\)$"):
+            select_analysis_times(spec)
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(7)
         phi = rng.uniform(0, 1, 500)
-        frame_rate = 50.0
-        half = int(round(0.25 * frame_rate)) // 2
-        sel = select_times(phi, 0.25, frame_rate)
-        oracle = [i for i in range(500) if phi[i] == max(phi[max(0, i - half) : i + half + 1])]
-        assert np.array_equal(sel.frames, oracle)
+        assert np.array_equal(_local_maxima(phi), _maxima_oracle(phi))
 
 
 def _noise_modulated_signal(duration, seed=0):

@@ -7,8 +7,10 @@ unpatched affinity leaves one CPU.
 """
 
 import contextlib
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 from corpus import build_corpus, synth_track
@@ -145,10 +147,46 @@ def test_index_file_does_not_depend_on_manifest_order(corpus, model, tmp_path):
     assert (tmp_path / "shuffled.bmix").read_bytes() == (tmp_path / "sorted.bmix").read_bytes()
 
 
+def _short_track(directory, track_id: int = 7) -> pipeline.ManifestEntry:
+    """A 2 s track, shorter than one print window."""
+    save_wav(directory / "short.wav", synth_track(77, duration_s=2.0))
+    return pipeline.ManifestEntry(track_id=track_id, path=str(directory / "short.wav"), label="short")
+
+
 def test_track_without_prints_gets_a_record(corpus, model, tmp_path):
-    """A 2 s track is shorter than one print window."""
-    save_wav(tmp_path / "short.wav", synth_track(77, duration_s=2.0))
-    short = pipeline.ManifestEntry(track_id=7, path=str(tmp_path / "short.wav"), label="short")
+    short = _short_track(tmp_path)
     index = pipeline.build_index([corpus[0], short, corpus[1]], model)
     assert sorted(index.tracks) == [1, 2, 7] and index.tracks[7].name == "short"
     assert set(index.table.prints["track"].tolist()) == {1, 2}
+
+
+def test_training_data_equals_per_track_concatenation(corpus, tmp_path, monkeypatch):
+    """Each field, byte for byte, is the concatenation of what the tracks returned, in forked workers or in this process.
+
+    The track without prints returns nothing and contributes nothing.
+    """
+    returned = []
+
+    def recording_map(func, items):
+        for rec in parallel.parallel_map(func, items):
+            returned.append(rec)
+            yield rec
+
+    monkeypatch.setattr(pipeline, "parallel_map", recording_map)
+    entries = [corpus[0], _short_track(tmp_path), *corpus[1:3]]
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        returned.clear()
+        data = pipeline.collect_training_data(entries, plan=PLAN, times_per_track=7, pool_times_per_track=30, seed=4)
+        assert [rec is None for rec in returned] == [False, True, False, False]
+        for k, field in enumerate(dataclasses.fields(pipeline.TrainingData)):
+            got = getattr(data, field.name)
+            expected = np.concatenate([rec[k] for rec in returned if rec is not None])
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes()
+
+
+def test_training_data_without_a_usable_track_fails_in_one_line(tmp_path):
+    with pytest.raises(ValueError) as info:
+        pipeline.collect_training_data([_short_track(tmp_path)], plan=PLAN)
+    assert str(info.value) == "no catalog track gives a training print"

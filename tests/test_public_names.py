@@ -7,7 +7,9 @@ such as ``tests/stft_oracle.py`` or ``tests/reference.py``.
 
 The print, onset and no-match parameters are module constants, so no
 function takes a config; the only config parameters left are the unused
-slots that ``bench/`` still fills positionally.
+slots that ``bench/`` still fills positionally. Likewise the STEP 2 bin and
+stretch cone, the onset smoother and window, and the fit tolerances are
+module constants that no function takes as a parameter.
 """
 
 import ast
@@ -22,6 +24,7 @@ ALLOWED = {
     "write_manifest",
 }
 CONFIG_PARAMS = {"cfg", "print_cfg", "onset_cfg"}
+TUNING_PARAMS = {"sigma", "alpha_max", "t_c", "mean_lag", "rel_threshold", "max_iter", "tol"}
 BENCH_SLOTS = {
     ("load_track", "cfg"),
     ("train_from_manifest", "cfg"),
@@ -63,13 +66,23 @@ def test_allowlist_names_exist():
     assert ALLOWED <= _public_definitions()
 
 
-def test_no_config_parameters():
+def _parameters() -> set:
+    """(function, parameter) pairs of every function and lambda in src/printdex."""
     found = set()
     for path in (ROOT / "src" / "printdex").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
                 names = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p is not None}
-                found |= {(getattr(node, "name", "<lambda>"), name) for name in names & CONFIG_PARAMS}
-    extra = sorted(found - BENCH_SLOTS)
+                found |= {(getattr(node, "name", "<lambda>"), name) for name in names}
+    return found
+
+
+def test_no_config_parameters():
+    extra = sorted({pair for pair in _parameters() if pair[1] in CONFIG_PARAMS} - BENCH_SLOTS)
     assert not extra, f"(function, parameter) pairs taking a config in src/printdex: {extra}"
+
+
+def test_no_tuning_parameters():
+    found = sorted(pair for pair in _parameters() if pair[1] in TUNING_PARAMS)
+    assert not found, f"(function, parameter) pairs taking a tuning value that is a module constant: {found}"

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from printdex import reduction
 from printdex.reduction import (
     ReductionModel,
     TrainingError,
@@ -212,13 +213,13 @@ class TestLda:
 
     def test_k_ge_c_rejected(self):
         with pytest.raises(TrainingError):
-            fit_lda(np.eye(3), np.eye(3), 3, n_classes=3)
+            fit_lda(np.eye(3), np.eye(3), 3, n_classes=3, n_samples=30)
 
     @pytest.mark.parametrize("k", [0, -5])
     def test_k_below_one_rejected(self, k):
         """[:k] with a negative k would keep all but |k| rows; k = 0 has no rows to sign-fix."""
         with pytest.raises(TrainingError) as info:
-            fit_lda(np.eye(3), np.eye(3), k, n_classes=10)
+            fit_lda(np.eye(3), np.eye(3), k, n_classes=10, n_samples=30)
         assert str(info.value) == f"LDA needs K >= 1, got K={k}"
 
     @pytest.mark.parametrize("last", [0.0, -1.0])
@@ -257,10 +258,11 @@ class TestIca:
         p2, t2, c2 = fit_ica(z, seed=3)
         assert np.array_equal(p1, p2) and np.array_equal(t1, t2)
 
-    def test_nonconvergence_falls_back_to_whitening(self):
+    def test_nonconvergence_falls_back_to_whitening(self, monkeypatch):
         rng = np.random.default_rng(13)
         z = rng.standard_normal((3, 500))
-        p, t, converged = fit_ica(z, seed=4, max_iter=1)
+        monkeypatch.setattr(reduction, "ICA_MAX_ITER", 1)
+        p, t, converged = fit_ica(z, seed=4)
         assert not converged
         y = p @ z + t[:, None]
         assert np.abs(np.cov(y, ddof=1) - np.eye(3)).max() < 1e-8

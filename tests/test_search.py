@@ -198,15 +198,15 @@ class TestConeWeights:
         for n in (10, 34, 98):
             t = np.arange(n, dtype=float)
             tau = t - 5.0
-            w = cone_weights(t, tau, 1.2)
+            w = cone_weights(t, tau)
             assert np.array_equal(w, np.arange(n, 0, -1))
 
     def test_negative_slope_excluded(self):
         t = np.arange(8, dtype=float)
         tau = -t + 3.0
-        assert np.array_equal(cone_weights(t, tau, 1.3), np.ones(8))
+        assert np.array_equal(cone_weights(t, tau), np.ones(8))
 
-    def test_matches_bruteforce_oracle(self):
+    def test_matches_bruteforce_oracle(self, monkeypatch):
         rng = np.random.default_rng(5)
         frame = 220 / 11025
         cases = [(rng.uniform(0, 30, 200), rng.uniform(0, 30, 200), 1.3) for _ in range(5)]
@@ -234,15 +234,12 @@ class TestConeWeights:
         # one point, many times
         cases.append((np.full(70, 3 * frame), np.full(70, frame), 1.4))
         for t, tau, alpha in cases:
-            assert np.array_equal(cone_weights(t, tau, alpha), _cone_oracle(t, tau, alpha))
+            monkeypatch.setattr(search, "ALPHA_MAX", alpha)
+            assert np.array_equal(cone_weights(t, tau), _cone_oracle(t, tau, alpha))
 
     def test_empty_input(self):
-        w = cone_weights(np.array([]), np.array([]), 1.4)
+        w = cone_weights(np.array([]), np.array([]))
         assert w.shape == (0,) and w.dtype == np.float64
-
-    def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            cone_weights(np.zeros(2), np.zeros(2), 1.0)
 
 
 def _coherence_oracle(t, tau, weights, sigma):
@@ -263,12 +260,12 @@ class TestTimeCoherence:
         t = np.linspace(0, 10, 20)
         tau = t - 5.0
         w = np.ones(20)
-        score, delta = time_coherence(t, tau, w, 0.1)
+        score, delta = time_coherence(t, tau, w)
         assert score == 20.0
-        assert abs(delta - 5.0) <= 0.1
+        assert abs(delta - 5.0) <= search.SIGMA
 
     def test_empty(self):
-        assert time_coherence(np.array([]), np.array([]), np.array([]), 0.25) == (0.0, 0.0)
+        assert time_coherence(np.array([]), np.array([]), np.array([])) == (0.0, 0.0)
 
     def test_matches_oracle_on_random_sets(self):
         # integer-valued weights (as cone weighting produces): sums are exact
@@ -278,8 +275,8 @@ class TestTimeCoherence:
             t = rng.uniform(0, 40, n)
             tau = rng.uniform(0, 10, n)
             w = rng.integers(1, 6, n).astype(float)
-            score, delta = time_coherence(t, tau, w, 0.25)
-            o_score, o_delta = _coherence_oracle(t, tau, w, 0.25)
+            score, delta = time_coherence(t, tau, w)
+            o_score, o_delta = _coherence_oracle(t, tau, w, search.SIGMA)
             assert score == o_score
             assert delta == o_delta
 
@@ -290,8 +287,8 @@ class TestTimeCoherence:
             t = rng.uniform(0, 40, n)
             tau = rng.uniform(0, 10, n)
             w = rng.uniform(0.5, 3.0, n)
-            score, delta = time_coherence(t, tau, w, 0.25)
-            o_score, o_delta = _coherence_oracle(t, tau, w, 0.25)
+            score, delta = time_coherence(t, tau, w)
+            o_score, o_delta = _coherence_oracle(t, tau, w, search.SIGMA)
             assert score == pytest.approx(o_score, rel=1e-12)
             assert delta == o_delta
 
@@ -299,10 +296,9 @@ class TestTimeCoherence:
         """Out-of-window collinear pairs still contribute via the weights."""
         t = np.linspace(0, 12, 25)
         tau = 1.3 * t - 2.0
-        w = cone_weights(t, tau, 1.4)
-        sigma = 0.1
-        weighted_score, _ = time_coherence(t, tau, w, sigma)
-        unweighted_score, _ = time_coherence(t, tau, np.ones(25), sigma)
+        w = cone_weights(t, tau)
+        weighted_score, _ = time_coherence(t, tau, w)
+        unweighted_score, _ = time_coherence(t, tau, np.ones(25))
         assert weighted_score > unweighted_score
 
     def test_cone_weighting_keeps_argmax_on_unstretched_data(self):
@@ -313,9 +309,9 @@ class TestTimeCoherence:
         outliers_tau = rng.uniform(0, 10, 10)
         t_all = np.concatenate([t, outliers_t])
         tau_all = np.concatenate([tau, outliers_tau])
-        w = cone_weights(t_all, tau_all, 1.4)
-        _, delta_w = time_coherence(t_all, tau_all, w, 0.25)
-        _, delta_u = time_coherence(t_all, tau_all, np.ones(40), 0.25)
+        w = cone_weights(t_all, tau_all)
+        _, delta_w = time_coherence(t_all, tau_all, w)
+        _, delta_u = time_coherence(t_all, tau_all, np.ones(40))
         assert delta_w == delta_u
 
 
@@ -323,7 +319,7 @@ class TestRefineAlignment:
     def test_exact_unit_line(self):
         t = np.linspace(0, 10, 30)
         tau = t - 5.0
-        alpha, delta, n_in, low = refine_alignment(t, tau, 5.0, 0.25, 1.4)
+        alpha, delta, n_in, low = refine_alignment(t, tau, 5.0, np.ones(30))
         assert abs(alpha - 1.0) < 1e-9
         assert abs(delta - 5.0) < 1e-9
         assert n_in == 30 and not low
@@ -331,9 +327,9 @@ class TestRefineAlignment:
     def test_stretched_line_recovered(self):
         t = np.linspace(0, 12, 40)
         tau = 1.3 * t - 2.0
-        w = cone_weights(t, tau, 1.4)
-        score, delta0 = time_coherence(t, tau, w, 0.25)
-        alpha, delta, n_in, low = refine_alignment(t, tau, delta0, 0.25, 1.4)
+        w = cone_weights(t, tau)
+        score, delta0 = time_coherence(t, tau, w)
+        alpha, delta, n_in, low = refine_alignment(t, tau, delta0, np.ones(40))
         assert abs(alpha - 1.3) <= 0.02
         assert abs(delta - 2.0) <= 0.1
         assert not low
@@ -346,22 +342,23 @@ class TestRefineAlignment:
         tau_out = rng.uniform(tau_line.min(), tau_line.max(), 30)
         t = np.concatenate([t_line, t_out])
         tau = np.concatenate([tau_line, tau_out])
-        w = cone_weights(t, tau, 1.4)
-        _, delta0 = time_coherence(t, tau, w, 0.25)
-        alpha, delta, n_in, low = refine_alignment(t, tau, delta0, 0.25, 1.4, weights=w)
+        w = cone_weights(t, tau)
+        _, delta0 = time_coherence(t, tau, w)
+        alpha, delta, n_in, low = refine_alignment(t, tau, delta0, w)
         assert abs(alpha - 1.3) <= 0.05
 
     def test_too_few_inliers_flagged(self):
-        alpha, delta, n_in, low = refine_alignment(np.array([1.0]), np.array([0.5]), 99.0, 0.1, 1.4)
+        alpha, delta, n_in, low = refine_alignment(np.array([1.0]), np.array([0.5]), 99.0, np.ones(1))
         assert low and alpha == 1.0 and delta == 99.0
 
-    def test_alpha_clamped(self):
+    def test_alpha_clamped(self, monkeypatch):
         t = np.linspace(0, 5, 20)
-        tau = 2.5 * t - 1.0  # stretch beyond alpha_max
-        alpha, *_ = refine_alignment(t, tau, float(np.median(t - tau)), 3.0, 1.4)
-        alpha2, *_ = refine_alignment(t, tau, float(np.median(t - tau)), 3.0, 1.2)
-        assert alpha <= 1.4 + 1e-12
-        assert alpha2 <= 1.2 + 1e-12
+        tau = 2.5 * t - 1.0  # stretch beyond ALPHA_MAX
+        monkeypatch.setattr(search, "SIGMA", 3.0)  # every pair inside the window
+        for alpha_max in (search.ALPHA_MAX, 1.2):
+            monkeypatch.setattr(search, "ALPHA_MAX", alpha_max)
+            alpha, *_ = refine_alignment(t, tau, float(np.median(t - tau)), np.ones(20))
+            assert alpha == alpha_max
 
 
 class TestQueryIndex:
@@ -418,9 +415,9 @@ class TestQueryIndex:
         fast = [query_index(x, s.index, s.model) for x in excerpts]
         repeated_points = []
 
-        def oracle(t, tau, alpha_max):
+        def oracle(t, tau):
             repeated_points.append(len(set(zip(t.tolist(), tau.tolist()))) < len(t))
-            return _cone_oracle(t, tau, alpha_max)
+            return _cone_oracle(t, tau, search.ALPHA_MAX)
 
         monkeypatch.setattr(search, "cone_weights", oracle)
         slow = [query_index(x, s.index, s.model) for x in excerpts]
