@@ -18,7 +18,7 @@ from printdex import search as _search
 from printdex.audio import HOP_SAMPLES, SAMPLE_RATE, load_audio, normalize, save_wav
 from printdex.parallel import one_blas_thread
 from printdex.prints import WINDOW_S
-from printdex.reduction import load_model, save_model
+from printdex.reduction import LDA_DIM, load_model, save_model
 
 
 def _progress(msg: str) -> None:
@@ -216,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--times-per-track", type=int, default=6)
-    p.add_argument("--pool-times-per-track", type=int, default=40)
-    p.add_argument("--lda-dim", type=int, default=80)
+    p.add_argument("--times-per-track", type=int, default=_pipeline.TIMES_PER_TRACK)
+    p.add_argument("--pool-times-per-track", type=int, default=_pipeline.POOL_TIMES_PER_TRACK)
+    p.add_argument("--lda-dim", type=int, default=LDA_DIM)
     p.add_argument("--variant", action="append", help="degradation spec string; repeat to override the default plan")
     p.add_argument("--allow-small", action="store_true", help="waive the minimum original-print count (demo scale)")
     p.set_defaults(func=cmd_train)

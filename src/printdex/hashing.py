@@ -271,8 +271,8 @@ class HashTable:
     def lookup_many(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Postings for many codes at once.
 
-        Returns (counts per code, the matched prints' (track, time) records
-        concatenated in code order, each code's sorted by track and time).
+        Returns (counts per code, the matched prints' rows in ``prints``
+        concatenated in code order, each code's rising, so by track and time).
         """
         if self.postings is None:
             raise RuntimeError("freeze the table before lookup")
@@ -283,7 +283,7 @@ class HashTable:
         found = self.postings[_gather_ranges(starts, sizes)]
         keep = (found >> PRINT_BITS) == np.repeat(codes & _LOW_MASK, sizes)
         counts = np.bincount(np.repeat(np.arange(len(codes)), sizes)[keep], minlength=len(codes))
-        return counts, self.prints[found[keep] & _PRINT_MASK]
+        return counts, found[keep] & _PRINT_MASK
 
     @property
     def n_postings(self) -> int:

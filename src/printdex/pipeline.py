@@ -19,7 +19,7 @@ from printdex.audio import FRAME_PERIOD, SAMPLE_RATE, AudioBuffer, load_audio, n
 from printdex.hashing import _MASK64, _splitmix64
 from printdex.parallel import parallel_map
 from printdex.prints import analyze
-from printdex.reduction import ReductionModel, TrainingError, model_sha256, reduce_prints, train_reduction
+from printdex.reduction import LDA_DIM, ReductionModel, TrainingError, model_sha256, reduce_prints, train_reduction
 
 
 # A track id is stored in the index's u32 print-table field.
@@ -102,6 +102,10 @@ DEFAULT_TRAINING_PLAN = (
     ("stretchp", "time_stretch:cents=30"),
     ("stretchm", "time_stretch:cents=-30"),
 )
+# Training anchors per track: each is one class (an original print and one
+# print per plan variant); the wider pool feeds the conditioning fits.
+TIMES_PER_TRACK = 6
+POOL_TIMES_PER_TRACK = 40
 
 
 def _derive_seed(base: int, *parts: int) -> int:
@@ -135,8 +139,8 @@ def collect_training_data(
     entries,
     plan=DEFAULT_TRAINING_PLAN,
     *,
-    times_per_track: int = 6,
-    pool_times_per_track: int = 40,
+    times_per_track: int = TIMES_PER_TRACK,
+    pool_times_per_track: int = POOL_TIMES_PER_TRACK,
     seed: int = 0,
     progress=None,
 ) -> TrainingData:
@@ -214,10 +218,10 @@ def train_from_manifest(
     cfg=None,  # unused; bench/ still passes a PipelineConfig positionally
     plan=DEFAULT_TRAINING_PLAN,
     *,
-    times_per_track: int = 6,
-    pool_times_per_track: int = 40,
+    times_per_track: int = TIMES_PER_TRACK,
+    pool_times_per_track: int = POOL_TIMES_PER_TRACK,
     seed: int = 0,
-    lda_dim: int = 80,
+    lda_dim: int = LDA_DIM,
     enforce_min_originals: bool = True,
     progress=None,
 ) -> ReductionModel:

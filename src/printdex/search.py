@@ -1,13 +1,16 @@
 """Two-step retrieval: hash-count candidate selection, then time coherence.
 
-STEP 1 counts matching codes per reference track through the hash table,
-aggregated over 15 s reference segments and integrated on a sliding window
-sized from the query duration (so long references do not drown short ones in
-collisions). STEP 2 checks, for each candidate, whether the matching-code
-time pairs (t reference, tau query) align on a line tau = alpha * t - delta:
-a cone-weighted histogram over t - tau finds the alignment even under time
+Right after the table lookup, the raw code matches collapse into votes: one
+per distinct (reference print, query print) pair, weighted by the number of
+codes the two prints share. STEP 1 adds up each track's vote matches per 15 s
+reference segment and integrates them on a sliding window sized from the
+query duration (so long references do not drown short ones in collisions).
+STEP 2 checks, for each candidate, whether its votes' time pairs
+(t reference, tau query) align on a line tau = alpha * t - delta: a
+cone-weighted histogram over t - tau finds the alignment even under time
 stretching, and a final regression refines the stretch factor alpha and the
-excerpt offset delta.
+excerpt offset delta. Every weight is a vote's match count times an integer,
+so scores and counts equal those of the raw matches.
 """
 
 from __future__ import annotations
@@ -49,17 +52,18 @@ class SearchConfig:
 
 @dataclass
 class MatchHistogram:
-    """Per-track best sliding-window match counts plus the raw matches."""
+    """Per-track best sliding-window match counts plus the votes.
+
+    A vote is one distinct (reference print, query print) pair; the votes
+    rise by (track, t, tau).
+    """
 
     track_ids: np.ndarray  # sorted by decreasing count
     counts: np.ndarray
-    match_track: np.ndarray  # one entry per raw code match
-    match_t: np.ndarray  # reference time (s)
-    match_tau: np.ndarray  # query time (s)
-
-    def count_for(self, track_id: int) -> int:
-        hits = np.flatnonzero(self.track_ids == track_id)
-        return int(self.counts[hits[0]]) if len(hits) else 0
+    vote_track: np.ndarray
+    vote_t: np.ndarray  # reference time (s)
+    vote_tau: np.ndarray  # query time (s)
+    vote_matches: np.ndarray  # codes the two prints share
 
 
 @dataclass
@@ -86,34 +90,39 @@ class QueryResult:
 
 
 def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: float) -> MatchHistogram:
-    """STEP 1: per-track match counts over sliding segment windows.
+    """STEP 1: collapse the code matches into votes and count them per track.
 
-    ``codes`` are 24-bit extended codes of the query prints (all 51 per
-    print), ``times`` their anchor times in seconds. Counts are accumulated
-    per 15 s reference segment, then summed over sliding windows of
-    ceil(D_e / segment) + 1 consecutive segments; a track scores its best
-    window.
+    ``codes`` holds one row of 24-bit extended codes per query print (all 51
+    per band), ``times`` each print's anchor time in seconds, rising
+    strictly. Match counts are accumulated per 15 s reference segment, then
+    summed over sliding windows of ceil(D_e / segment) + 1 consecutive
+    segments; a track scores its best window.
     """
     codes = np.asarray(codes)
-    if len(codes) == 0:
+    if codes.size == 0:
         raise ValueError("empty query code set")
     times = np.asarray(times, dtype=np.float64)
-    counts, postings = index.table.lookup_many(codes)
-    match_tau = np.repeat(times, counts)
-    match_track = postings["track"].astype(np.int64)
-    match_segment = postings["time"].astype(np.int64) // _hashing.SEGMENT_FRAMES
-    match_t = postings["time"].astype(np.float64) * _audio.FRAME_PERIOD
+    if codes.ndim != 2 or times.shape != (len(codes),) or np.any(times[1:] <= times[:-1]):
+        raise ValueError(f"need one row of codes per query print and strictly rising print times, got {codes.shape} and {times.shape}")
+    n_query = len(times)
+    counts, rows = index.table.lookup_many(codes.reshape(-1))
+    query_print = np.repeat(np.arange(n_query), counts.reshape(codes.shape).sum(axis=1))
+    # print rows rise by (track, time), so the keys sort the votes by (track, t, tau)
+    keys, vote_matches = np.unique(rows.astype(np.int64) * n_query + query_print, return_counts=True)
+    prints = index.table.prints[keys // n_query]
+    vote_track = prints["track"].astype(np.int64)
+    vote_segment = prints["time"].astype(np.int64) // _hashing.SEGMENT_FRAMES
     segment_s = _hashing.SEGMENT_FRAMES * _audio.FRAME_PERIOD
     window = int(np.ceil(query_duration / segment_s)) + 1
-    if len(match_track) == 0:
+    if len(keys) == 0:
         track_ids = np.empty(0, dtype=np.int64)
         best = np.empty(0, dtype=np.int64)
     else:
-        track_ids, inverse = np.unique(match_track, return_inverse=True)
-        n_segments = int(match_segment.max()) + 1
+        track_ids, inverse = np.unique(vote_track, return_inverse=True)
+        n_segments = int(vote_segment.max()) + 1
         # column 0 stays zero, so cum[:, s] counts segments before s
         cum = np.zeros((len(track_ids), n_segments + 1), dtype=np.int64)
-        np.add.at(cum, (inverse, match_segment + 1), 1)
+        np.add.at(cum, (inverse, vote_segment + 1), vote_matches)
         np.cumsum(cum, axis=1, out=cum)
         window = min(window, n_segments)
         best = (cum[:, window:] - cum[:, :-window]).max(axis=1)
@@ -121,9 +130,10 @@ def count_matches(codes: np.ndarray, times: np.ndarray, index, query_duration: f
     return MatchHistogram(
         track_ids=track_ids[order],
         counts=best[order],
-        match_track=match_track,
-        match_t=match_t,
-        match_tau=match_tau,
+        vote_track=vote_track,
+        vote_t=prints["time"].astype(np.float64) * _audio.FRAME_PERIOD,
+        vote_tau=times[keys % n_query],
+        vote_matches=vote_matches,
     )
 
 
@@ -139,30 +149,19 @@ def select_candidates(hist: MatchHistogram) -> np.ndarray:
     return ids[:n_keep]
 
 
-def cone_weights(t: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """1 + number of later pairs inside each pair's stretch cone.
+def cone_weights(t: np.ndarray, tau: np.ndarray, matches: np.ndarray) -> np.ndarray:
+    """Each vote's code matches times 1 + the code matches of later votes inside its stretch cone.
 
-    The cone from (t_n, tau_n) holds pairs (t_m, tau_m) with t_m > t_n whose
-    connecting slope lies in [1/ALPHA_MAX, ALPHA_MAX]; collinear pairs under
-    any admissible stretch support each other. One anchor pair gives many
-    equal (t, tau) pairs, and copies of one point have dt = 0, outside every
-    cone. So support is counted between distinct points sorted by t, each
-    block of rows against the suffix of strictly later points, weighted by
-    how many pairs share each point; every copy gets its point's weight.
+    The cone from (t_n, tau_n) holds votes (t_m, tau_m) with t_m > t_n whose
+    connecting slope lies in [1/ALPHA_MAX, ALPHA_MAX]; collinear votes under
+    any admissible stretch support each other. The votes rise by t, so each
+    block of rows is compared with the suffix of strictly later votes. A
+    vote's weight is the sum of its code matches' weights.
     """
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
-    n = len(t)
-    order = np.lexsort((tau, t))
-    ts, taus = t[order], tau[order]
-    # edges: where each run of equal points starts, then n
-    boundary = np.ones(n + 1, dtype=bool)
-    boundary[1:n] = (ts[1:] != ts[:-1]) | (taus[1:] != taus[:-1])
-    edges = np.flatnonzero(boundary)
-    mult = edges[1:] - edges[:-1]
-    pt, ptau = ts[edges[:-1]], taus[edges[:-1]]
-    m = len(pt)
-    first_later = np.searchsorted(pt, pt, side="right")
+    m = len(t)
+    first_later = np.searchsorted(t, t, side="right")
     support = np.zeros(m, dtype=np.int64)
     lo, hi = 1.0 / ALPHA_MAX, ALPHA_MAX
     for start in range(0, m, CONE_BLOCK_ROWS):
@@ -170,15 +169,13 @@ def cone_weights(t: np.ndarray, tau: np.ndarray) -> np.ndarray:
         if later == m:
             break
         stop = min(start + CONE_BLOCK_ROWS, m)
-        dt = pt[None, later:] - pt[start:stop, None]
-        dtau = ptau[None, later:] - ptau[start:stop, None]
+        dt = t[None, later:] - t[start:stop, None]
+        dtau = tau[None, later:] - tau[start:stop, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = dtau / dt
         inside = (dt > 0) & (slope >= lo) & (slope <= hi)
-        support[start:stop] = inside @ mult[later:]
-    weights = np.empty(n)
-    weights[order] = np.repeat(1.0 + support, mult)
-    return weights
+        support[start:stop] = inside @ matches[later:]
+    return matches * (1.0 + support)
 
 
 def time_coherence(t: np.ndarray, tau: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -201,46 +198,48 @@ def time_coherence(t: np.ndarray, tau: np.ndarray, weights: np.ndarray) -> tuple
     return float(smoothed[best]), float((bmin + best + 0.5) * SIGMA)
 
 
-def refine_alignment(t: np.ndarray, tau: np.ndarray, delta_t: float, weights: np.ndarray) -> tuple[float, float, int, bool]:
+def refine_alignment(t: np.ndarray, tau: np.ndarray, delta_t: float, weights: np.ndarray, matches: np.ndarray) -> tuple[float, float, int, bool]:
     """Linear regression tau = alpha * t - delta on the winning window.
 
-    Pairs within 1.5 SIGMA of the winning offset give an initial fit; one
-    re-selection pass gathers inliers from ALL pairs around the fitted line
+    Votes within 1.5 SIGMA of the winning offset give an initial fit; one
+    re-selection pass gathers inliers from ALL votes around the fitted line
     (margin SIGMA), admitting stretched matches outside the initial window,
-    and refits. Pair weights (cone counts) steer the regression toward
-    mutually consistent pairs, which keeps stray collisions inside the
+    and refits. Vote weights (cone counts) steer the regression toward
+    mutually consistent votes, which keeps stray collisions inside the
     window from tilting the slope. alpha is clamped to
-    [1/ALPHA_MAX, ALPHA_MAX]. With fewer than 2 inliers, reports
-    (1.0, delta_t) flagged low-confidence.
+    [1/ALPHA_MAX, ALPHA_MAX]. Inliers are counted in code matches; with
+    fewer than 2, reports (1.0, delta_t) flagged low-confidence.
     """
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     initial = np.abs((t - tau) - delta_t) <= 1.5 * SIGMA
-    if initial.sum() < 2:
-        return 1.0, delta_t, int(initial.sum()), True
+    n_initial = int(matches[initial].sum())
+    if n_initial < 2:
+        return 1.0, delta_t, n_initial, True
     alpha, delta = _fit_line(t[initial], tau[initial], w[initial])
     inliers = np.abs(tau - (alpha * t - delta)) <= SIGMA
-    if inliers.sum() >= 2:
+    n_inliers = int(matches[inliers].sum())
+    if n_inliers >= 2:
         alpha, delta = _fit_line(t[inliers], tau[inliers], w[inliers])
     alpha = float(np.clip(alpha, 1.0 / ALPHA_MAX, ALPHA_MAX))
-    return alpha, delta, int(inliers.sum()), False
+    return alpha, delta, n_inliers, False
 
 
 def _fit_line(t: np.ndarray, tau: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     total = w.sum()
     t_mean = (w * t).sum() / total
     tau_mean = (w * tau).sum() / total
-    var = np.sum(w * (t - t_mean) ** 2)
-    if var == 0.0:
+    # at one reference time the weighted variance is rounding noise, not always 0
+    if t.min() == t.max():
         return 1.0, float(t_mean - tau_mean)
-    alpha = float(np.sum(w * (t - t_mean) * (tau - tau_mean)) / var)
+    alpha = float(np.sum(w * (t - t_mean) * (tau - tau_mean)) / np.sum(w * (t - t_mean) ** 2))
     delta = float(alpha * t_mean - tau_mean)
     return alpha, delta
 
 
 def query_codes(buf, index, model):
-    """Analyze an excerpt into extended codes and their anchor times."""
+    """Analyze an excerpt into one row of extended codes per print and the prints' anchor times."""
     if model.n_bands != _prints.N_BANDS:
         raise ValueError(f"model has {model.n_bands} bands but the index has {_prints.N_BANDS}")
     buf = _audio.resample(buf, _audio.SAMPLE_RATE)
@@ -250,11 +249,10 @@ def query_codes(buf, index, model):
     kept, coeffs = _prints.analyze(buf)
     if len(kept) == 0:
         raise ValueError("no usable analysis window in excerpt")
-    anchor_seconds = kept * _audio.FRAME_PERIOD
     # a query keeps all 51 codes, so no reliabilities and no sigma_e
     codes = _hashing.derive_codes(reduce_prints(coeffs, model), None, index.spec, _hashing.N_LSH)
-    times = np.broadcast_to(anchor_seconds[:, None], codes.shape)
-    return codes.reshape(-1), times.reshape(-1), len(kept), buf.duration
+    codes = np.swapaxes(codes, 0, 1).reshape(len(kept), -1)
+    return codes, kept * _audio.FRAME_PERIOD, len(kept), buf.duration
 
 
 # cfg, print_cfg and onset_cfg are unused; bench/workloads.py still passes them positionally
@@ -263,18 +261,18 @@ def query_index(buf, index, model, cfg=None, print_cfg=None, onset_cfg=None) -> 
     codes, times, n_prints, duration = query_codes(buf, index, model)
     hist = count_matches(codes, times, index, duration)
     candidates = select_candidates(hist)
+    # the candidates are a prefix of track_ids, and each track's votes are contiguous
+    bounds = np.searchsorted(hist.vote_track, [candidates, candidates + 1])
     results = []
-    for track_id in candidates:
-        mask = hist.match_track == track_id
-        t = hist.match_t[mask]
-        tau = hist.match_tau[mask]
-        w = cone_weights(t, tau)
+    for track_id, step1_count, (lo, hi) in zip(candidates, hist.counts, bounds.T):
+        t, tau, matches = hist.vote_t[lo:hi], hist.vote_tau[lo:hi], hist.vote_matches[lo:hi]
+        w = cone_weights(t, tau, matches)
         score, delta_t = time_coherence(t, tau, w)
-        alpha, delta_star, n_inliers, low_conf = refine_alignment(t, tau, delta_t, w)
+        alpha, delta_star, n_inliers, low_conf = refine_alignment(t, tau, delta_t, w, matches)
         results.append(
             SearchResult(
                 track_id=int(track_id),
-                step1_count=hist.count_for(int(track_id)),
+                step1_count=int(step1_count),
                 coherence_score=score,
                 alpha=alpha,
                 delta_t_star=delta_star,

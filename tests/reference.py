@@ -8,12 +8,15 @@ step and take the noise deviations from the composed map's outputs. The
 two survival simulations check the LSH model: under its independence
 approximation, and with exactly k flipped bits.
 ``table_triples`` decodes a frozen hash table into the (code, track, time)
-triples it stores, for brute-force lookups.
+triples it stores, for brute-force lookups. ``match_step2`` is STEP 2 on
+raw code matches, one (t, tau) pair per match, as it ran before the matches
+were collapsed into votes; ``collapse_votes`` gives the votes of such pairs.
 """
 
 import numpy as np
 import scipy.special
 
+from printdex import search
 from printdex.hashing import CODE_BITS, DIR_SHIFT, PRINT_BITS, LshSpec, codes_from_bits, make_lsh_spec
 from printdex.reduction import BandChain, ReductionModel, _eigh, _householder_with_first_column, apply_reduction
 
@@ -143,3 +146,80 @@ def noise_deviations(chain: BandChain, prints: np.ndarray, record_class: np.ndar
     residuals = reduced[degraded] - reduced[original_row[record_class[degraded]]]
     sigma = residuals.std(axis=0, ddof=1)
     return np.maximum(sigma, 1e-9 * max(float(np.abs(reduced).max()), 1.0))
+
+
+def match_cone_weights(t: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """1 + number of later matches inside each match's stretch cone.
+
+    Copies of one point have dt = 0, outside every cone. So support is
+    counted between distinct points sorted by t, each block of rows against
+    the suffix of strictly later points, weighted by how many matches share
+    each point; every copy gets its point's weight.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    tau = np.asarray(tau, dtype=np.float64)
+    n = len(t)
+    order = np.lexsort((tau, t))
+    ts, taus = t[order], tau[order]
+    # edges: where each run of equal points starts, then n
+    boundary = np.ones(n + 1, dtype=bool)
+    boundary[1:n] = (ts[1:] != ts[:-1]) | (taus[1:] != taus[:-1])
+    edges = np.flatnonzero(boundary)
+    mult = edges[1:] - edges[:-1]
+    pt, ptau = ts[edges[:-1]], taus[edges[:-1]]
+    m = len(pt)
+    first_later = np.searchsorted(pt, pt, side="right")
+    support = np.zeros(m, dtype=np.int64)
+    lo, hi = 1.0 / search.ALPHA_MAX, search.ALPHA_MAX
+    for start in range(0, m, search.CONE_BLOCK_ROWS):
+        later = first_later[start]
+        if later == m:
+            break
+        stop = min(start + search.CONE_BLOCK_ROWS, m)
+        dt = pt[None, later:] - pt[start:stop, None]
+        dtau = ptau[None, later:] - ptau[start:stop, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = dtau / dt
+        inside = (dt > 0) & (slope >= lo) & (slope <= hi)
+        support[start:stop] = inside @ mult[later:]
+    weights = np.empty(n)
+    weights[order] = np.repeat(1.0 + support, mult)
+    return weights
+
+
+def _match_fit_line(t, tau, w):
+    total = w.sum()
+    t_mean = (w * t).sum() / total
+    tau_mean = (w * tau).sum() / total
+    if t.min() == t.max():
+        return 1.0, float(t_mean - tau_mean)
+    alpha = float(np.sum(w * (t - t_mean) * (tau - tau_mean)) / np.sum(w * (t - t_mean) ** 2))
+    return alpha, float(alpha * t_mean - tau_mean)
+
+
+def match_refine_alignment(t, tau, delta_t, weights):
+    """Weighted line fit on the matches near ``delta_t``, one re-selection pass, alpha clamped."""
+    t = np.asarray(t, dtype=np.float64)
+    tau = np.asarray(tau, dtype=np.float64)
+    initial = np.abs((t - tau) - delta_t) <= 1.5 * search.SIGMA
+    if initial.sum() < 2:
+        return 1.0, delta_t, int(initial.sum()), True
+    alpha, delta = _match_fit_line(t[initial], tau[initial], weights[initial])
+    inliers = np.abs(tau - (alpha * t - delta)) <= search.SIGMA
+    if inliers.sum() >= 2:
+        alpha, delta = _match_fit_line(t[inliers], tau[inliers], weights[inliers])
+    alpha = float(np.clip(alpha, 1.0 / search.ALPHA_MAX, search.ALPHA_MAX))
+    return alpha, delta, int(inliers.sum()), False
+
+
+def match_step2(t, tau) -> tuple:
+    """(score, offset bin center, alpha, delta*, inliers, low confidence) of one candidate's raw matches."""
+    w = match_cone_weights(t, tau)
+    score, delta_t = search.time_coherence(t, tau, w)
+    return (score, delta_t, *match_refine_alignment(t, tau, delta_t, w))
+
+
+def collapse_votes(t, tau) -> tuple:
+    """The distinct (t, tau) points of raw matches, rising by (t, tau), and the matches at each."""
+    points, matches = np.unique(np.stack([t, tau], axis=1).reshape(-1, 2), axis=0, return_counts=True)
+    return points[:, 0], points[:, 1], matches

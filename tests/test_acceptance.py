@@ -242,13 +242,15 @@ class TestCriterion5OracleEquivalences:
             mismatches += not (score == best_score and delta == best_delta)
         ok &= mismatches == 0
         details.append(f"coherence mismatches {mismatches}/100")
-        # cone_weights vs O(n^2) oracle
+        # cone_weights vs O(n^2) oracle, on one-match votes rising by t
         cone_bad = 0
         for _ in range(10):
             n = 150
             t = rng.uniform(0, 30, n)
             tau = rng.uniform(0, 30, n)
-            w = cone_weights(t, tau)
+            order = np.argsort(t)
+            t, tau = t[order], tau[order]
+            w = cone_weights(t, tau, np.ones(n, dtype=np.int64))
             oracle = np.ones(n)
             for a in range(n):
                 for m in range(n):
@@ -262,8 +264,9 @@ class TestCriterion5OracleEquivalences:
         # refine_alignment on the clean stretched line
         t = np.linspace(0, 12, 50)
         tau = 1.3 * t - 2.0
-        _, delta0 = time_coherence(t, tau, cone_weights(t, tau))
-        alpha, delta, *_ = refine_alignment(t, tau, delta0, np.ones(len(t)))
+        one_match = np.ones(len(t), dtype=np.int64)
+        _, delta0 = time_coherence(t, tau, cone_weights(t, tau, one_match))
+        alpha, delta, *_ = refine_alignment(t, tau, delta0, np.ones(len(t)), one_match)
         clean_ok = abs(alpha - 1.3) <= 0.02 and abs(delta - 2.0) <= 0.1
         ok &= clean_ok
         details.append(f"clean line alpha={alpha:.4f} delta={delta:.3f}")
@@ -275,9 +278,11 @@ class TestCriterion5OracleEquivalences:
             tau_line = 1.3 * t_line - 2.0
             t_all = np.concatenate([t_line, r.uniform(0, 12, 30)])
             tau_all = np.concatenate([tau_line, r.uniform(tau_line.min(), tau_line.max(), 30)])
-            w = cone_weights(t_all, tau_all)
+            order = np.argsort(t_all)
+            t_all, tau_all, one_match = t_all[order], tau_all[order], np.ones(len(t_all), dtype=np.int64)
+            w = cone_weights(t_all, tau_all, one_match)
             _, d0 = time_coherence(t_all, tau_all, w)
-            a_est, *_ = refine_alignment(t_all, tau_all, d0, w)
+            a_est, *_ = refine_alignment(t_all, tau_all, d0, w, one_match)
             worst = max(worst, abs(a_est - 1.3))
         ok &= worst <= 0.05
         details.append(f"outlier worst dalpha {worst:.4f}")

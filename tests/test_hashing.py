@@ -223,9 +223,10 @@ def _oracle(table, code):
     return triples[triples[:, 0] == code][:, 1:]
 
 
-def _records(postings) -> np.ndarray:
-    """(n, 2) int64 (track, time) rows of lookup_many's records."""
-    return np.stack([postings["track"], postings["time"]], axis=1).astype(np.int64).reshape(-1, 2)
+def _records(table, rows) -> np.ndarray:
+    """(n, 2) int64 (track, time) of the prints at lookup_many's rows."""
+    prints = table.prints[rows]
+    return np.stack([prints["track"], prints["time"]], axis=1).astype(np.int64).reshape(-1, 2)
 
 
 class TestHashTable:
@@ -233,17 +234,17 @@ class TestHashTable:
         t = HashTable()
         t.insert(7, [42], [[12345]])
         t.freeze()
-        counts, postings = t.lookup_many([12345])
+        counts, rows = t.lookup_many([12345])
         assert counts.tolist() == [1]
-        assert postings["track"][0] == 7 and postings["time"][0] == 42
+        assert _records(t, rows).tolist() == [[7, 42]]
         assert table_triples(t).tolist() == [[12345, 7, 42]]
 
     def test_absent_code_empty(self):
         t = HashTable()
         t.insert(1, [0], [[1]])
         t.freeze()
-        counts, postings = t.lookup_many([2])  # same directory bucket as code 1
-        assert counts.tolist() == [0] and len(postings) == 0
+        counts, rows = t.lookup_many([2])  # same directory bucket as code 1
+        assert counts.tolist() == [0] and len(rows) == 0
 
     def test_conservation(self):
         rng = np.random.default_rng(5)
@@ -384,9 +385,9 @@ class TestHashTable:
         t.insert(30, [3], [[5]])
         t.insert(40, [0], [[8]])
         t.freeze()
-        _, postings = t.lookup_many([5])
-        assert postings["track"].tolist() == [10, 10, 20, 30]
-        assert postings["time"].tolist() == [1, 2, 1, 3]
+        _, rows = t.lookup_many([5])
+        assert rows.tolist() == [0, 1, 2, 3]
+        assert _records(t, rows).tolist() == [[10, 1], [10, 2], [20, 1], [30, 3]]
 
     def test_lookup_many_matches_loop(self):
         rng = np.random.default_rng(6)
@@ -396,15 +397,15 @@ class TestHashTable:
             t.insert(track, np.sort(rng.choice(70, size=25, replace=False)), codes[track])
         t.freeze()
         queries = np.concatenate((rng.integers(0, 320, 50), [EXT_TABLE_SIZE - 1, 0, 0]))
-        counts, postings = t.lookup_many(queries)
-        records = _records(postings)
+        counts, rows = t.lookup_many(queries)
+        records = _records(t, rows)
         at = 0
         for q, c in zip(queries, counts):
             single = _oracle(t, q)
             assert len(single) == c
             assert np.array_equal(records[at : at + c], single)
             at += c
-        assert at == len(postings)
+        assert at == len(rows)
 
 
 class TestStatistics:

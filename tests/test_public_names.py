@@ -9,7 +9,10 @@ The print, onset and no-match parameters are module constants, so no
 function takes a config; the only config parameters left are the unused
 slots that ``bench/`` still fills positionally. Likewise the STEP 2 bin and
 stretch cone, the onset smoother and window, and the fit tolerances are
-module constants that no function takes as a parameter.
+module constants that no function takes as a parameter. The training
+recipe defaults (anchors per track, pool anchors per track, LDA dimension)
+are module constants too: every function default and ``printdex train``
+option default for them is a name, never a number.
 """
 
 import ast
@@ -25,6 +28,8 @@ ALLOWED = {
 }
 CONFIG_PARAMS = {"cfg", "print_cfg", "onset_cfg"}
 TUNING_PARAMS = {"sigma", "alpha_max", "t_c", "mean_lag", "rel_threshold", "max_iter", "tol"}
+RECIPE_PARAMS = {"times_per_track", "pool_times_per_track", "lda_dim"}
+RECIPE_OPTIONS = {"--times-per-track", "--pool-times-per-track", "--lda-dim"}
 BENCH_SLOTS = {
     ("load_track", "cfg"),
     ("train_from_manifest", "cfg"),
@@ -86,3 +91,39 @@ def test_no_config_parameters():
 def test_no_tuning_parameters():
     found = sorted(pair for pair in _parameters() if pair[1] in TUNING_PARAMS)
     assert not found, f"(function, parameter) pairs taking a tuning value that is a module constant: {found}"
+
+
+def _trees() -> list:
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted((ROOT / "src" / "printdex").glob("*.py"))]
+
+
+def test_recipe_parameter_defaults_are_names():
+    found, literal = set(), []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = [*a.posonlyargs, *a.args]
+                pairs = [*zip(positional[len(positional) - len(a.defaults) :], a.defaults), *zip(a.kwonlyargs, a.kw_defaults)]
+                for param, default in pairs:
+                    if param.arg in RECIPE_PARAMS and default is not None:
+                        found.add(param.arg)
+                        if not isinstance(default, (ast.Name, ast.Attribute)):
+                            literal.append(f"{name}:{default.lineno} {param.arg}={ast.unparse(default)}")
+    assert found == RECIPE_PARAMS
+    assert not literal, f"recipe defaults written as values, not as their module constant: {literal}"
+
+
+def test_recipe_option_defaults_are_names():
+    found, literal = set(), []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
+                flags = {arg.value for arg in node.args if isinstance(arg, ast.Constant)} & RECIPE_OPTIONS
+                for keyword in node.keywords:
+                    if flags and keyword.arg == "default":
+                        found |= flags
+                        if not isinstance(keyword.value, (ast.Name, ast.Attribute)):
+                            literal.append(f"{name}:{keyword.value.lineno} {sorted(flags)} default={ast.unparse(keyword.value)}")
+    assert found == RECIPE_OPTIONS
+    assert not literal, f"recipe option defaults written as values, not as their module constant: {literal}"

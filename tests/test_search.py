@@ -7,6 +7,7 @@ from printdex.degrade import parse_spec
 from printdex.hashing import (
     N_LSH,
     N_RELIABLE,
+    SEGMENT_FRAMES,
     CatalogIndex,
     HashTable,
     TrackInfo,
@@ -29,7 +30,7 @@ from printdex.search import (
     time_coherence,
 )
 
-from reference import table_triples
+from reference import collapse_votes, match_step2, table_triples
 
 FRAME_PERIOD = 220 / 11025
 NO_MODEL = "00" * 32  # a synthetic index reduces no prints
@@ -59,14 +60,16 @@ def _synthetic_index(track_gammas, duration_s=30.0, seed=42, n_bands=5):
 
 
 def _query_codes_for(gammas, spec, times):
-    codes, qtimes = [], []
+    """One row per query print of all 51 codes of each band, and the print times."""
+    rows = []
     for ti in range(gammas.shape[0]):
+        row = []
         for b in range(gammas.shape[1]):
             bits = ((gammas[ti, b] >> np.arange(40, dtype=np.uint64)) & 1).astype(np.uint8)
             betas = codes_from_bits(bits[None, :], spec)[0]
-            codes.append(extended_code(b, np.arange(N_LSH), betas))
-            qtimes.append(np.full(N_LSH, times[ti]))
-    return np.concatenate(codes), np.concatenate(qtimes)
+            row.append(extended_code(b, np.arange(N_LSH), betas))
+        rows.append(np.concatenate(row))
+    return np.array(rows), np.asarray(times, dtype=np.float64)
 
 
 class TestCountMatches:
@@ -80,18 +83,18 @@ class TestCountMatches:
         codes, qtimes = _query_codes_for(gammas[2], index.spec, times)
         hist = count_matches(codes, qtimes, index, duration)
         assert hist.track_ids[0] == 2
-        # every stored posting of track 2 is matched: distinct count is exact
-        mask = hist.match_track == 2
-        distinct = len(set(zip(hist.match_t[mask].tolist(), hist.match_tau[mask].tolist())))
-        assert hist.count_for(2) >= n_times * 5 * 10
+        # every stored posting of track 2 is matched, at its own query print
+        assert hist.counts[0] >= n_times * 5 * 10
+        own = (hist.vote_track == 2) & (np.abs(hist.vote_t - hist.vote_tau) < FRAME_PERIOD)
+        assert np.all(hist.vote_matches[own] == 5 * 10) and own.sum() == n_times
         own = table_triples(index.table)[:, 1] == 2
         assert int(own.sum()) == n_times * 5 * 10
 
     def test_empty_table(self):
         index = _synthetic_index({1: np.random.default_rng(1).integers(0, 1 << 40, (4, 5), dtype=np.uint64)})
-        codes = np.array([123, 456])
+        codes = np.array([[123], [456]])
         hist = count_matches(codes, np.array([0.0, 1.0]), index, 7.0)
-        assert hist.count_for(99) == 0
+        assert 99 not in hist.track_ids.tolist()
 
     def test_25_minute_posting_roundtrips_into_its_segment(self, tmp_path):
         segment_frames = int(round(15.0 / FRAME_PERIOD))
@@ -105,14 +108,55 @@ class TestCountMatches:
         back = load_index(tmp_path / "long.bmix")
         assert back.table.postings.tobytes() == table.postings.tobytes()
         assert table_triples(back.table)[:, 2].max() == 75000
-        hist = count_matches(np.array([9]), np.array([0.0]), back, 0.0)  # a zero-length query's window is one segment
-        assert hist.count_for(1) == 2
-        assert 75000 * FRAME_PERIOD in hist.match_t.tolist()
+        hist = count_matches(np.array([[9]]), np.array([0.0]), back, 0.0)  # a zero-length query's window is one segment
+        assert hist.track_ids.tolist() == [1] and hist.counts.tolist() == [2]
+        assert 75000 * FRAME_PERIOD in hist.vote_t.tolist()
 
     def test_empty_query_rejected(self):
         index = _synthetic_index({1: np.random.default_rng(2).integers(0, 1 << 40, (4, 5), dtype=np.uint64)})
         with pytest.raises(ValueError):
             count_matches(np.array([]), np.array([]), index, 7.0)
+
+    @pytest.mark.parametrize("times", [[1.0, 1.0], [2.0, 1.0], [0.0, 1.0, 2.0]], ids=["equal", "falling", "one_too_many"])
+    def test_print_times_must_rise_strictly_one_per_row(self, times):
+        index = _synthetic_index({1: np.random.default_rng(2).integers(0, 1 << 40, (4, 5), dtype=np.uint64)})
+        with pytest.raises(ValueError, match="one row of codes per query print and strictly rising print times"):
+            count_matches(np.array([[1, 2], [3, 4]]), np.array(times), index, 7.0)
+
+    def test_votes_collapse_the_code_matches(self):
+        rng = np.random.default_rng(9)
+        n_times = 240
+        gammas = {tid: rng.integers(0, 1 << 40, size=(n_times, 5), dtype=np.uint64) for tid in (1, 2, 3)}
+        index = _synthetic_index(gammas, duration_s=60.0)
+        # 20 s of track 2 with one bit flipped per band, then 5 s of track 3 and 5 s of noise
+        flips = np.uint64(1) << rng.integers(0, 40, (80, 5)).astype(np.uint64)
+        query = np.concatenate([gammas[2][100:180] ^ flips, gammas[3][10:30], rng.integers(0, 1 << 40, (20, 5), dtype=np.uint64)])
+        times = np.linspace(0.0, 29.9, len(query))
+        codes, qtimes = _query_codes_for(query, index.spec, times)
+        hist = count_matches(codes, qtimes, index, 30.0)
+        counts, rows = index.table.lookup_many(codes.reshape(-1))
+        prints = index.table.prints[rows]
+        match_tau = np.repeat(qtimes, counts.reshape(codes.shape).sum(axis=1))
+        assert hist.vote_matches.sum() == counts.sum()
+        assert hist.vote_matches.max() > 1
+        # the votes rise strictly by (track, t, tau)
+        votes = list(zip(hist.vote_track.tolist(), hist.vote_t.tolist(), hist.vote_tau.tolist()))
+        assert all(a < b for a, b in zip(votes[:-1], votes[1:]))
+        # each vote carries the matches of its (track, t, tau)
+        per_match = {}
+        for key in zip(prints["track"].tolist(), (prints["time"] * FRAME_PERIOD).tolist(), match_tau.tolist()):
+            per_match[key] = per_match.get(key, 0) + 1
+        assert dict(zip(votes, hist.vote_matches.tolist())) == per_match
+        # STEP 1 counts recounted per match: each track's best window of consecutive segments
+        segment = prints["time"].astype(np.int64) // SEGMENT_FRAMES
+        n_segments = int(segment.max()) + 1
+        window = min(int(np.ceil(30.0 / (SEGMENT_FRAMES * FRAME_PERIOD))) + 1, n_segments)
+        recount = {}
+        for track in np.unique(prints["track"]).tolist():
+            per_segment = np.bincount(segment[prints["track"] == track], minlength=n_segments)
+            recount[track] = max(int(per_segment[s : s + window].sum()) for s in range(n_segments - window + 1))
+        assert dict(zip(hist.track_ids.tolist(), hist.counts.tolist())) == recount
+        assert hist.track_ids[0] == 2
 
     def test_collision_model_short_sim(self):
         """Unrelated 30 s query vs 30 s reference: mean collisions near 10.98."""
@@ -124,7 +168,7 @@ class TestCountMatches:
             qry = rng.integers(0, 1 << 40, size=(120, 5), dtype=np.uint64)
             index = _synthetic_index({1: ref}, seed=int(rng.integers(1 << 30)))
             codes, qtimes = _query_codes_for(qry, index.spec, np.linspace(0, 29.9, 120))
-            counts, _ = index.table.lookup_many(codes)
+            counts, _ = index.table.lookup_many(codes.reshape(-1))
             total += counts.sum()
         mean = total / trials
         assert abs(mean - 10.98) / 10.98 < 0.25  # short run; acceptance uses 200 trials
@@ -141,7 +185,7 @@ class TestCountMatches:
                 qry = rng.integers(0, 1 << 40, size=(120, 5), dtype=np.uint64)
                 index = _synthetic_index({1: ref}, duration_s=d_r, seed=int(rng.integers(1 << 30)))
                 codes, qtimes = _query_codes_for(qry, index.spec, np.linspace(0, 29.9, 120))
-                counts, _ = index.table.lookup_many(codes)
+                counts, _ = index.table.lookup_many(codes.reshape(-1))
                 total += counts.sum()
             means.append(total / trials)
         predicted_slope = 30.0 * F_A**2 * 10 * 5 / 65536.0
@@ -153,7 +197,7 @@ class TestSelectCandidates:
     def _hist(self, ids, counts):
         return MatchHistogram(
             track_ids=np.array(ids), counts=np.array(counts),
-            match_track=np.array([]), match_t=np.array([]), match_tau=np.array([]),
+            vote_track=np.array([]), vote_t=np.array([]), vote_tau=np.array([]), vote_matches=np.array([]),
         )
 
     def test_rule_with_padding(self):
@@ -181,16 +225,25 @@ class TestSelectCandidates:
         assert len(select_candidates(hist)) == 0
 
 
-def _cone_oracle(t, tau, alpha):
-    """Brute force over every pair of matches: 1 + later matches inside the cone."""
+def _ones(n):
+    return np.ones(n, dtype=np.int64)
+
+
+def _sorted_by_t(t, tau):
+    order = np.lexsort((tau, t))
+    return t[order], tau[order]
+
+
+def _cone_oracle(t, tau, alpha, matches):
+    """Brute force over every pair of votes: matches * (1 + later matches inside the cone)."""
     t = np.asarray(t, dtype=np.float64)
     tau = np.asarray(tau, dtype=np.float64)
     oracle = np.ones(len(t))
     for i in range(len(t)):
         later = t > t[i]
         slope = (tau[later] - tau[i]) / (t[later] - t[i])
-        oracle[i] += np.count_nonzero((1 / alpha <= slope) & (slope <= alpha))
-    return oracle
+        oracle[i] += matches[later][(1 / alpha <= slope) & (slope <= alpha)].sum()
+    return matches * oracle
 
 
 class TestConeWeights:
@@ -198,13 +251,13 @@ class TestConeWeights:
         for n in (10, 34, 98):
             t = np.arange(n, dtype=float)
             tau = t - 5.0
-            w = cone_weights(t, tau)
+            w = cone_weights(t, tau, _ones(n))
             assert np.array_equal(w, np.arange(n, 0, -1))
 
     def test_negative_slope_excluded(self):
         t = np.arange(8, dtype=float)
         tau = -t + 3.0
-        assert np.array_equal(cone_weights(t, tau), np.ones(8))
+        assert np.array_equal(cone_weights(t, tau, _ones(8)), np.ones(8))
 
     def test_matches_bruteforce_oracle(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -235,10 +288,17 @@ class TestConeWeights:
         cases.append((np.full(70, 3 * frame), np.full(70, frame), 1.4))
         for t, tau, alpha in cases:
             monkeypatch.setattr(search, "ALPHA_MAX", alpha)
-            assert np.array_equal(cone_weights(t, tau), _cone_oracle(t, tau, alpha))
+            vt, vtau, matches = collapse_votes(t, tau)
+            w = cone_weights(vt, vtau, matches)
+            assert np.array_equal(w, _cone_oracle(vt, vtau, alpha, matches))
+            # a vote weighs what its matches weigh together
+            per_match = _cone_oracle(t, tau, alpha, _ones(len(t)))
+            vote_of = {point: k for k, point in enumerate(zip(vt.tolist(), vtau.tolist()))}
+            summed = np.bincount([vote_of[point] for point in zip(t.tolist(), tau.tolist())], weights=per_match)
+            assert np.array_equal(w, summed)
 
     def test_empty_input(self):
-        w = cone_weights(np.array([]), np.array([]))
+        w = cone_weights(np.array([]), np.array([]), _ones(0))
         assert w.shape == (0,) and w.dtype == np.float64
 
 
@@ -296,7 +356,7 @@ class TestTimeCoherence:
         """Out-of-window collinear pairs still contribute via the weights."""
         t = np.linspace(0, 12, 25)
         tau = 1.3 * t - 2.0
-        w = cone_weights(t, tau)
+        w = cone_weights(t, tau, _ones(25))
         weighted_score, _ = time_coherence(t, tau, w)
         unweighted_score, _ = time_coherence(t, tau, np.ones(25))
         assert weighted_score > unweighted_score
@@ -307,9 +367,8 @@ class TestTimeCoherence:
         tau = t - 4.0
         outliers_t = rng.uniform(0, 10, 10)
         outliers_tau = rng.uniform(0, 10, 10)
-        t_all = np.concatenate([t, outliers_t])
-        tau_all = np.concatenate([tau, outliers_tau])
-        w = cone_weights(t_all, tau_all)
+        t_all, tau_all = _sorted_by_t(np.concatenate([t, outliers_t]), np.concatenate([tau, outliers_tau]))
+        w = cone_weights(t_all, tau_all, _ones(40))
         _, delta_w = time_coherence(t_all, tau_all, w)
         _, delta_u = time_coherence(t_all, tau_all, np.ones(40))
         assert delta_w == delta_u
@@ -319,7 +378,7 @@ class TestRefineAlignment:
     def test_exact_unit_line(self):
         t = np.linspace(0, 10, 30)
         tau = t - 5.0
-        alpha, delta, n_in, low = refine_alignment(t, tau, 5.0, np.ones(30))
+        alpha, delta, n_in, low = refine_alignment(t, tau, 5.0, np.ones(30), _ones(30))
         assert abs(alpha - 1.0) < 1e-9
         assert abs(delta - 5.0) < 1e-9
         assert n_in == 30 and not low
@@ -327,9 +386,9 @@ class TestRefineAlignment:
     def test_stretched_line_recovered(self):
         t = np.linspace(0, 12, 40)
         tau = 1.3 * t - 2.0
-        w = cone_weights(t, tau)
+        w = cone_weights(t, tau, _ones(40))
         score, delta0 = time_coherence(t, tau, w)
-        alpha, delta, n_in, low = refine_alignment(t, tau, delta0, np.ones(40))
+        alpha, delta, n_in, low = refine_alignment(t, tau, delta0, np.ones(40), _ones(40))
         assert abs(alpha - 1.3) <= 0.02
         assert abs(delta - 2.0) <= 0.1
         assert not low
@@ -340,16 +399,37 @@ class TestRefineAlignment:
         tau_line = 1.3 * t_line - 2.0
         t_out = rng.uniform(0, 12, 30)
         tau_out = rng.uniform(tau_line.min(), tau_line.max(), 30)
-        t = np.concatenate([t_line, t_out])
-        tau = np.concatenate([tau_line, tau_out])
-        w = cone_weights(t, tau)
+        t, tau = _sorted_by_t(np.concatenate([t_line, t_out]), np.concatenate([tau_line, tau_out]))
+        w = cone_weights(t, tau, _ones(100))
         _, delta0 = time_coherence(t, tau, w)
-        alpha, delta, n_in, low = refine_alignment(t, tau, delta0, w)
+        alpha, delta, n_in, low = refine_alignment(t, tau, delta0, w, _ones(100))
         assert abs(alpha - 1.3) <= 0.05
 
     def test_too_few_inliers_flagged(self):
-        alpha, delta, n_in, low = refine_alignment(np.array([1.0]), np.array([0.5]), 99.0, np.ones(1))
+        alpha, delta, n_in, low = refine_alignment(np.array([1.0]), np.array([0.5]), 99.0, np.ones(1), _ones(1))
         assert low and alpha == 1.0 and delta == 99.0
+
+    def test_inliers_count_code_matches(self):
+        # one vote of three code matches is three inliers, enough for a fit
+        alpha, delta, n_in, low = refine_alignment(np.array([4.0]), np.array([1.5]), 2.625, np.array([3.0]), np.array([3]))
+        assert (alpha, delta, n_in, low) == (1.0, 2.5, 3, False)
+        # one vote of one code match is not
+        assert refine_alignment(np.array([4.0]), np.array([1.5]), 2.625, np.ones(1), _ones(1))[2:] == (1, True)
+
+    def test_one_reference_time_falls_back_to_unit_slope(self):
+        """A window at one reference time has no slope, even when its weighted variance rounds to non-zero.
+
+        A query-long-clean candidate's raw matches: seven copies of one point
+        at t = 704 frames inside the winning window, among 21 matches.
+        """
+        t = np.array([888, 903, 959, 704, 208, 208, 1073, 789, 704, 704, 704, 704, 704, 704, 704, 335, 704, 704, 1044, 704, 676]) * FRAME_PERIOD
+        tau = np.array([98, 111, 111, 111, 256, 415, 507, 534, 560, 560, 560, 560, 560, 560, 560, 613, 824, 824, 124, 164, 296]) * FRAME_PERIOD
+        w = np.array([2, 1, 1, 2, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1], dtype=np.float64)
+        window = np.flatnonzero(np.abs((t - tau) - 2.625) <= 1.5 * search.SIGMA)
+        assert len(window) == 7 and len(set(t[window])) == 1
+        alpha, delta, n_in, low = refine_alignment(t, tau, 2.625, w, _ones(len(t)))
+        assert alpha == 1.0 and delta == pytest.approx((704 - 560) * FRAME_PERIOD, abs=1e-12)
+        assert n_in == 7 and not low
 
     def test_alpha_clamped(self, monkeypatch):
         t = np.linspace(0, 5, 20)
@@ -357,8 +437,50 @@ class TestRefineAlignment:
         monkeypatch.setattr(search, "SIGMA", 3.0)  # every pair inside the window
         for alpha_max in (search.ALPHA_MAX, 1.2):
             monkeypatch.setattr(search, "ALPHA_MAX", alpha_max)
-            alpha, *_ = refine_alignment(t, tau, float(np.median(t - tau)), np.ones(20))
+            alpha, *_ = refine_alignment(t, tau, float(np.median(t - tau)), np.ones(20), _ones(20))
             assert alpha == alpha_max
+
+
+def _vote_step2(t, tau):
+    """STEP 2 over the votes of raw matches, in match_step2's order of outputs."""
+    vt, vtau, matches = collapse_votes(t, tau)
+    w = cone_weights(vt, vtau, matches)
+    score, delta_t = time_coherence(vt, vtau, w)
+    return (score, delta_t, *refine_alignment(vt, vtau, delta_t, w, matches))
+
+
+class TestVotesEqualMatches:
+    """STEP 2 over votes scores, bins and counts as STEP 2 over the raw code matches did."""
+
+    def _assert_same(self, t, tau):
+        score, delta_t, alpha, delta, n_in, low = _vote_step2(t, tau)
+        o_score, o_delta_t, o_alpha, o_delta, o_n_in, o_low = match_step2(t, tau)
+        assert (score, delta_t, n_in, low) == (o_score, o_delta_t, o_n_in, o_low)
+        assert abs(alpha - o_alpha) <= 1e-12 and abs(delta - o_delta) <= 1e-12
+
+    def test_random_match_sets(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            # frame-grid points: a stretched line, stray collisions, and extra query times at some line points
+            n_line = int(rng.integers(2, 40))
+            line_t = np.sort(rng.choice(1500, n_line, replace=False))
+            line_tau = np.rint(line_t * rng.uniform(1 / 1.3, 1.3)) - rng.integers(0, 400)
+            stray_t, stray_tau = rng.integers(0, 1500, (2, int(rng.integers(0, 30))))
+            shared_t = rng.choice(line_t, int(rng.integers(0, 10)))
+            shared_tau = shared_t + rng.integers(-40, 40, len(shared_t)) - 200
+            t = np.concatenate([line_t, stray_t, shared_t]) * FRAME_PERIOD
+            tau = np.concatenate([line_tau, stray_tau, shared_tau]) * FRAME_PERIOD
+            # each point 1-12 times, as one anchor pair's shared codes give it, in lookup order
+            copies = rng.integers(1, 13, len(t))
+            order = rng.permutation(copies.sum())
+            self._assert_same(np.repeat(t, copies)[order], np.repeat(tau, copies)[order])
+
+    def test_one_point_and_one_reference_time(self):
+        rng = np.random.default_rng(18)
+        self._assert_same(np.full(7, 704 * FRAME_PERIOD), np.full(7, 560 * FRAME_PERIOD))
+        for _ in range(20):
+            tau = rng.integers(0, 30, int(rng.integers(1, 40))) * FRAME_PERIOD
+            self._assert_same(np.full(len(tau), 704 * FRAME_PERIOD), tau)
 
 
 class TestQueryIndex:
@@ -413,15 +535,16 @@ class TestQueryIndex:
             corpus.synth_track(5_000_100, duration_s=7.0),
         ]
         fast = [query_index(x, s.index, s.model) for x in excerpts]
-        repeated_points = []
+        shared_votes = []
 
-        def oracle(t, tau):
-            repeated_points.append(len(set(zip(t.tolist(), tau.tolist()))) < len(t))
-            return _cone_oracle(t, tau, search.ALPHA_MAX)
+        def oracle(t, tau, matches):
+            assert len(set(zip(t.tolist(), tau.tolist()))) == len(t)
+            shared_votes.append(bool(np.any(matches > 1)))
+            return _cone_oracle(t, tau, search.ALPHA_MAX, matches)
 
         monkeypatch.setattr(search, "cone_weights", oracle)
         slow = [query_index(x, s.index, s.model) for x in excerpts]
-        assert any(repeated_points)
+        assert any(shared_votes)
         assert [r.no_match for r in fast] == [False, False, False, False, True]
         for a, b in zip(fast, slow):
             # SearchResult equality covers track, STEP 1 count, score, alpha, delta*, inliers and low confidence
@@ -454,9 +577,11 @@ class TestQueryIndex:
         s = small_setup
         entry = s.entries[3]
         codes, times, n_prints, _ = query_codes(pipeline.load_track(entry), s.index, s.model)
-        counts, postings = s.index.table.lookup_many(codes)
-        frames = np.repeat(np.rint(times / FRAME_PERIOD).astype(np.int64), counts)
-        same_anchor = (postings["track"] == entry.track_id) & (postings["time"] == frames)
+        assert codes.shape == (n_prints, N_BANDS * N_LSH) and times.shape == (n_prints,)
+        counts, rows = s.index.table.lookup_many(codes.reshape(-1))
+        prints = s.index.table.prints[rows]
+        frames = np.repeat(np.rint(times / FRAME_PERIOD).astype(np.int64), counts.reshape(codes.shape).sum(axis=1))
+        same_anchor = (prints["track"] == entry.track_id) & (prints["time"] == frames)
         per_print = N_BANDS * N_RELIABLE
         assert np.count_nonzero(table_triples(s.index.table)[:, 1] == entry.track_id) == n_prints * per_print
         assert np.count_nonzero(same_anchor) == n_prints * per_print
